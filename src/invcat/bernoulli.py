@@ -108,7 +108,24 @@ def bernoulli_global(
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> FibredAction:
     """θ_s(A) = sA on the full Bernoulli poset, as a fibred action."""
-    bp = build_bernoulli(ic, pointed=False, max_elements=max_elements)
+    return _global_action(build_bernoulli(ic, pointed=False, max_elements=max_elements), strict)
+
+
+def bernoulli_partial(
+    ic: InverseCategory,
+    strict: bool = False,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
+) -> PartialActionBundle:
+    """The partial bundle on the pointed Bernoulli poset.
+
+    D_s collects the pointed subsets B whose signature sits below (strict:
+    equals) ss° and which contain iε(B)·s; θ_s sends A to sA.
+    """
+    return _partial_bundle(build_bernoulli(ic, pointed=True, max_elements=max_elements), strict)
+
+
+def _global_action(bp: BernoulliPoset, strict: bool) -> FibredAction:
+    ic = bp.ic
     moment = MomentMap(
         {k: elt.obj for k, elt in bp.elements.items()},
         {k: elt.idem for k, elt in bp.elements.items()},
@@ -123,17 +140,8 @@ def bernoulli_global(
     return action
 
 
-def bernoulli_partial(
-    ic: InverseCategory,
-    strict: bool = False,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> PartialActionBundle:
-    """The partial bundle on the pointed Bernoulli poset.
-
-    D_s collects the pointed subsets B whose signature sits below (strict:
-    equals) ss° and which contain iε(B)·s; θ_s sends A to sA.
-    """
-    bp = build_bernoulli(ic, pointed=True, max_elements=max_elements)
+def _partial_bundle(bp: BernoulliPoset, strict: bool) -> PartialActionBundle:
+    ic = bp.ic
 
     def domain(s: str) -> frozenset[str]:
         ran = ic.ran_idem(s)

@@ -16,7 +16,7 @@ import sys
 import time
 
 from .algebra import decompose, morita_check
-from .bernoulli import bernoulli_global, bernoulli_partial, build_bernoulli
+from .bernoulli import _global_action, _partial_bundle, build_bernoulli
 from .completion import (
     cauchy_completion,
     completion_inclusion,
@@ -40,7 +40,7 @@ from .errors import (
 )
 from .expansion import inner_expansion, szendrei
 from .limits import max_elements_from_env
-from .specfile import load_category, save_category
+from .specfile import _load_json, load_category, save_category
 
 _INPUT_ERROR_CODES = {
     "PARSE_ERROR",
@@ -112,8 +112,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
 def cmd_bernoulli(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     inputs = {args.path: _sha256(args.path)}
     ic, notes = _load_inverse(args.path)
-    cap = args.max_elements
-    bp = build_bernoulli(ic, pointed=args.circ, max_elements=cap)
+    bp = build_bernoulli(ic, pointed=args.circ, max_elements=args.max_elements)
     elements = [
         {
             "key": key,
@@ -127,11 +126,11 @@ def cmd_bernoulli(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]
     domains: dict[str, dict[str, list[str]]] = {}
     if args.circ:
         for variant, strict in (("partial", False), ("strict_partial", True)):
-            bundle = bernoulli_partial(ic, strict=strict, max_elements=cap)
+            bundle = _partial_bundle(bp, strict)
             domains[variant] = {s: sorted(bundle.domains[s]) for s in ic.morphisms}
     else:
         for variant, strict in (("global", False), ("strict_global", True)):
-            action = bernoulli_global(ic, strict=strict, max_elements=cap)
+            action = _global_action(bp, strict)
             domains[variant] = {s: sorted(action.domain(s)) for s in ic.morphisms}
     result = {
         "pointed": args.circ,
@@ -198,18 +197,14 @@ def cmd_cauchy(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
 
 def _load_embedding(path: str, sub: FiniteCategory, sup: FiniteCategory) -> Functor:
     with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = _load_json(handle.read(), path)
+    if not isinstance(data, dict) or set(data) != {"objects", "morphisms"} or not all(
+        isinstance(m, dict) and all(isinstance(v, str) for v in m.values()) for m in data.values()
+    ):
         raise ParseError(
-            f"invalid JSON in {path}: {exc.msg}", line=exc.lineno, column=exc.colno
-        ) from exc
-    if not isinstance(data, dict) or set(data) != {"objects", "morphisms"}:
-        raise ParseError(
-            f"embedding file {path} must contain exactly 'objects' and 'morphisms' maps"
+            f"embedding file {path} must contain exactly 'objects' and 'morphisms' maps of names"
         )
-    return Functor(sub, sup, dict(data["objects"]), dict(data["morphisms"]))
+    return Functor(sub, sup, data["objects"], data["morphisms"])
 
 
 def cmd_enlargement(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:

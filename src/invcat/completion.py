@@ -19,11 +19,10 @@ from dataclasses import dataclass
 
 from .algebra import idempotent_classes  # re-exported: classes live with the groupoid
 from .core import (
-    FiniteCategory,
     Functor,
     InverseCategory,
-    find_inverse_structure,
     isomorphic_objects,
+    join_category,
     validate_functor,
 )
 from .errors import NotAFunctor, NotASubcategory
@@ -59,6 +58,23 @@ class CauchyCompletion:
     morphisms_data: dict[str, tuple[str, str, str]]  # name -> (e, s, f)
 
 
+def _join_triples(ic: InverseCategory, triples: dict[str, tuple[str, str, str]]) -> InverseCategory:
+    """The triples (e, s, f) as arrows from (src s, e) to (tgt s, f) between
+    the objects (X, e), composed by (f, t, g)(e, s, f) = (e, ts, g)."""
+    objects = {_object_name(ic.src(e), e): e for e in ic.idempotents()}
+    typing = {
+        name: (_object_name(ic.src(s), e), _object_name(ic.tgt(s), f))
+        for name, (e, s, f) in triples.items()
+    }
+    identities = {oname: _morphism_name(e, e, e) for oname, e in objects.items()}
+
+    def product(a: str, b: str) -> str:
+        (_, t, g), (e, s, _) = triples[a], triples[b]
+        return _morphism_name(e, ic.compose(t, s), g)
+
+    return join_category(tuple(objects), typing, identities, product)
+
+
 def cauchy_completion(ic: InverseCategory) -> CauchyCompletion:
     """Split the idempotents of an inverse category.
 
@@ -72,7 +88,6 @@ def cauchy_completion(ic: InverseCategory) -> CauchyCompletion:
         objects_data[_object_name(ic.src(e), e)] = (ic.src(e), e)
 
     morphisms_data: dict[str, tuple[str, str, str]] = {}
-    typing: dict[str, tuple[str, str]] = {}
     for s in cat.morphisms:
         for e in ic.idempotents_at(cat.src[s]):
             if cat.table.get((s, e)) != s:
@@ -80,30 +95,9 @@ def cauchy_completion(ic: InverseCategory) -> CauchyCompletion:
             for f in ic.idempotents_at(cat.tgt[s]):
                 if cat.table.get((f, s)) != s:
                     continue
-                name = _morphism_name(e, s, f)
-                morphisms_data[name] = (e, s, f)
-                typing[name] = (
-                    _object_name(cat.src[s], e),
-                    _object_name(cat.tgt[s], f),
-                )
+                morphisms_data[_morphism_name(e, s, f)] = (e, s, f)
 
-    identities = {
-        oname: _morphism_name(e, e, e) for oname, (_, e) in objects_data.items()
-    }
-    table: dict[tuple[str, str], str] = {}
-    for bname, (e, s, f) in morphisms_data.items():
-        for aname, (f2, t, g) in morphisms_data.items():
-            if f2 != f:
-                continue
-            ts = cat.table.get((t, s))
-            assert ts is not None
-            cname = _morphism_name(e, ts, g)
-            assert cname in morphisms_data, (aname, bname, "composite escaped")
-            table[(aname, bname)] = cname
-
-    completed = find_inverse_structure(
-        FiniteCategory.build(tuple(objects_data), typing, identities, table)
-    )
+    completed = _join_triples(ic, morphisms_data)
     embedding = Functor(
         cat,
         completed.cat,
@@ -122,31 +116,11 @@ def restriction_groupoid(ic: InverseCategory) -> InverseCategory:
     Same objects (X, e); one arrow (s°s, s, ss°) per morphism s of the
     original category, so the morphism counts agree.
     """
-    cat = ic.cat
-    objects_data = {
-        _object_name(ic.src(e), e): (ic.src(e), e) for e in ic.idempotents()
-    }
-    typing: dict[str, tuple[str, str]] = {}
-    names: dict[str, str] = {}
-    for s in cat.morphisms:
+    triples = {}
+    for s in ic.morphisms:
         d, r = ic.dom_idem(s), ic.ran_idem(s)
-        name = _morphism_name(d, s, r)
-        names[s] = name
-        typing[name] = (_object_name(cat.src[s], d), _object_name(cat.tgt[s], r))
-    identities = {
-        oname: _morphism_name(e, e, e) for oname, (_, e) in objects_data.items()
-    }
-    table: dict[tuple[str, str], str] = {}
-    for s in cat.morphisms:
-        for t in cat.morphisms:
-            if ic.ran_idem(s) != ic.dom_idem(t):
-                continue
-            ts = cat.table.get((t, s))
-            assert ts is not None
-            table[(names[t], names[s])] = names[ts]
-    return find_inverse_structure(
-        FiniteCategory.build(tuple(objects_data), typing, identities, table)
-    )
+        triples[_morphism_name(d, s, r)] = (d, s, r)
+    return _join_triples(ic, triples)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +206,7 @@ def enlargement_check(
     axiom3 = True
     embedded_idems = {emb.morphisms[e] for e in sub.idempotents()}
     for f in sup.idempotents():
-        if not any(
-            sup.ran_idem(s) == f and sup.dom_idem(s) in embedded_idems
-            for s in sup.morphisms
-        ):
+        if not any(sup.dom_idem(s) in embedded_idems for s in sup.r_class(f)):
             axiom3 = False
             witnesses.setdefault("axiom3", (sup.src(f), f))
 

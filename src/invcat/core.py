@@ -11,13 +11,18 @@ Conventions used throughout the package:
 * All identities must be declared explicitly.
 * Declaration order of objects and morphisms is the canonical order;
   derived collections are emitted sorted by name.
+* A category is immutable once built and indexes its morphisms by source
+  and by target once, in declaration order; hom-sets, stars, costars and
+  the inverse search read these buckets.  Every derived category is built
+  by ``join_category``, which composes each arrow only with the arrows
+  starting where it ends, so its cost follows the composable pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import NotInverseCategory, NotParallel, UndeclaredName
 
@@ -77,6 +82,12 @@ class FiniteCategory:
     tgt: dict[str, str]
     identity: dict[str, str]
     table: dict[tuple[str, str], str]
+    _by_src: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _by_tgt: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_src = _buckets(self.morphisms, self.src.__getitem__)
+        self._by_tgt = _buckets(self.morphisms, self.tgt.__getitem__)
 
     @staticmethod
     def build(
@@ -85,10 +96,11 @@ class FiniteCategory:
         identities: Mapping[str, str],
         composition: Mapping[tuple[str, str], str],
     ) -> "FiniteCategory":
-        """Assemble a category, rejecting any reference to an undeclared name."""
+        """Assemble a category, rejecting any reference to an undeclared name.
+        Names are stored as the declared string objects, never as copies."""
         objs = tuple(objects)
         mors = tuple(morphisms)
-        oset, mset = set(objs), set(mors)
+        oset, mset = {x: x for x in objs}, {m: m for m in mors}
         if len(oset) != len(objs):
             raise UndeclaredName("duplicate object declaration", objects=objs)
         if len(mset) != len(mors):
@@ -99,7 +111,7 @@ class FiniteCategory:
                 raise UndeclaredName(f"morphism {name!r} has undeclared source {a!r}", name=a)
             if b not in oset:
                 raise UndeclaredName(f"morphism {name!r} has undeclared target {b!r}", name=b)
-            src[name], tgt[name] = a, b
+            src[name], tgt[name] = oset[a], oset[b]
         ident = {}
         for obj, m in identities.items():
             if obj not in oset:
@@ -108,11 +120,11 @@ class FiniteCategory:
                 raise UndeclaredName(f"identity of {obj!r} is undeclared morphism {m!r}", name=m)
             ident[obj] = m
         table = {}
-        for (g, f), h in composition.items():
-            for name in (g, f, h):
+        for pair, h in composition.items():
+            for name in (*pair, h):
                 if name not in mset:
                     raise UndeclaredName(f"composition entry uses undeclared morphism {name!r}", name=name)
-            table[(g, f)] = h
+            table[pair] = mset[h]
         return FiniteCategory(objs, mors, src, tgt, ident, table)
 
     # -- basic queries ------------------------------------------------
@@ -125,7 +137,7 @@ class FiniteCategory:
         return self.tgt[f] == self.src[g]
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(m for m in self.morphisms if self.src[m] == x and self.tgt[m] == y)
+        return tuple(m for m in self._by_src.get(x, ()) if self.tgt[m] == y)
 
     def endo(self, x: str) -> tuple[str, ...]:
         return self.hom(x, x)
@@ -135,6 +147,14 @@ class FiniteCategory:
 
     def parallel(self, s: str, t: str) -> bool:
         return self.src[s] == self.src[t] and self.tgt[s] == self.tgt[t]
+
+
+def _buckets(items: Iterable, key) -> dict:
+    """Group ``items`` by ``key``, keeping their order inside each bucket."""
+    out: dict = {}
+    for item in items:
+        out.setdefault(key(item), []).append(item)
+    return {k: tuple(v) for k, v in out.items()}
 
 
 def validate_category(cat: FiniteCategory) -> ValidationReport:
@@ -173,15 +193,12 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
             report.add("identity-neutral-right", (f, right), "f∘1 differs from f")
     # associativity over composable triples, walking src buckets; triples
     # touching a missing composite are already reported above
-    by_src: dict[str, list[str]] = {x: [] for x in cat.objects}
-    for m in cat.morphisms:
-        by_src.setdefault(cat.src[m], []).append(m)
     for f in cat.morphisms:
-        for g in by_src.get(cat.tgt[f], ()):
+        for g in cat._by_src.get(cat.tgt[f], ()):
             gf = cat.table.get((g, f))
             if gf is None:
                 continue
-            for h in by_src.get(cat.tgt[g], ()):
+            for h in cat._by_src.get(cat.tgt[g], ()):
                 hg = cat.table.get((h, g))
                 if hg is None:
                     continue
@@ -277,11 +294,11 @@ class InverseCategory:
 
     def star(self, x: str) -> tuple[str, ...]:
         """Morphisms whose outer source is x."""
-        return tuple(m for m in self.morphisms if self.src(m) == x)
+        return self.cat._by_src.get(x, ())
 
     def costar(self, y: str) -> tuple[str, ...]:
         """Morphisms whose outer target is y."""
-        return tuple(m for m in self.morphisms if self.tgt(m) == y)
+        return self.cat._by_tgt.get(y, ())
 
     def r_class(self, e: str) -> tuple[str, ...]:
         """All morphisms with inner target e (the R-class of the idempotent e)."""
@@ -294,9 +311,7 @@ class InverseCategory:
 def generalized_inverses(cat: FiniteCategory, s: str) -> tuple[str, ...]:
     """All t with s = sts and t = tst (candidates run over hom(tgt s, src s))."""
     found = []
-    for t in cat.morphisms:
-        if cat.src[t] != cat.tgt[s] or cat.tgt[t] != cat.src[s]:
-            continue
+    for t in cat.hom(cat.tgt[s], cat.src[s]):
         ts = cat.table.get((t, s))
         st = cat.table.get((s, t))
         if ts is None or st is None:
@@ -324,6 +339,25 @@ def find_inverse_structure(cat: FiniteCategory) -> InverseCategory:
             )
         inverse[s] = candidates[0]
     return InverseCategory(cat, inverse)
+
+
+def join_category(
+    objects: Iterable[str],
+    typing: Mapping[str, tuple[str, str]],
+    identities: Mapping[str, str],
+    product: Callable[[str, str], str],
+) -> InverseCategory:
+    """Build and verify the inverse category whose arrows are ``typing``
+    (name -> (source, target), in declaration order) and whose composite g∘f
+    is named by ``product(g, f)``, called only when tgt f = src g.  A
+    composite that is not an arrow raises UNDECLARED_NAME."""
+    by_src = _buckets(typing, lambda m: typing[m][0])
+    table = {
+        (g, f): product(g, f)
+        for f, (_, y) in typing.items()
+        for g in by_src.get(y, ())
+    }
+    return find_inverse_structure(FiniteCategory.build(objects, typing, identities, table))
 
 
 def natural_leq(ic: InverseCategory, s: str, t: str) -> bool:
@@ -359,8 +393,9 @@ def idempotents(cat: FiniteCategory | InverseCategory) -> tuple[str, ...]:
     return tuple(sorted(m for m in cat.morphisms if cat.table.get((m, m)) == m))
 
 def idempotents_at(cat: FiniteCategory | InverseCategory, x: str) -> tuple[str, ...]:
-    base = cat.cat if isinstance(cat, InverseCategory) else cat
-    return tuple(e for e in idempotents(base) if base.src[e] == x)
+    if isinstance(cat, InverseCategory):
+        return cat.idempotents_at(x)
+    return tuple(sorted(m for m in cat._by_src.get(x, ()) if cat.table.get((m, m)) == m))
 
 
 def inner_outer(ic: InverseCategory, s: str) -> tuple[str, str, str, str]:
@@ -474,9 +509,7 @@ def invertible_morphisms(cat: FiniteCategory) -> dict[str, str]:
     """Map each invertible morphism to its two-sided inverse."""
     out: dict[str, str] = {}
     for s in cat.morphisms:
-        for t in cat.morphisms:
-            if cat.src[t] != cat.tgt[s] or cat.tgt[t] != cat.src[s]:
-                continue
+        for t in cat.hom(cat.tgt[s], cat.src[s]):
             if (
                 cat.table.get((t, s)) == cat.identity[cat.src[s]]
                 and cat.table.get((s, t)) == cat.identity[cat.tgt[s]]

@@ -23,13 +23,12 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .actions import FibredAction, PartialActionBundle
-from .bernoulli import BernoulliPoset, bernoulli_global, bernoulli_partial, build_bernoulli
+from .bernoulli import BernoulliPoset, _global_action, _partial_bundle, build_bernoulli
 from .core import (
-    FiniteCategory,
     Functor,
     InverseCategory,
     ValidationReport,
-    find_inverse_structure,
+    join_category,
     natural_leq,
 )
 from .errors import NotComposable, NotIdempotent, PreconditionFailed
@@ -51,16 +50,14 @@ def semidirect_product(
     category together with the map from arrow names back to (element,
     morphism) pairs.
     """
-    ic = action.ic
+    ic, strict = action.ic, action.strict
     if isinstance(action, FibredAction):
-        strict = action.strict
         domains = {s: action.domain(s) for s in ic.morphisms}
         back_maps = {
             s: {x: action.theta[(ic.inv(s), x)] for x in domains[s]}
             for s in ic.morphisms
         }
     else:
-        strict = action.strict
         domains = {s: action.domains[s] for s in ic.morphisms}
         back_maps = {s: dict(action.maps[ic.inv(s)].pairs) for s in ic.morphisms}
 
@@ -84,20 +81,11 @@ def semidirect_product(
         assert len(units) == 1, (x, units, "element needs exactly one unit arrow")
         identities[x] = f"({x}|{units[0]})"
 
-    table: dict[tuple[str, str], str] = {}
-    for aname, (x, s) in arrows.items():
-        y = back_maps[s][x]
-        for bname, (yb, t) in arrows.items():
-            if yb != y:
-                continue
-            st = ic.compose(s, t)
-            assert st is not None, (aname, bname, "underlying morphisms not composable")
-            cname = f"({x}|{st})"
-            assert cname in arrows, (aname, bname, "composite escaped the arrow set")
-            table[(aname, bname)] = cname
+    def product(a: str, b: str) -> str:
+        (x, s), (_, t) = arrows[a], arrows[b]
+        return f"({x}|{ic.compose(s, t)})"
 
-    cat = FiniteCategory.build(objects, typing, identities, table)
-    return find_inverse_structure(cat), arrows
+    return join_category(objects, typing, identities, product), arrows
 
 
 @dataclass
@@ -137,12 +125,7 @@ def szendrei(
     pointed = variant in ("partial", "strict_partial")
     strict = variant in ("strict_global", "strict_partial")
     carrier = build_bernoulli(origin, pointed=pointed, max_elements=max_elements)
-    if pointed:
-        action: FibredAction | PartialActionBundle = bernoulli_partial(
-            origin, strict=strict, max_elements=max_elements
-        )
-    else:
-        action = bernoulli_global(origin, strict=strict, max_elements=max_elements)
+    action = (_partial_bundle if pointed else _global_action)(carrier, strict)
     inv, arrows = semidirect_product(action)
     return SzCategory(inv, origin, variant, carrier, arrows)
 

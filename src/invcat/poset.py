@@ -13,7 +13,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .core import FiniteCategory, InverseCategory, find_inverse_structure
+from .core import InverseCategory, join_category
 from .errors import SizeCapExceeded
 from .limits import DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_POSET
 
@@ -197,16 +197,14 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
     for u, v in itertools.product(ids, repeat=2):
         isos.extend(order_isos_between(poset, u, v))
 
-    morphisms: dict[str, tuple[str, str]] = {}
     data: dict[str, tuple[str, str, PartialOrderIso]] = {}
     for uname, vname in itertools.product(object_names, repeat=2):
         u, v = by_name[uname], by_name[vname]
         for s in isos:
             if s.dom <= u and s.ran <= v:
                 name = f"{uname}->{vname}|{s.label()}"
-                morphisms[name] = (uname, vname)
                 data[name] = (uname, vname, s)
-                if len(morphisms) > max_elements:
+                if len(data) > max_elements:
                     raise SizeCapExceeded(
                         f"morphism count exceeded cap {max_elements}",
                         cap=max_elements,
@@ -217,18 +215,12 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
         for uname in object_names
     }
 
-    composition: dict[tuple[str, str], str] = {}
-    for fname, (u1, v1, s) in data.items():
-        for gname, (u2, v2, t) in data.items():
-            if u2 != v1:
-                continue
-            composite = compose_partial_isos(t, s)
-            cname = f"{u1}->{v2}|{composite.label()}"
-            assert cname in data, ("composite escaped the morphism set", gname, fname)
-            composition[(gname, fname)] = cname
+    def product(g: str, f: str) -> str:
+        (_, v, t), (u, _, s) = data[g], data[f]
+        return f"{u}->{v}|{compose_partial_isos(t, s).label()}"
 
-    cat = FiniteCategory.build(object_names, morphisms, identities, composition)
-    return find_inverse_structure(cat)
+    typing = {name: (u, v) for name, (u, v, _) in data.items()}
+    return join_category(object_names, typing, identities, product)
 
 
 def iic_morphism_data(name: str) -> tuple[str, str, tuple[tuple[str, str], ...]]:

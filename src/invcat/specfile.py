@@ -13,9 +13,9 @@ The format is JSON with a fixed schema::
 
 A composition entry means left∘right = result, with ``right`` acting first;
 pairs absent from the list do not compose.  The optional inverse map is
-verified against the computed one, never trusted.  Unknown fields anywhere
-are rejected.  Serialisation is canonical: fixed key order, sorted entries,
-two-space indent, trailing newline.
+verified against the computed one, never trusted.  Unknown fields and
+repeated keys anywhere are rejected.  Serialisation is canonical: fixed key
+order, sorted entries, two-space indent, trailing newline.
 """
 
 from __future__ import annotations
@@ -45,16 +45,31 @@ def _want(value: Any, kind: type, where: str) -> Any:
     return value
 
 
-def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory, dict[str, str] | None]:
-    """Parse a category file; returns the category and the declared inverse
-    map, if any.  Syntax errors carry line and column; schema errors name the
-    offending field."""
+def _load_json(text: str, source: str) -> Any:
+    """Strict JSON: a repeated key in any object is a PARSE_ERROR, and
+    syntax errors carry line and column."""
+
+    def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+        out: dict[str, Any] = {}
+        for key, value in pairs:
+            if key in out:
+                raise ParseError(f"duplicate key {key!r} in {source}", key=key)
+            out[key] = value
+        return out
+
     try:
-        data = json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ParseError(
             f"invalid JSON in {source}: {exc.msg}", line=exc.lineno, column=exc.colno
         ) from exc
+
+
+def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory, dict[str, str] | None]:
+    """Parse a category file; returns the category and the declared inverse
+    map, if any.  Syntax errors carry line and column; schema errors name the
+    offending field."""
+    data = _load_json(text, source)
     _want(data, dict, "top level")
     _reject_extra(data, _TOP_KEYS, "top level")
     missing = sorted(_REQUIRED - set(data))

@@ -26,6 +26,16 @@ def brute_generalized_inverses(cat: FiniteCategory, s: str) -> list[str]:
     return sorted(out)
 
 
+def brute_composable_pairs(cat: FiniteCategory) -> set[tuple[str, str]]:
+    """Every (g, f) with tgt f = src g, by looping over all pairs of morphisms."""
+    return {
+        (g, f)
+        for f in cat.morphisms
+        for g in cat.morphisms
+        if cat.tgt[f] == cat.src[g]
+    }
+
+
 def brute_inverse_map(cat: FiniteCategory) -> dict[str, str] | None:
     """The inverse map if every morphism has exactly one candidate."""
     inv = {}

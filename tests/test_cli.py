@@ -185,6 +185,35 @@ def test_embedding_file_must_have_exact_keys(datadir, capsys, tmp_path):
     assert report["error"]["code"] == "PARSE_ERROR"
 
 
+def test_embedding_values_must_be_names(datadir, capsys, tmp_path):
+    bad = tmp_path / "emb.json"
+    bad.write_text('{"objects": {"*": ["X"]}, "morphisms": {"1": ["1X"]}}')
+    code, report, _ = run(
+        capsys,
+        "enlargement",
+        str(datadir / "t1.json"),
+        str(datadir / "g2.json"),
+        "--embedding",
+        str(bad),
+    )
+    assert code == 2
+    assert report["error"]["code"] == "PARSE_ERROR"
+
+
+def test_duplicate_json_keys_are_rejected(capsys, tmp_path):
+    spec = tmp_path / "dup.json"
+    spec.write_text(
+        '{"invcat-spec": 1, "objects": ["*"],'
+        ' "morphisms": [{"name": "1", "src": "*", "tgt": "*"}],'
+        ' "identities": {"*": "1", "*": "1"},'
+        ' "composition": [{"left": "1", "right": "1", "result": "1"}]}'
+    )
+    code, report, _ = run(capsys, "validate", str(spec))
+    assert code == 2
+    assert report["error"]["code"] == "PARSE_ERROR"
+    assert report["error"]["details"] == {"key": "*"}
+
+
 def test_decompose(datadir, capsys):
     code, report, _ = run(capsys, "decompose", str(datadir / "i2.json"))
     assert code == 0
