@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .core import InverseCategory, ValidationReport
+from .core import InverseCategory, ValidationReport, natural_leq
 from .errors import NotAFunctor, NotGlobal, NotIdeal
 from .poset import (
     PartialOrderIso,
@@ -77,22 +77,16 @@ class FibredAction:
         return frozenset(x for x in self.poset.elements if self.admissible(t, x))
 
 
-def validate_fibred(action: FibredAction, verbose: bool = False) -> ValidationReport:
+def validate_fibred(action: FibredAction) -> ValidationReport:
     """Check the fibred-action axioms.
 
     Rules: moment typing and monotonicity, exactness of the domain of θ,
     the unit law θ_{iρ(x)}(x) = x, the moment of an image, monotonicity of
     each θ_s, and the composition law in Kleene form (both sides defined
-    together and then equal).  One witness per rule unless ``verbose``.
+    together and then equal).  One witness per rule.
     """
     full = ValidationReport()
-    seen: set[str] = set()
-
-    def add(rule: str, witness: tuple, detail: str) -> None:
-        if verbose or rule not in seen:
-            full.add(rule, witness, detail)
-            seen.add(rule)
-
+    add = full.add_first
     ic, poset, moment = action.ic, action.poset, action.moment
     mor_set = set(ic.morphisms)
     elt_set = set(poset.elements)
@@ -189,8 +183,6 @@ def validate_fibred(action: FibredAction, verbose: bool = False) -> ValidationRe
 
 def natural_order_poset(ic: InverseCategory) -> Poset:
     """All morphisms under the natural partial order."""
-    from .core import natural_leq
-
     def leq(a: str, b: str) -> bool:
         return ic.cat.parallel(a, b) and natural_leq(ic, a, b)
 
@@ -273,7 +265,7 @@ def fibred_to_symmetry(action: FibredAction) -> SymmetryAction:
     return SymmetryAction(ic, poset, fibers, isos)
 
 
-def validate_symmetry(sym: SymmetryAction, verbose: bool = False) -> ValidationReport:
+def validate_symmetry(sym: SymmetryAction) -> ValidationReport:
     """Check the functor laws directly, without building the target category.
 
     Rules: fibers are ideals partitioning the poset; each iso is an order
@@ -281,13 +273,7 @@ def validate_symmetry(sym: SymmetryAction, verbose: bool = False) -> ValidationR
     identities on their fiber; composition and inverses are preserved.
     """
     full = ValidationReport()
-    seen: set[str] = set()
-
-    def add(rule: str, witness: tuple, detail: str) -> None:
-        if verbose or rule not in seen:
-            full.add(rule, witness, detail)
-            seen.add(rule)
-
+    add = full.add_first
     ic, poset = sym.ic, sym.poset
     covered: list[str] = []
     for X in ic.objects:
@@ -370,7 +356,7 @@ def symmetry_to_partial(sym: SymmetryAction) -> PartialActionBundle:
     return PartialActionBundle(sym.ic, sym.poset, domains, maps)
 
 
-def validate_partial(bundle: PartialActionBundle, verbose: bool = False) -> ValidationReport:
+def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
     """Check the axioms of a partial action bundle.
 
     Non-strict rules: each θ_s is an order isomorphism between the ideals
@@ -385,15 +371,8 @@ def validate_partial(bundle: PartialActionBundle, verbose: bool = False) -> Vali
     inclusion θ_s(D_{s°} ∩ D_t) ⊆ D_s ∩ D_{st} is required.
     """
     full = ValidationReport()
-    seen: set[str] = set()
-
-    def add(rule: str, witness: tuple, detail: str) -> None:
-        if verbose or rule not in seen:
-            full.add(rule, witness, detail)
-            seen.add(rule)
-
+    add = full.add_first
     ic, poset = bundle.ic, bundle.poset
-    from .core import natural_leq
 
     for s in ic.morphisms:
         if s not in bundle.domains or s not in bundle.maps:

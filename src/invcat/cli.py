@@ -305,7 +305,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--max-elements",
             type=int,
-            default=max_elements_from_env(),
             help="size cap for derived structures (env INVCAT_MAX_ELEMENTS)",
         )
 
@@ -365,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     args = _build_parser().parse_args(argv)
     try:
+        if args.max_elements is None:
+            args.max_elements = max_elements_from_env()
         inputs, result, violations, code = args.func(args)
     except OSError as exc:
         _emit(

@@ -95,7 +95,7 @@ class DimensionMismatch(ToolkitError):
 
 
 class ParseError(ToolkitError):
-    """Malformed category spec file; carries line/column when known."""
+    """Malformed input (a spec file or a setting); carries line/column when known."""
 
     code = "PARSE_ERROR"
 

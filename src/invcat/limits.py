@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import os
 
+from .errors import ParseError
+
 #: total elements a Bernoulli poset / expansion construction may produce
 DEFAULT_MAX_ELEMENTS = 2**16
 
@@ -17,12 +19,21 @@ ENV_MAX_ELEMENTS = "INVCAT_MAX_ELEMENTS"
 
 
 def max_elements_from_env(default: int = DEFAULT_MAX_ELEMENTS) -> int:
-    """Resolve the element cap, honouring the INVCAT_MAX_ELEMENTS override."""
+    """Resolve the element cap, honouring the INVCAT_MAX_ELEMENTS override.
+
+    Raises PARSE_ERROR when the override is not a positive integer.
+    """
     raw = os.environ.get(ENV_MAX_ELEMENTS)
     if raw is None:
         return default
     try:
         value = int(raw)
     except ValueError:
-        return default
-    return value if value > 0 else default
+        value = 0
+    if value <= 0:
+        raise ParseError(
+            f"{ENV_MAX_ELEMENTS} must be a positive integer, got {raw!r}",
+            variable=ENV_MAX_ELEMENTS,
+            value=raw,
+        )
+    return value

@@ -36,6 +36,25 @@ def brute_composable_pairs(cat: FiniteCategory) -> set[tuple[str, str]]:
     }
 
 
+def brute_exactness_violations(cat: FiniteCategory) -> list[tuple[str, tuple]]:
+    """(rule, witness) of every pair that breaks "the table holds exactly the
+    composable pairs", looping over all pairs (f, g) in declaration order."""
+    out = []
+    for f in cat.morphisms:
+        for g in cat.morphisms:
+            defined = (g, f) in cat.table
+            needed = cat.tgt[f] == cat.src[g]
+            if needed and not defined:
+                out.append(("missing-composite", (g, f)))
+            elif defined and not needed:
+                out.append(("spurious-composite", (g, f)))
+            elif defined:
+                h = cat.table[(g, f)]
+                if cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
+                    out.append(("composite-typing", (g, f, h)))
+    return out
+
+
 def brute_inverse_map(cat: FiniteCategory) -> dict[str, str] | None:
     """The inverse map if every morphism has exactly one candidate."""
     inv = {}
@@ -56,6 +75,32 @@ def brute_natural_leq(cat: FiniteCategory, s: str, t: str) -> bool | None:
     if cat.src[s] != cat.src[t] or cat.tgt[s] != cat.tgt[t]:
         return None
     return any(cat.table.get((t, e)) == s for e in brute_idempotents(cat))
+
+
+def brute_natural_order_forms(
+    cat: FiniteCategory, inv: dict[str, str]
+) -> dict[tuple[str, str], tuple[bool, bool, bool, bool]]:
+    """For every parallel pair (s, t), the four usual characterisations of
+    s ≤ t: s = t∘e and s = f∘t for some idempotents e, f, s = (s∘s°)∘t and
+    s = t∘(s°∘s)."""
+    idems: dict[str, list[str]] = {}
+    for e in brute_idempotents(cat):
+        idems.setdefault(cat.src[e], []).append(e)
+    homs: dict[tuple[str, str], list[str]] = {}
+    for m in cat.morphisms:
+        homs.setdefault((cat.src[m], cat.tgt[m]), []).append(m)
+    out = {}
+    for (x, y), hom in homs.items():
+        for s in hom:
+            ran, dom = cat.table[(s, inv[s])], cat.table[(inv[s], s)]
+            for t in hom:
+                out[(s, t)] = (
+                    any(cat.table.get((t, e)) == s for e in idems.get(x, ())),
+                    any(cat.table.get((f, t)) == s for f in idems.get(y, ())),
+                    cat.table.get((ran, t)) == s,
+                    cat.table.get((t, dom)) == s,
+                )
+    return out
 
 
 def brute_bernoulli_subsets(

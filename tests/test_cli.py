@@ -246,3 +246,14 @@ def test_size_cap_flag_and_env(datadir, capsys, monkeypatch):
     code, report, _ = run(capsys, "expand", str(datadir / "i2.json"))
     assert code == 2
     assert report["error"]["code"] == "SIZE_CAP_EXCEEDED"
+
+
+def test_bad_max_elements_env_is_a_parse_error(datadir, capsys, monkeypatch):
+    for raw in ("abc", "1.5", "0", "-3"):
+        monkeypatch.setenv("INVCAT_MAX_ELEMENTS", raw)
+        code, report, err = run(capsys, "expand", str(datadir / "i2.json"))
+        assert code == 2
+        assert report["command"] == "expand"
+        assert report["error"]["code"] == "PARSE_ERROR"
+        assert report["error"]["details"] == {"value": raw, "variable": "INVCAT_MAX_ELEMENTS"}
+        assert "Traceback" not in err

@@ -25,6 +25,7 @@ from invcat import (
 )
 
 from oracles import (
+    brute_exactness_violations,
     brute_generalized_inverses,
     brute_idempotents,
     brute_inverse_map,
@@ -69,6 +70,45 @@ def test_validate_flags_missing_and_spurious_composites():
     report2 = validate_category(cat2)
     assert not report2.ok
     assert "spurious-composite" in report2.rules()
+
+
+EXACTNESS_RULES = ("missing-composite", "spurious-composite", "composite-typing")
+
+
+def _exactness(cat: FiniteCategory) -> list[tuple[str, tuple]]:
+    report = validate_category(cat)
+    return [(v.rule, v.witness) for v in report.violations if v.rule in EXACTNESS_RULES]
+
+
+def _tampered(cat: FiniteCategory) -> FiniteCategory:
+    """Drop every 7th composite, retype every 5th, and add a composite for
+    every 3rd pair that does not compose."""
+    table = dict(cat.table)
+    for k, ((g, f), h) in enumerate(sorted(cat.table.items())):
+        if k % 7 == 0:
+            del table[(g, f)]
+        elif k % 5 == 0:
+            wrong = [m for m in cat.morphisms if (cat.src[m], cat.tgt[m]) != (cat.src[h], cat.tgt[h])]
+            if wrong:
+                table[(g, f)] = wrong[0]
+    loose = [(g, f) for f in cat.morphisms for g in cat.morphisms if not cat.composable(g, f)]
+    for g, f in loose[::3]:
+        table[(g, f)] = f
+    return FiniteCategory(cat.objects, cat.morphisms, cat.src, cat.tgt, cat.identity, table)
+
+
+def test_exactness_check_matches_all_pairs_oracle(
+    t1, z2, g2, i2, t2, iic_point, iic_chain2, expansions
+):
+    cats = [ic.cat for ic in (t1, z2, g2, i2, iic_point, iic_chain2)] + [t2]
+    cats += [sz.ic.cat for sz in expansions.values()]
+    for cat in cats:
+        assert _exactness(cat) == brute_exactness_violations(cat) == []
+    for cat in (g2.cat, iic_chain2.cat, expansions[("g2", "global")].ic.cat, expansions[("i2", "global")].ic.cat):
+        bad = _tampered(cat)
+        found = _exactness(bad)
+        assert found == brute_exactness_violations(bad)
+        assert {rule for rule, _ in found} == set(EXACTNESS_RULES)
 
 
 def test_validate_flags_identity_and_associativity_failures():
