@@ -105,12 +105,9 @@ def validate_fibred(action: FibredAction) -> ValidationReport:
             if a != b and not ic.leq_idem(moment.idem[a], moment.idem[b]):
                 add("moment-monotone", (a, b), "moment does not preserve the order")
 
-        admissible = {
-            (s, x)
-            for s in ic.morphisms
-            for x in poset.elements
-            if action.admissible(s, x)
-        }
+        # the admissible elements of each morphism, in element order
+        adm = {s: [x for x in poset.elements if action.admissible(s, x)] for s in ic.morphisms}
+        admissible = {(s, x) for s, xs in adm.items() for x in xs}
         for key in sorted(action.theta):
             if key not in admissible:
                 add("theta-domain", key, "θ defined on a non-admissible pair")
@@ -145,28 +142,34 @@ def validate_fibred(action: FibredAction) -> ValidationReport:
             elif moment.idem[x] == ic.dom_idem(s) and moment.idem[y] != ran:
                 add("axiom-ii", (s, x), "image idempotent must equal ss° when x sits at s°s")
 
+        # each b of dom θ_s meets only the a ≤ b in dom θ_s; the least
+        # offending (a, b) is the one a scan of sorted pairs finds first
+        pos, down, theta = poset._pos, poset._down, action.theta
         for s in ic.morphisms:
-            dom = sorted(x for x in poset.elements if (s, x) in admissible)
-            for a in dom:
-                for b in dom:
-                    if a != b and poset.leq(a, b):
-                        ya, yb = action.theta.get((s, a)), action.theta.get((s, b))
-                        if ya in elt_set and yb in elt_set and not poset.leq(ya, yb):
-                            add("axiom-ii-monotone", (s, a, b), "θ_s does not preserve the order")
+            dom_bits = poset._mask(adm[s])
+            bad = []
+            for b in adm[s]:
+                yb = theta.get((s, b))
+                if yb not in elt_set:
+                    continue
+                for a in poset._below(b, dom_bits):
+                    ya = theta.get((s, a))
+                    if a != b and ya in elt_set and not down[pos[yb]] >> pos[ya] & 1:
+                        bad.append((a, b))
+            if bad:
+                add("axiom-ii-monotone", (s, *min(bad)), "θ_s does not preserve the order")
 
         for t in ic.morphisms:
-            for s in ic.morphisms:
+            images = [(x, theta.get((t, x))) for x in adm[t]]
+            for s in ic.cat._by_src.get(ic.tgt(t), ()):
                 st = ic.compose(s, t)
                 if st is None:
                     continue
-                for x in poset.elements:
-                    if (t, x) not in admissible:
-                        continue
-                    y = action.theta.get((t, x))
-                    lhs = value(s, y) if y is not None else None
-                    rhs = value(st, x)
+                for x, y in images:
                     defined_lhs = y is not None and (s, y) in admissible
                     defined_rhs = (st, x) in admissible
+                    lhs = theta.get((s, y)) if defined_lhs else None
+                    rhs = theta.get((st, x)) if defined_rhs else None
                     if defined_lhs != defined_rhs or (defined_lhs and lhs != rhs):
                         add(
                             "axiom-iii",
@@ -256,12 +259,11 @@ def fibred_to_symmetry(action: FibredAction) -> SymmetryAction:
         X: frozenset(x for x in poset.elements if action.moment.obj[x] == X)
         for X in ic.objects
     }
-    isos = {}
-    for s in ic.morphisms:
-        pairs = tuple(
-            sorted((x, y) for (m, x), y in action.theta.items() if m == s)
-        )
-        isos[s] = PartialOrderIso(pairs)
+    graphs: dict[str, list[tuple[str, str]]] = {s: [] for s in ic.morphisms}
+    for (m, x), y in action.theta.items():
+        if m in graphs:
+            graphs[m].append((x, y))
+    isos = {s: PartialOrderIso(tuple(sorted(graph))) for s, graph in graphs.items()}
     return SymmetryAction(ic, poset, fibers, isos)
 
 
@@ -381,6 +383,7 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
         return full
 
     inv = ic.inv
+    lookup = {s: dict(bundle.maps[s].pairs) for s in ic.morphisms}
     for s in ic.morphisms:
         iso = bundle.maps[s]
         try:
@@ -419,8 +422,7 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
                 if not ds <= dt:
                     add("axiom-iv", (s, t), "s ≤ t but D_{s°} is not inside D_{t°}")
                 common = ds & dt
-            lookup_t = dict(bundle.maps[t].pairs)
-            lookup_s = dict(bundle.maps[s].pairs)
+            lookup_t, lookup_s = lookup[t], lookup[s]
             for x in sorted(common):
                 if lookup_t.get(x) != lookup_s.get(x):
                     add("axiom-iv", (s, t, x), "θ_t does not restrict to θ_s")
@@ -430,9 +432,7 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
             add("axiom-v", (s,), "D_s leaves D_{ss°}")
 
     for (s, t), st in ic.cat.table.items():
-        lookup_s = dict(bundle.maps[s].pairs)
-        lookup_t = dict(bundle.maps[t].pairs)
-        lookup_st = dict(bundle.maps[st].pairs)
+        lookup_s, lookup_t, lookup_st = lookup[s], lookup[t], lookup[st]
         lhs = frozenset(
             lookup_s[x] for x in bundle.domains[inv(s)] & bundle.domains[t]
         )
@@ -442,7 +442,7 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
                 add("axiom-vi", (s, t), "θ_s(D_{s°} ∩ D_t) leaves D_s ∩ D_{st}")
         elif lhs != rhs:
             add("axiom-vi", (s, t), f"θ_s(D_{{s°}} ∩ D_t) = {sorted(lhs)} differs from D_s ∩ D_{{st}} = {sorted(rhs)}")
-        back = dict(bundle.maps[inv(t)].pairs)
+        back = lookup[inv(t)]
         for y in sorted(bundle.domains[t] & bundle.domains[inv(s)]):
             x = back.get(y)
             if x is None or lookup_t.get(x) != y:
@@ -484,8 +484,9 @@ def restrict_to_ideal(bundle: PartialActionBundle, subset: Iterable[str]) -> Par
     if not is_ideal(bundle.poset, q):
         raise NotIdeal("subset is not downward closed", subset=sorted(q))
     ic, poset = bundle.ic, bundle.poset
-    sub = poset_from_function(
-        tuple(x for x in poset.elements if x in q), poset.leq
+    sub = Poset(
+        tuple(x for x in poset.elements if x in q),
+        frozenset((a, b) for a, b in poset.relation if a in q and b in q),
     )
     domains: dict[str, frozenset[str]] = {}
     maps: dict[str, PartialOrderIso] = {}

@@ -20,9 +20,8 @@ from dataclasses import dataclass
 
 from .actions import FibredAction, MomentMap, PartialActionBundle
 from .core import InverseCategory
-from .errors import SizeCapExceeded
-from .limits import DEFAULT_MAX_ELEMENTS
-from .poset import PartialOrderIso, Poset, poset_from_function, subset_name
+from .limits import DEFAULT_MAX_ELEMENTS, check_cap
+from .poset import PartialOrderIso, Poset, subset_name
 
 
 @dataclass(frozen=True)
@@ -71,13 +70,11 @@ def build_bernoulli(
     total = sum(
         2 ** (len(r) - 1) if pointed else 2 ** len(r) - 1 for r in classes.values()
     )
-    if total > max_elements:
-        raise SizeCapExceeded(
-            f"Bernoulli poset would have {total} elements; cap is {max_elements}",
-            size=total,
-            cap=max_elements,
-        )
+    check_cap("Bernoulli poset", total, max_elements)
+    # a subset of R_e is also a bitmask over the sorted members of R_e
+    bit = {e: {m: 1 << i for i, m in enumerate(sorted(r))} for e, r in classes.items()}
     elements: dict[str, PCElement] = {}
+    key_of: dict[tuple[str, int], str] = {}
     for e in sorted(classes):
         members = sorted(classes[e])
         for r in range(1, len(members) + 1):
@@ -86,19 +83,25 @@ def build_bernoulli(
                     continue
                 elt = PCElement(frozenset(sub), ic.src(e), e)
                 elements[elt.key] = elt
+                key_of[(e, sum(bit[e][m] for m in sub))] = elt.key
 
-    def leq(akey: str, bkey: str) -> bool:
-        a, b = elements[akey], elements[bkey]
-        if a.obj != b.obj or not ic.leq_idem(a.idem, b.idem):
-            return False
-        down = set()
-        for m in b.members:
-            em = ic.compose(a.idem, m)
-            assert em is not None
-            down.add(em)
-        return down <= a.members
-
-    poset = poset_from_function(tuple(elements), leq)
+    # A ≤ B exactly when e = iε(A) ≤ iε(B) and A ⊇ e·B inside R_e, so the
+    # down-set of B in the fiber of e is every (pointed) superset of e·B
+    below = {f: [e for e in classes if ic.leq_idem(e, f)] for f in classes}
+    relation = []
+    for bkey, b in elements.items():
+        for e in below[b.idem]:
+            least = bit[e][e] if pointed else 0
+            for m in b.members:
+                least |= bit[e][ic.compose(e, m)]
+            free = ((1 << len(bit[e])) - 1) & ~least
+            extra = free
+            while True:
+                relation.append((key_of[(e, least | extra)], bkey))
+                if not extra:
+                    break
+                extra = (extra - 1) & free
+    poset = Poset(tuple(elements), frozenset(relation))
     return BernoulliPoset(ic, pointed, elements, poset)
 
 

@@ -20,6 +20,7 @@ from .bernoulli import _global_action, _partial_bundle, build_bernoulli
 from .completion import (
     cauchy_completion,
     completion_inclusion,
+    completion_size,
     enlargement_check,
     equivalence_check,
     idempotent_classes,
@@ -39,7 +40,7 @@ from .errors import (
     UndeclaredName,
 )
 from .expansion import inner_expansion, szendrei
-from .limits import max_elements_from_env
+from .limits import check_cap, max_elements_from_env
 from .specfile import _load_json, load_category, save_category
 
 _INPUT_ERROR_CODES = {
@@ -175,7 +176,7 @@ def cmd_expand(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
 def cmd_cauchy(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     inputs = {args.path: _sha256(args.path)}
     ic, notes = _load_inverse(args.path)
-    cc = cauchy_completion(ic)
+    cc = cauchy_completion(ic, max_elements=args.max_elements)
     groupoid = restriction_groupoid(ic)
     classes = idempotent_classes(ic)
     result = {
@@ -232,6 +233,8 @@ def cmd_enlargement(args: argparse.Namespace) -> tuple[dict, dict, list[str], in
             {x: x for x in sub.cat.objects},
             {m: m for m in sub.cat.morphisms},
         )
+    larger = max(completion_size(sub), completion_size(sup))
+    check_cap("Cauchy completion", larger, args.max_elements)
     report = enlargement_check(sub, sup, emb)
     result: dict = {
         "axioms": {
@@ -259,6 +262,7 @@ def cmd_enlargement(args: argparse.Namespace) -> tuple[dict, dict, list[str], in
 def cmd_decompose(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     inputs = {args.path: _sha256(args.path)}
     ic, notes = _load_inverse(args.path)
+    check_cap("category algebra", len(ic.morphisms), args.max_elements)
     dec = decompose(ic)
     result = {
         "blocks": [
@@ -281,6 +285,8 @@ def cmd_morita(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     inputs = {args.a: _sha256(args.a), args.b: _sha256(args.b)}
     left, notes1 = _load_inverse(args.a)
     right, notes2 = _load_inverse(args.b)
+    for ic in (left, right):
+        check_cap("category algebra", len(ic.morphisms), args.max_elements)
     verdict = morita_check(left, right)
     result = {
         "status": verdict.status,

@@ -26,10 +26,12 @@ from .core import (
     validate_functor,
 )
 from .errors import NotAFunctor, NotASubcategory
+from .limits import DEFAULT_MAX_ELEMENTS, check_cap
 
 __all__ = [
     "CauchyCompletion",
     "cauchy_completion",
+    "completion_size",
     "restriction_groupoid",
     "idempotent_classes",
     "EnlargementReport",
@@ -75,13 +77,28 @@ def _join_triples(ic: InverseCategory, triples: dict[str, tuple[str, str, str]])
     return join_category(tuple(objects), typing, identities, product)
 
 
-def cauchy_completion(ic: InverseCategory) -> CauchyCompletion:
+def completion_size(ic: InverseCategory) -> int:
+    """Morphisms of the Cauchy completion: s·e = s and f·s = s say that
+    e ≥ s°s and f ≥ ss°, so s contributes |↑s°s|·|↑ss°| triples."""
+    above = {
+        d: sum(1 for e in ic.idempotents_at(ic.src(d)) if ic.leq_idem(d, e))
+        for d in ic.idempotents()
+    }
+    return sum(above[ic.dom_idem(s)] * above[ic.ran_idem(s)] for s in ic.morphisms)
+
+
+def cauchy_completion(
+    ic: InverseCategory, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> CauchyCompletion:
     """Split the idempotents of an inverse category.
 
     Objects: pairs (X, e), e idempotent at X.  Morphisms: triples (e, s, f)
     with s·e = s and f·s = s, from (src s, e) to (tgt s, f); composition is
     (f, t, g)(e, s, f) = (e, ts, g) and the identity of (X, e) is (e, e, e).
+    Raises SIZE_CAP_EXCEEDED before any work when ``completion_size`` is
+    above ``max_elements``.
     """
+    check_cap("Cauchy completion", completion_size(ic), max_elements)
     cat = ic.cat
     objects_data: dict[str, tuple[str, str]] = {}
     for e in ic.idempotents():

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from .errors import ParseError
+from .errors import ParseError, SizeCapExceeded
 
 #: total elements a Bernoulli poset / expansion construction may produce
 DEFAULT_MAX_ELEMENTS = 2**16
@@ -37,3 +37,12 @@ def max_elements_from_env(default: int = DEFAULT_MAX_ELEMENTS) -> int:
             value=raw,
         )
     return value
+
+
+def check_cap(what: str, size: int, cap: int) -> None:
+    """Raise SIZE_CAP_EXCEEDED when the predicted ``size`` of ``what`` is
+    above ``cap``; constructions call this before doing any work."""
+    if size > cap:
+        raise SizeCapExceeded(
+            f"{what} would have {size} elements; cap is {cap}", size=size, cap=cap
+        )

@@ -10,8 +10,8 @@ for plain sets.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import InverseCategory, join_category
 from .errors import SizeCapExceeded
@@ -20,33 +20,71 @@ from .limits import DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_POSET
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite poset: elements in declaration order plus the full ≤ relation."""
+    """A finite poset: elements in declaration order plus the full ≤ relation.
+
+    Construction indexes the poset once: every element gets a bit position
+    (its declaration index) and a down-set bitmask, a Python int whose bit i
+    is set when ``elements[i]`` lies below it.  The axioms are checked on
+    these masks in O(|relation|) mask operations, and ``is_ideal``,
+    ``ideals``, ``down_set`` and ``PartialOrderIso.make`` read them; ``leq``
+    stays a lookup in ``relation``.
+    """
 
     elements: tuple[str, ...]
     relation: frozenset[tuple[str, str]]
+    _pos: dict[str, int] = field(init=False, repr=False, compare=False)
+    _down: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        eset = set(self.elements)
-        assert len(eset) == len(self.elements), "duplicate poset elements"
+        pos = {x: i for i, x in enumerate(self.elements)}
+        assert len(pos) == len(self.elements), "duplicate poset elements"
+        down = [0] * len(pos)
+        up = [0] * len(pos)
         for a, b in self.relation:
-            assert a in eset and b in eset, "relation references unknown element"
-        for a in self.elements:
-            assert (a, a) in self.relation, "relation not reflexive"
+            assert a in pos and b in pos, "relation references unknown element"
+            down[pos[b]] |= 1 << pos[a]
+            up[pos[a]] |= 1 << pos[b]
+        for i in range(len(down)):
+            assert down[i] >> i & 1, "relation not reflexive"
+        # pair by pair in relation order, as a scan would: (b, a) related
+        # back, or something above b that is not above a
         for a, b in self.relation:
-            if a != b:
-                assert (b, a) not in self.relation, "relation not antisymmetric"
-            for c in self.elements:
-                if (b, c) in self.relation:
-                    assert (a, c) in self.relation, "relation not transitive"
+            i, j = pos[a], pos[b]
+            if i != j:
+                assert not down[i] >> j & 1, "relation not antisymmetric"
+            assert not up[j] & ~up[i], "relation not transitive"
+        object.__setattr__(self, "_pos", pos)
+        object.__setattr__(self, "_down", tuple(down))
 
     def leq(self, a: str, b: str) -> bool:
         return (a, b) in self.relation
 
     def down_set(self, x: str) -> frozenset[str]:
-        return frozenset(a for a in self.elements if self.leq(a, x))
+        return frozenset(self._below(x, -1))
 
     def index(self, x: str) -> int:
-        return self.elements.index(x)
+        return self._pos[x]
+
+    def _below(self, x: str, within: int) -> Iterator[str]:
+        """The elements of the bitmask ``within`` that lie below x."""
+        return (self.elements[i] for i in _bits(self._down[self._pos[x]] & within))
+
+    def _mask(self, subset: Iterable[str]) -> int:
+        """The bits of the members of ``subset`` that are elements."""
+        pos = self._pos
+        out = 0
+        for x in subset:
+            if x in pos:
+                out |= 1 << pos[x]
+        return out
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of ``mask``, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def poset_from_function(elements: Sequence[str], leq: Callable[[str, str], bool]) -> Poset:
@@ -67,14 +105,15 @@ def antichain_poset(names: Sequence[str]) -> Poset:
 
 
 def is_ideal(poset: Poset, subset: Iterable[str]) -> bool:
-    """Downward closure test; ideals here may be empty."""
-    members = set(subset)
-    return all(
-        a in members
-        for b in members
-        for a in poset.elements
-        if poset.leq(a, b)
-    )
+    """Downward closure test; ideals here may be empty.
+
+    Members that are not elements of the poset are ignored.  Costs one mask
+    test per member: the down-set of each member must lie in the subset.
+    """
+    members = tuple(subset)
+    bits = poset._mask(members)
+    down, pos = poset._down, poset._pos
+    return all(not down[pos[b]] & ~bits for b in members if b in pos)
 
 
 def ideals(poset: Poset, max_size: int = DEFAULT_MAX_POSET) -> tuple[frozenset[str], ...]:
@@ -86,14 +125,13 @@ def ideals(poset: Poset, max_size: int = DEFAULT_MAX_POSET) -> tuple[frozenset[s
             size=n,
             cap=max_size,
         )
-    found = [
+    # combinations of the elements come in (size, element indices) order
+    return tuple(
         frozenset(sub)
         for r in range(n + 1)
         for sub in itertools.combinations(poset.elements, r)
         if is_ideal(poset, sub)
-    ]
-    found.sort(key=lambda s: (len(s), tuple(sorted(poset.index(x) for x in s))))
-    return tuple(found)
+    )
 
 
 def subset_name(subset: Iterable[str]) -> str:
@@ -112,11 +150,21 @@ class PartialOrderIso:
 
     @staticmethod
     def make(poset: Poset, pairs: Iterable[tuple[str, str]]) -> "PartialOrderIso":
+        """Check and build the map; AssertionError names the first failure.
+
+        The order test asks, for each pair (c, f c), that f map
+        down(c) ∩ dom onto down(f c) ∩ ran, one bit per relation pair
+        inside dom.  When it fails (or a point lies outside the poset) the
+        pairwise scan runs instead, so the assertion names the first
+        offending pair of pairs in sorted order.
+        """
         ordered = tuple(sorted(pairs))
         dom = [a for a, _ in ordered]
         ran = [b for _, b in ordered]
         assert len(set(dom)) == len(dom), "mapping not functional"
         assert len(set(ran)) == len(ran), "mapping not injective"
+        if _maps_down_sets_onto(poset, ordered):
+            return PartialOrderIso(ordered)
         for (a, b), (c, d) in itertools.product(ordered, repeat=2):
             assert poset.leq(a, c) == poset.leq(b, d), (
                 "mapping does not preserve and reflect order",
@@ -146,6 +194,24 @@ class PartialOrderIso:
         return ",".join(f"{a}:{b}" for a, b in self.pairs)
 
 
+def _maps_down_sets_onto(poset: Poset, pairs: Sequence[tuple[str, str]]) -> bool:
+    """Whether the bijection ``pairs`` sends down(c) ∩ dom onto
+    down(f c) ∩ ran for every c in dom, i.e. preserves and reflects ≤."""
+    pos, down = poset._pos, poset._down
+    if not all(a in pos and b in pos for a, b in pairs):
+        return False
+    image = {pos[a]: 1 << pos[b] for a, b in pairs}  # bit position -> image bit
+    dom_bits = poset._mask(a for a, _ in pairs)
+    ran_bits = poset._mask(b for _, b in pairs)
+    for c, d in pairs:
+        mapped = 0
+        for i in _bits(down[pos[c]] & dom_bits):
+            mapped |= image[i]
+        if mapped != down[pos[d]] & ran_bits:
+            return False
+    return True
+
+
 def identity_iso(subset: Iterable[str]) -> PartialOrderIso:
     return PartialOrderIso(tuple(sorted((x, x) for x in subset)))
 
@@ -167,10 +233,7 @@ def order_isos_between(poset: Poset, dom: frozenset[str], ran: frozenset[str]) -
     found = []
     for image in itertools.permutations(sorted(ran)):
         pairs = tuple(zip(dom_sorted, image))
-        if all(
-            poset.leq(a, c) == poset.leq(b, d)
-            for (a, b), (c, d) in itertools.product(pairs, repeat=2)
-        ):
+        if _maps_down_sets_onto(poset, pairs):
             found.append(PartialOrderIso(tuple(sorted(pairs))))
     return found
 

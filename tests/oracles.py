@@ -3,6 +3,9 @@
 Everything here works from the raw composition table by exhaustive search,
 deliberately avoiding the library's cached structure and formulas, so that
 agreement between the two is meaningful evidence rather than a tautology.
+The pairwise scans that the indexed order checks replaced are kept here as
+their references.  The last section generates inverse monoids by closure
+for the property tests.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from invcat.core import FiniteCategory
+from invcat.core import FiniteCategory, InverseCategory, join_category
+from invcat.poset import PartialOrderIso, Poset
 
 
 def brute_generalized_inverses(cat: FiniteCategory, s: str) -> list[str]:
@@ -211,4 +215,152 @@ def brute_dimension(cat: FiniteCategory, inv: dict[str, str]) -> int:
     return sum(
         len(cls) ** 2 * brute_isotropy_order(cat, inv, cls[0])
         for cls in brute_idempotent_iso_classes(cat, inv)
+    )
+
+
+# ---------------------------------------------------------------------------
+# pairwise scans behind the indexed order checks
+
+
+def brute_poset_axiom_failure(
+    elements: tuple[str, ...], relation: frozenset[tuple[str, str]]
+) -> str | None:
+    """The first broken poset axiom, scanning relation pairs against every
+    element in the relation's own iteration order, or None."""
+    eset = set(elements)
+    if len(eset) != len(elements):
+        return "duplicate poset elements"
+    for a, b in relation:
+        if a not in eset or b not in eset:
+            return "relation references unknown element"
+    for a in elements:
+        if (a, a) not in relation:
+            return "relation not reflexive"
+    for a, b in relation:
+        if a != b and (b, a) in relation:
+            return "relation not antisymmetric"
+        for c in elements:
+            if (b, c) in relation and (a, c) not in relation:
+                return "relation not transitive"
+    return None
+
+
+def brute_is_ideal(poset: Poset, subset) -> bool:
+    """Every element below a member is a member (non-elements are ignored)."""
+    members = set(subset)
+    return all(a in members for b in members for a in poset.elements if poset.leq(a, b))
+
+
+def brute_order_iso(poset: Poset, pairs) -> PartialOrderIso | str | tuple:
+    """The partial order isomorphism, or the message of the assertion that
+    rejects it: functionality, injectivity, then the first pair of pairs (in
+    sorted order) on which ≤ is not preserved and reflected."""
+    ordered = tuple(sorted(pairs))
+    if len({a for a, _ in ordered}) != len(ordered):
+        return "mapping not functional"
+    if len({b for _, b in ordered}) != len(ordered):
+        return "mapping not injective"
+    for (a, b), (c, d) in itertools.product(ordered, repeat=2):
+        if poset.leq(a, c) != poset.leq(b, d):
+            return ("mapping does not preserve and reflect order", (a, b), (c, d))
+    return PartialOrderIso(ordered)
+
+
+def brute_bernoulli_relation(cat: FiniteCategory, elements: dict) -> frozenset[tuple[str, str]]:
+    """A ≤ B over every pair of Bernoulli elements: same object, e = iε(A)
+    below iε(B) (e = iε(B)·e), and e·B ⊆ A."""
+    out = set()
+    for akey, a in elements.items():
+        for bkey, b in elements.items():
+            if a.obj != b.obj or cat.table.get((b.idem, a.idem)) != a.idem:
+                continue
+            if {cat.table[(a.idem, m)] for m in b.members} <= a.members:
+                out.add((akey, bkey))
+    return frozenset(out)
+
+
+def brute_inverse_semigroup_violations(
+    elements: tuple[str, ...], table: dict[tuple[str, str], str]
+) -> list[tuple[str, tuple, str]]:
+    """(rule, witness, detail) of every violation, by the cubic scan:
+    totality, associativity over all triples, commuting idempotents and
+    unique generalized inverses."""
+    out = []
+    eset = set(elements)
+    for a in elements:
+        for b in elements:
+            if table.get((a, b)) not in eset:
+                out.append(("semigroup-total", (a, b), "product missing or escapes the set"))
+    if out:
+        return out
+    for a, b, c in itertools.product(elements, repeat=3):
+        if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+            out.append(("semigroup-associative", (a, b, c), "products disagree"))
+    idem = [a for a in elements if table[(a, a)] == a]
+    for e, f in itertools.product(idem, repeat=2):
+        if table[(e, f)] != table[(f, e)]:
+            out.append(("idempotents-commute", (e, f), "ef differs from fe"))
+    for a in elements:
+        count = sum(
+            1
+            for t in elements
+            if table[(table[(a, t)], a)] == a and table[(table[(t, a)], t)] == t
+        )
+        if count != 1:
+            out.append(("unique-inverse", (a,), f"{count} generalized inverses"))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# inverse monoids generated by closure
+
+POINTS = range(3)
+# every partial bijection of {0, 1, 2}, as the tuple of images (None where
+# undefined)
+PARTIAL_BIJECTIONS = tuple(
+    images
+    for images in itertools.product((None, *POINTS), repeat=3)
+    if not any(y is not None and images.count(y) > 1 for y in images)
+)
+IDENTITY = tuple(POINTS)
+
+
+def _name(p: tuple) -> str:
+    return "".join("-" if y is None else str(y) for y in p)
+
+
+def _compose(g: tuple, f: tuple) -> tuple:
+    """g after f."""
+    return tuple(None if y is None else g[y] for y in f)
+
+
+def _inverse(p: tuple) -> tuple:
+    return tuple(p.index(x) if x in p else None for x in POINTS)
+
+
+def sub_inverse_monoid(generators: list[tuple]) -> InverseCategory:
+    """The submonoid of I_3 generated by ``generators`` and their inverses."""
+    elements = {IDENTITY, *generators, *map(_inverse, generators)}
+    frontier = set(elements)
+    while frontier:
+        new = {_compose(g, f) for g in elements for f in frontier}
+        new |= {_compose(f, g) for g in elements for f in frontier}
+        frontier = new - elements
+        elements |= frontier
+    names = {_name(p): p for p in sorted(elements, key=_name)}
+    return join_category(
+        ["*"],
+        {n: ("*", "*") for n in names},
+        {"*": _name(IDENTITY)},
+        lambda g, f: _name(_compose(names[g], names[f])),
+    )
+
+
+def cyclic_group(n: int) -> InverseCategory:
+    """Z_n on one object, elements named "0" .. "n-1"."""
+    return join_category(
+        ["*"],
+        {str(i): ("*", "*") for i in range(n)},
+        {"*": "0"},
+        lambda g, f: str((int(g) + int(f)) % n),
     )

@@ -127,6 +127,23 @@ def test_strict_relaxations_are_real(i2):
     assert "axiom-i" in verbatim.rules()
 
 
+def test_fibred_report_keeps_its_first_witnesses(i2):
+    # the first witness of each rule is the one the all-pairs scans found
+    action = bernoulli_global(i2)
+    theta = dict(action.theta)
+    theta[("s12", "{emp}")], theta[("s12", "{s21}")] = theta[("s12", "{s21}")], theta[("s12", "{emp}")]
+    assert validate_fibred(dataclasses.replace(action, theta=theta)).summary() == (
+        "axiom-ii('s12', '{s21}'): image idempotent must equal ss° when x sits at s°s; "
+        "axiom-ii-monotone('s12', '{emp}', '{id1,s21}'): θ_s does not preserve the order; "
+        "axiom-iii('s12', 'emp', '{emp}'): θ_s∘θ_t gives '{id2}' (defined=True) but "
+        "θ_st gives '{emp}' (defined=True)"
+    )
+    assert validate_fibred(bernoulli_global(i2, strict=True)).summary() == (
+        "axiom-iii('id1', 'emp', '{emp}'): θ_s∘θ_t gives None (defined=False) but "
+        "θ_st gives '{emp}' (defined=True)"
+    )
+
+
 def test_strict_global_fibred_axioms_fail_only_on_kleene(z2, g2, i2):
     # groups and groupoids: strict admissibility changes nothing
     for ic in (z2, g2):

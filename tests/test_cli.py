@@ -248,6 +248,27 @@ def test_size_cap_flag_and_env(datadir, capsys, monkeypatch):
     assert report["error"]["code"] == "SIZE_CAP_EXCEEDED"
 
 
+@pytest.mark.parametrize(
+    ("argv", "size"),
+    [
+        (["cauchy", "i2.json"], 34),  # Σ_s |↑s°s|·|↑ss°| completion morphisms
+        (["enlargement", "t1.json", "g2.json", "--embedding", "t1_into_g2.json"], 4),
+        (["decompose", "i2.json"], 7),  # algebra dimension = morphism count
+        (["morita", "g2.json", "t1.json"], 4),
+    ],
+    ids=lambda v: v[0] if isinstance(v, list) else None,
+)
+def test_max_elements_caps_the_predicted_size(datadir, capsys, argv, size):
+    args = [str(datadir / a) if a.endswith(".json") else a for a in argv]
+    code, report, err = run(capsys, *args, "--max-elements", str(size - 1))
+    assert code == 2
+    assert report["error"]["code"] == "SIZE_CAP_EXCEEDED"
+    assert report["error"]["details"] == {"cap": size - 1, "size": size}
+    assert "Traceback" not in err
+    code, report, _ = run(capsys, *args, "--max-elements", str(size))
+    assert code in (0, 1) and "error" not in report
+
+
 def test_bad_max_elements_env_is_a_parse_error(datadir, capsys, monkeypatch):
     for raw in ("abc", "1.5", "0", "-3"):
         monkeypatch.setenv("INVCAT_MAX_ELEMENTS", raw)

@@ -8,6 +8,7 @@ from invcat import (
     Functor,
     NotAFunctor,
     NotASubcategory,
+    SizeCapExceeded,
     cauchy_completion,
     completion_inclusion,
     enlargement_check,
@@ -20,6 +21,8 @@ from invcat import (
     validate_functor,
 )
 
+from invcat.completion import completion_size
+
 from oracles import brute_idempotent_iso_classes
 
 
@@ -28,7 +31,14 @@ def test_completion_counts(t1, z2, g2, i2):
     for label, ic in (("t1", t1), ("z2", z2), ("g2", g2), ("i2", i2)):
         cc = cauchy_completion(ic)
         assert (len(cc.ic.objects), len(cc.ic.morphisms)) == expected[label]
+        assert completion_size(ic) == expected[label][1]
         assert validate_category(cc.ic.cat).ok
+
+
+def test_completion_checks_its_cap_first(i2, iic_chain2):
+    assert completion_size(iic_chain2) == len(cauchy_completion(iic_chain2).ic.morphisms)
+    with pytest.raises(SizeCapExceeded):
+        cauchy_completion(i2, max_elements=33)
 
 
 def test_completion_splits_every_idempotent(z2, g2, i2):

@@ -12,21 +12,18 @@ property tests on random sub-inverse-monoids of I_3.
 
 from __future__ import annotations
 
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from invcat import (
     InverseCategory,
     SzCategory,
-    join_category,
     natural_leq,
     product_order_leq,
     szendrei,
 )
 
-from oracles import brute_natural_order_forms
+from oracles import PARTIAL_BIJECTIONS, brute_natural_order_forms, sub_inverse_monoid
 
 FIXTURES = ("t1", "z2", "g2", "i2", "iic_point", "iic_chain2")
 
@@ -66,47 +63,6 @@ def test_natural_order_refines_product_order(all_expansions):
 
 # ---------------------------------------------------------------------------
 # random sub-inverse-monoids of I_3
-
-POINTS = range(3)
-# every partial bijection of {0, 1, 2}, as the tuple of images (None where
-# undefined)
-PARTIAL_BIJECTIONS = tuple(
-    images
-    for images in itertools.product((None, *POINTS), repeat=3)
-    if not any(y is not None and images.count(y) > 1 for y in images)
-)
-IDENTITY = tuple(POINTS)
-
-
-def _name(p: tuple) -> str:
-    return "".join("-" if y is None else str(y) for y in p)
-
-
-def _compose(g: tuple, f: tuple) -> tuple:
-    """g after f."""
-    return tuple(None if y is None else g[y] for y in f)
-
-
-def _inverse(p: tuple) -> tuple:
-    return tuple(p.index(x) if x in p else None for x in POINTS)
-
-
-def sub_inverse_monoid(generators: list[tuple]) -> InverseCategory:
-    """The submonoid of I_3 generated by ``generators`` and their inverses."""
-    elements = {IDENTITY, *generators, *map(_inverse, generators)}
-    frontier = set(elements)
-    while frontier:
-        new = {_compose(g, f) for g in elements for f in frontier}
-        new |= {_compose(f, g) for g in elements for f in frontier}
-        frontier = new - elements
-        elements |= frontier
-    names = {_name(p): p for p in sorted(elements, key=_name)}
-    return join_category(
-        ["*"],
-        {n: ("*", "*") for n in names},
-        {"*": _name(IDENTITY)},
-        lambda g, f: _name(_compose(names[g], names[f])),
-    )
 
 
 @settings(max_examples=30, deadline=None)

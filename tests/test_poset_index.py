@@ -1,0 +1,247 @@
+"""The indexed order checks against the pairwise scans they replace.
+
+``Poset`` checks its axioms on down-set bitmasks, ``is_ideal`` and
+``PartialOrderIso.make`` read the same masks, ``build_bernoulli`` enumerates
+its order directly, and ``validate_inverse_semigroup`` decides associativity
+by Light's test.  Each must agree with the scan in oracles.py: the same
+verdict, the same assertion message and the same witnesses.  The last two
+tests count operations, so that an all-pairs scan cannot come back unseen.
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from invcat import (
+    PartialOrderIso,
+    Poset,
+    bernoulli_global,
+    bernoulli_partial,
+    build_bernoulli,
+    fibred_to_symmetry,
+    inner_expansion,
+    is_ideal,
+    symmetry_to_partial,
+    szendrei,
+    validate_fibred,
+    validate_inverse_semigroup,
+    validate_partial,
+    validate_symmetry,
+)
+
+from oracles import (
+    PARTIAL_BIJECTIONS,
+    brute_bernoulli_relation,
+    brute_inverse_semigroup_violations,
+    brute_is_ideal,
+    brute_order_iso,
+    brute_poset_axiom_failure,
+    cyclic_group,
+    sub_inverse_monoid,
+)
+
+NAMES = tuple("abcdefg")
+
+
+@st.composite
+def orders(draw) -> tuple[tuple[str, ...], frozenset[tuple[str, str]]]:
+    """A random partial order: the reflexive-transitive closure of random
+    edges between shuffled names, each edge going up in the shuffle."""
+    n = draw(st.integers(1, len(NAMES)))
+    names = tuple(draw(st.permutations(NAMES[:n])))
+    edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
+    above = [{i} for i in range(n)]
+    for i in reversed(range(n)):
+        for a, b in edges:
+            if a == i and b > i:
+                above[i] |= above[b]
+    relation = frozenset((names[i], names[j]) for i in range(n) for j in above[i])
+    return names, relation
+
+
+def poset_failure(elements, relation) -> str | None:
+    try:
+        Poset(elements, relation)
+    except AssertionError as exc:
+        return exc.args[0]
+    return None
+
+
+def iso_outcome(poset: Poset, pairs) -> PartialOrderIso | str | tuple:
+    try:
+        return PartialOrderIso.make(poset, pairs)
+    except AssertionError as exc:
+        return exc.args[0]
+
+
+@pytest.mark.parametrize(
+    ("elements", "relation", "message"),
+    [
+        ("aa", {("a", "a")}, "duplicate poset elements"),
+        ("ab", {("a", "a"), ("b", "b"), ("a", "z")}, "relation references unknown element"),
+        ("ab", {("a", "a"), ("a", "b")}, "relation not reflexive"),
+        ("ab", {("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}, "relation not antisymmetric"),
+        ("abc", {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")}, "relation not transitive"),
+        ("abc", {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("a", "c")}, None),
+    ],
+)
+def test_each_poset_axiom_has_its_message(elements, relation, message):
+    assert poset_failure(tuple(elements), frozenset(relation)) == message
+    assert brute_poset_axiom_failure(tuple(elements), frozenset(relation)) == message
+
+
+@pytest.mark.parametrize("extra", [{(0, 1), (0, 2), (2, 0)}, {(0, 1), (1, 2), (2, 1)}])
+def test_poset_reports_the_axiom_the_scan_meets_first(extra):
+    # both antisymmetry and transitivity fail; which one is reported depends
+    # on the order of the relation, fixed here by integer names
+    relation = frozenset(extra | {(i, i) for i in range(3)})
+    assert poset_failure((0, 1, 2), relation) == brute_poset_axiom_failure((0, 1, 2), relation)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders(), st.data())
+def test_poset_axioms_match_the_scan_on_tampered_orders(order, data):
+    elements, relation = order
+    # toggling a few pairs breaks reflexivity, antisymmetry or transitivity,
+    # or brings in the unknown name z
+    pool = st.sampled_from(elements + ("z",))
+    toggled = data.draw(st.sets(st.tuples(pool, pool), max_size=3))
+    tampered = relation ^ frozenset(toggled)
+    assert poset_failure(elements, tampered) == brute_poset_axiom_failure(elements, tampered)
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders(), st.data())
+def test_is_ideal_and_down_sets_match_the_scan(order, data):
+    poset = Poset(*order)
+    subset = data.draw(st.sets(st.sampled_from(poset.elements + ("z",))))
+    assert is_ideal(poset, subset) == brute_is_ideal(poset, subset)
+    for x in poset.elements:
+        assert poset.down_set(x) == {a for a in poset.elements if poset.leq(a, x)}
+        assert poset.elements[poset.index(x)] == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders(), st.data())
+def test_order_iso_make_matches_the_scan(order, data):
+    poset = Poset(*order)
+    if data.draw(st.booleans()):
+        # a bijection between random subsets of equal size
+        k = data.draw(st.integers(0, len(poset.elements)))
+        dom = data.draw(st.permutations(poset.elements))[:k]
+        ran = data.draw(st.permutations(poset.elements))[:k]
+        pairs = list(zip(dom, ran))
+    else:
+        pool = st.sampled_from(poset.elements + ("z",))
+        pairs = data.draw(st.lists(st.tuples(pool, pool), max_size=4))
+    assert iso_outcome(poset, pairs) == brute_order_iso(poset, pairs)
+
+
+def test_bernoulli_order_matches_the_pairwise_predicate(request):
+    for name in ("t1", "z2", "g2", "i2", "iic_point", "iic_chain2"):
+        ic = request.getfixturevalue(name)
+        for pointed in (False, True):
+            bp = build_bernoulli(ic, pointed=pointed)
+            assert bp.poset.relation == brute_bernoulli_relation(ic.cat, bp.elements), (name, pointed)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from(PARTIAL_BIJECTIONS), min_size=1, max_size=3))
+def test_bernoulli_order_on_random_sub_inverse_monoids_of_i3(generators):
+    monoid = sub_inverse_monoid(generators)
+    for pointed in (False, True):
+        bp = build_bernoulli(monoid, pointed=pointed)
+        assert bp.poset.relation == brute_bernoulli_relation(monoid.cat, bp.elements)
+
+
+def report_rows(elements, table) -> list[tuple[str, tuple, str]]:
+    report = validate_inverse_semigroup(elements, table)
+    return [(v.rule, v.witness, v.detail) for v in report.violations]
+
+
+@pytest.fixture(scope="module")
+def prefix_expansions():
+    """The inner partial expansions of Z5 and Z6 (48 and 112 elements)."""
+    out = {}
+    for n in (5, 6):
+        ie = inner_expansion(szendrei(cyclic_group(n), "partial"), "*")
+        out[n] = (ie.elements, ie.table)
+    return out
+
+
+def test_light_test_matches_the_cubic_scan(prefix_expansions):
+    for elements, table in prefix_expansions.values():
+        assert report_rows(elements, table) == brute_inverse_semigroup_violations(elements, table) == []
+
+
+def test_tampered_tables_give_the_cubic_report(prefix_expansions):
+    elements, table = prefix_expansions[5]
+    a, b, c = elements[3], elements[17], elements[40]
+    tampered = [
+        {**table, (a, b): c},  # one wrong product: associativity fails
+        {**table, (b, b): "outsider"},  # escapes the set
+        {k: v for k, v in table.items() if k != (c, a)},  # missing product
+    ]
+    # associative, but its two idempotents do not commute
+    left_zero = {("a", "a"): "a", ("a", "b"): "a", ("b", "a"): "b", ("b", "b"): "b"}
+    for elems, tab in [(elements, t) for t in tampered] + [(("a", "b"), left_zero)]:
+        rows = report_rows(elems, tab)
+        assert rows and rows == brute_inverse_semigroup_violations(elems, tab)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n)))
+def test_light_test_matches_the_cubic_scan_on_random_tables(entries):
+    n = int(len(entries) ** 0.5)
+    elements = tuple(NAMES[:n])
+    table = {
+        (elements[i], elements[j]): elements[entries[i * n + j]] for i in range(n) for j in range(n)
+    }
+    assert report_rows(elements, table) == brute_inverse_semigroup_violations(elements, table)
+
+
+# ---------------------------------------------------------------------------
+# operation counts
+
+
+class CountingTable(dict):
+    """A composition table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def test_inverse_semigroup_check_stays_below_a_quarter_of_the_triples(prefix_expansions):
+    elements, table = prefix_expansions[6]
+    counting = CountingTable(table)
+    assert validate_inverse_semigroup(elements, counting).ok
+    assert counting.lookups < len(elements) ** 3 / 4
+
+
+def test_bernoulli_round_trip_calls_leq_at_most_once_per_relation_pair(monkeypatch):
+    i3 = sub_inverse_monoid(list(PARTIAL_BIJECTIONS))
+    assert len(i3.morphisms) == 34
+    calls = 0
+    leq = Poset.leq
+
+    def counting_leq(self, a, b):
+        nonlocal calls
+        calls += 1
+        return leq(self, a, b)
+
+    monkeypatch.setattr(Poset, "leq", counting_leq)
+    fibred = bernoulli_global(i3)
+    assert validate_fibred(fibred).ok
+    symmetry = fibred_to_symmetry(fibred)
+    assert validate_symmetry(symmetry).ok
+    assert validate_partial(symmetry_to_partial(symmetry)).ok
+    assert validate_partial(bernoulli_partial(i3)).ok
+    assert calls <= len(fibred.poset.relation) == 6039
