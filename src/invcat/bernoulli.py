@@ -11,15 +11,19 @@ idempotent; it is downward closed in the full poset.
 Two actions live here: the global one on the full poset (θ_s(A) = sA,
 defined whenever the signature of A sits below s°s) and the partial bundle
 on the pointed poset.  Strict variants tighten "sits below" to "equals".
+Both read their domains D_s from ``BernoulliPoset.domain``.  The semidirect
+product takes bundles only: the global action reaches it through
+``fibred_to_symmetry`` and ``symmetry_to_partial``, and ``szendrei`` builds
+the bundle of either carrier directly.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .actions import FibredAction, MomentMap, PartialActionBundle
-from .core import InverseCategory
+from .core import InverseCategory, _buckets
 from .limits import DEFAULT_MAX_ELEMENTS, check_cap
 from .poset import PartialOrderIso, Poset, subset_name
 
@@ -45,6 +49,10 @@ class BernoulliPoset:
     pointed: bool
     elements: dict[str, PCElement]
     poset: Poset
+    _by_idem: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._by_idem = _buckets(self.elements, lambda k: self.elements[k].idem)
 
     def signature(self, key: str) -> tuple[str, str]:
         elt = self.elements[key]
@@ -58,6 +66,27 @@ class BernoulliPoset:
             assert sm is not None, (s, m, "not composable")
             out.append(sm)
         return subset_name(out)
+
+    def domain(self, s: str, strict: bool = False) -> tuple[str, ...]:
+        """D_s, the elements that θ_s maps onto, in element order.
+
+        A lies in D_s when its signature idempotent sits below ss° (strict:
+        equals it) and, on the pointed carrier, A contains iε(A)·s.
+        ``build_bernoulli`` lists the elements of one signature together, so
+        the buckets concatenate in element order.
+        """
+        ic = self.ic
+        ran = ic.ran_idem(s)
+        idems = [ran] if strict else [e for e in self._by_idem if ic.leq_idem(e, ran)]
+        out: list[str] = []
+        for e in idems:
+            bucket = self._by_idem.get(e, ())
+            if self.pointed:
+                marker = ic.compose(e, s)
+                out.extend(k for k in bucket if marker in self.elements[k].members)
+            else:
+                out.extend(bucket)
+        return tuple(out)
 
 
 def build_bernoulli(
@@ -110,8 +139,17 @@ def bernoulli_global(
     strict: bool = False,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> FibredAction:
-    """θ_s(A) = sA on the full Bernoulli poset, as a fibred action."""
-    return _global_action(build_bernoulli(ic, pointed=False, max_elements=max_elements), strict)
+    """θ_s(A) = sA on the full Bernoulli poset, as a fibred action: θ_s is
+    defined on D_{s°}."""
+    bp = build_bernoulli(ic, pointed=False, max_elements=max_elements)
+    moment = MomentMap(
+        {k: elt.obj for k, elt in bp.elements.items()},
+        {k: elt.idem for k, elt in bp.elements.items()},
+    )
+    theta = {
+        (s, k): bp.act(s, k) for s in ic.morphisms for k in bp.domain(ic.inv(s), strict)
+    }
+    return FibredAction(ic, bp.poset, moment, theta, strict=strict)
 
 
 def bernoulli_partial(
@@ -119,55 +157,21 @@ def bernoulli_partial(
     strict: bool = False,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> PartialActionBundle:
-    """The partial bundle on the pointed Bernoulli poset.
-
-    D_s collects the pointed subsets B whose signature sits below (strict:
-    equals) ss° and which contain iε(B)·s; θ_s sends A to sA.
-    """
-    return _partial_bundle(build_bernoulli(ic, pointed=True, max_elements=max_elements), strict)
+    """The partial bundle on the pointed Bernoulli poset: the domains D_s of
+    ``BernoulliPoset.domain`` and θ_s : D_{s°} -> D_s sending A to sA."""
+    return _bundle(build_bernoulli(ic, pointed=True, max_elements=max_elements), strict)
 
 
-def _global_action(bp: BernoulliPoset, strict: bool) -> FibredAction:
+def _bundle(bp: BernoulliPoset, strict: bool) -> PartialActionBundle:
+    """The domains D_s and maps θ_s(A) = sA of the action on either carrier."""
     ic = bp.ic
-    moment = MomentMap(
-        {k: elt.obj for k, elt in bp.elements.items()},
-        {k: elt.idem for k, elt in bp.elements.items()},
-    )
-    action = FibredAction(ic, bp.poset, moment, {}, strict=strict)
-    action.theta = {
-        (s, k): bp.act(s, k)
-        for s in ic.morphisms
-        for k in bp.poset.elements
-        if action.admissible(s, k)
-    }
-    return action
-
-
-def _partial_bundle(bp: BernoulliPoset, strict: bool) -> PartialActionBundle:
-    ic = bp.ic
-
-    def domain(s: str) -> frozenset[str]:
-        ran = ic.ran_idem(s)
-        out = []
-        for k, elt in bp.elements.items():
-            if elt.obj != ic.tgt(s):
-                continue
-            if strict:
-                if elt.idem != ran:
-                    continue
-            elif not ic.leq_idem(elt.idem, ran):
-                continue
-            marker = ic.compose(elt.idem, s)
-            assert marker is not None
-            if marker in elt.members:
-                out.append(k)
-        return frozenset(out)
-
-    domains = {s: domain(s) for s in ic.morphisms}
+    domains = {s: bp.domain(s, strict) for s in ic.morphisms}
     maps = {
         s: PartialOrderIso(
             tuple(sorted((k, bp.act(s, k)) for k in domains[ic.inv(s)]))
         )
         for s in ic.morphisms
     }
-    return PartialActionBundle(ic, bp.poset, domains, maps, strict=strict)
+    return PartialActionBundle(
+        ic, bp.poset, {s: frozenset(d) for s, d in domains.items()}, maps, strict=strict
+    )

@@ -16,7 +16,7 @@ import sys
 import time
 
 from .algebra import decompose, morita_check
-from .bernoulli import _global_action, _partial_bundle, build_bernoulli
+from .bernoulli import build_bernoulli
 from .completion import (
     cauchy_completion,
     completion_inclusion,
@@ -31,6 +31,7 @@ from .core import (
     Functor,
     InverseCategory,
     find_inverse_structure,
+    inclusion_functor,
     validate_category,
 )
 from .errors import (
@@ -68,10 +69,14 @@ def _load_inverse(path: str) -> tuple[InverseCategory, list[str]]:
             violations=[str(v) for v in report.violations],
         )
     ic = find_inverse_structure(cat)
-    notes: list[str] = []
+    return ic, _declaration_notes(ic, declared)
+
+
+def _declaration_notes(ic: InverseCategory, declared: dict[str, str] | None) -> list[str]:
+    """The note for a declared inverse map that differs from the computed one."""
     if declared is not None and declared != ic.inverse:
-        notes.append("inverse-declaration: declared inverse map differs from the computed one")
-    return ic, notes
+        return ["inverse-declaration: declared inverse map differs from the computed one"]
+    return []
 
 
 def _emit(report: dict, started: float) -> None:
@@ -99,14 +104,11 @@ def cmd_validate(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
         except NotInverseCategory as exc:
             violations.append(str(exc))
         else:
-            result["valid"] = True
+            notes = _declaration_notes(ic, declared)
+            result["valid"] = not notes
             result["idempotents"] = sorted(ic.idempotents())
             result["inverse"] = {m: ic.inv(m) for m in sorted(cat.morphisms)}
-            if declared is not None and declared != ic.inverse:
-                result["valid"] = False
-                violations.append(
-                    "inverse-declaration: declared inverse map differs from the computed one"
-                )
+            violations += notes
     return inputs, result, violations, 0 if result["valid"] else 1
 
 
@@ -124,15 +126,11 @@ def cmd_bernoulli(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]
         for key, elt in sorted(bp.elements.items())
     ]
     order = sorted([a, b] for (a, b) in bp.poset.relation if a != b)
-    domains: dict[str, dict[str, list[str]]] = {}
-    if args.circ:
-        for variant, strict in (("partial", False), ("strict_partial", True)):
-            bundle = _partial_bundle(bp, strict)
-            domains[variant] = {s: sorted(bundle.domains[s]) for s in ic.morphisms}
-    else:
-        for variant, strict in (("global", False), ("strict_global", True)):
-            action = _global_action(bp, strict)
-            domains[variant] = {s: sorted(action.domain(s)) for s in ic.morphisms}
+    variants = ("partial", "strict_partial") if args.circ else ("global", "strict_global")
+    domains = {
+        variant: {s: sorted(bp.domain(s, strict)) for s in ic.morphisms}
+        for variant, strict in zip(variants, (False, True))
+    }
     result = {
         "pointed": args.circ,
         "count": len(bp.elements),
@@ -217,22 +215,7 @@ def cmd_enlargement(args: argparse.Namespace) -> tuple[dict, dict, list[str], in
     if args.embedding is not None:
         emb = _load_embedding(args.embedding, sub.cat, sup.cat)
     else:
-        missing = sorted(
-            (set(sub.cat.objects) - set(sup.cat.objects))
-            | (set(sub.cat.morphisms) - set(sup.cat.morphisms))
-        )
-        if missing:
-            raise UndeclaredName(
-                "no --embedding given and names are not a subset of the ambient "
-                f"category: {missing}",
-                names=missing,
-            )
-        emb = Functor(
-            sub.cat,
-            sup.cat,
-            {x: x for x in sub.cat.objects},
-            {m: m for m in sub.cat.morphisms},
-        )
+        emb = inclusion_functor(sub.cat, sup.cat)
     larger = max(completion_size(sub), completion_size(sup))
     check_cap("Cauchy completion", larger, args.max_elements)
     report = enlargement_check(sub, sup, emb)

@@ -495,14 +495,19 @@ def identity_functor(cat: FiniteCategory) -> Functor:
 
 
 def inclusion_functor(sub: FiniteCategory, sup: FiniteCategory) -> Functor:
-    """Name-identical inclusion; every name of ``sub`` must exist in ``sup``."""
-    missing_obj = set(sub.objects) - set(sup.objects)
-    missing_mor = set(sub.morphisms) - set(sup.morphisms)
-    assert not missing_obj and not missing_mor, (
-        "not a name-level subcategory",
-        sorted(missing_obj),
-        sorted(missing_mor),
+    """Name-identical inclusion; every name of ``sub`` must exist in ``sup``.
+
+    Raises UNDECLARED_NAME listing the names of ``sub`` that ``sup`` lacks.
+    """
+    missing = sorted(
+        (set(sub.objects) - set(sup.objects)) | (set(sub.morphisms) - set(sup.morphisms))
     )
+    if missing:
+        raise UndeclaredName(
+            "no --embedding given and names are not a subset of the ambient "
+            f"category: {missing}",
+            names=missing,
+        )
     return Functor(sub, sup, {x: x for x in sub.objects}, {m: m for m in sub.morphisms})
 
 

@@ -1,10 +1,12 @@
 """Semidirect products and Szendrei-style expansions.
 
-``semidirect_product`` turns any fibred action or partial action bundle into
-a category: arrows are pairs (x, s) with x in the range-side domain D_s,
-the target of (x, s) is x, the source is θ_{s°}(x), and composition
-multiplies the underlying morphisms.  Applied to the Bernoulli actions this
-yields the four expansion variants of ``szendrei``:
+``semidirect_product`` turns a partial action bundle into a category:
+arrows are pairs (x, s) with x in the range-side domain D_s, the target of
+(x, s) is x, the source is θ_{s°}(x), and composition multiplies the
+underlying morphisms.  A fibred action reaches it through
+``fibred_to_symmetry`` and ``symmetry_to_partial``.  Applied to the bundles
+of the Bernoulli actions this yields the four expansion variants of
+``szendrei``:
 
 * ``global``          pairs (A, s) with the signature of A below ss°;
 * ``partial``         pointed subsets with A ∋ iε(A)·s;
@@ -24,8 +26,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
-from .actions import FibredAction, PartialActionBundle
-from .bernoulli import BernoulliPoset, _global_action, _partial_bundle, build_bernoulli
+from .actions import PartialActionBundle
+from .bernoulli import BernoulliPoset, _bundle, build_bernoulli
 from .core import (
     Functor,
     InverseCategory,
@@ -34,54 +36,45 @@ from .core import (
     natural_leq,
 )
 from .errors import NotComposable, NotIdempotent, PreconditionFailed
-from .limits import DEFAULT_MAX_ELEMENTS
+from .limits import DEFAULT_MAX_ELEMENTS, check_cap
 from .poset import subset_name
 
 VARIANTS = ("global", "partial", "strict_global", "strict_partial")
 
 
 def semidirect_product(
-    action: FibredAction | PartialActionBundle,
+    bundle: PartialActionBundle,
 ) -> tuple[InverseCategory, dict[str, tuple[str, str]]]:
-    """Build the semidirect product category of an action.
+    """Build the semidirect product category of a partial action bundle.
 
     Objects are the poset elements; the arrow (x, s), written ``(x|s)``,
     exists for every x in D_s and runs from θ_{s°}(x) to x.  The identity of
-    x pairs it with the identity of its fiber's object, or with its own
-    idempotent when the action is strict.  Returns the verified inverse
-    category together with the map from arrow names back to (element,
-    morphism) pairs.
+    x pairs it with the one identity whose domain holds x, or with the one
+    idempotent whose domain holds x when the bundle is strict.  A fibred
+    action reaches this through ``fibred_to_symmetry`` and
+    ``symmetry_to_partial``.  Returns the verified inverse category together
+    with the map from arrow names back to (element, morphism) pairs.
     """
-    ic, strict = action.ic, action.strict
-    if isinstance(action, FibredAction):
-        domains = {s: action.domain(s) for s in ic.morphisms}
-        back_maps = {
-            s: {x: action.theta[(ic.inv(s), x)] for x in domains[s]}
-            for s in ic.morphisms
-        }
-    else:
-        domains = {s: action.domains[s] for s in ic.morphisms}
-        back_maps = {s: dict(action.maps[ic.inv(s)].pairs) for s in ic.morphisms}
+    ic, domains = bundle.ic, bundle.domains
+    objects = bundle.poset.elements
+    units: dict[str, list[str]] = {}
+    for e in ic.idempotents() if bundle.strict else map(ic.identity_of, ic.objects):
+        for x in domains[e]:
+            units.setdefault(x, []).append(e)
+    identities: dict[str, str] = {}
+    for x in objects:
+        found = units.get(x, [])
+        assert len(found) == 1, (x, found, "element needs exactly one unit arrow")
+        identities[x] = f"({x}|{found[0]})"
 
-    objects = tuple(action.poset.elements)
     arrows: dict[str, tuple[str, str]] = {}
     typing: dict[str, tuple[str, str]] = {}
     for s in ic.morphisms:
+        back = dict(bundle.maps[ic.inv(s)].pairs)
         for x in sorted(domains[s]):
             name = f"({x}|{s})"
             arrows[name] = (x, s)
-            typing[name] = (back_maps[s][x], x)
-
-    identities: dict[str, str] = {}
-    for x in objects:
-        if strict:
-            units = [e for e in ic.idempotents() if x in domains[e]]
-        else:
-            units = [
-                ic.identity_of(X) for X in ic.objects if x in domains[ic.identity_of(X)]
-            ]
-        assert len(units) == 1, (x, units, "element needs exactly one unit arrow")
-        identities[x] = f"({x}|{units[0]})"
+            typing[name] = (back[x], x)
 
     def product(a: str, b: str) -> str:
         (x, s), (_, t) = arrows[a], arrows[b]
@@ -121,13 +114,19 @@ def szendrei(
     variant: str = "global",
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> SzCategory:
-    """Construct one of the four expansion variants over the Bernoulli poset."""
+    """Construct one of the four expansion variants over the Bernoulli poset.
+
+    Caps the carrier and then the arrow count Σ_s |D_s| at ``max_elements``,
+    both before any arrow is named.
+    """
     assert variant in VARIANTS, f"unknown variant {variant!r}"
     pointed = variant in ("partial", "strict_partial")
     strict = variant in ("strict_global", "strict_partial")
     carrier = build_bernoulli(origin, pointed=pointed, max_elements=max_elements)
-    action = (_partial_bundle if pointed else _global_action)(carrier, strict)
-    inv, arrows = semidirect_product(action)
+    bundle = _bundle(carrier, strict)
+    # one arrow (x|s) per x in D_s
+    check_cap("expansion", sum(map(len, bundle.domains.values())), max_elements)
+    inv, arrows = semidirect_product(bundle)
     return SzCategory(inv, origin, variant, carrier, arrows)
 
 

@@ -279,6 +279,21 @@ def brute_bernoulli_relation(cat: FiniteCategory, elements: dict) -> frozenset[t
     return frozenset(out)
 
 
+def brute_pointed_domain(
+    cat: FiniteCategory, inv: dict[str, str], elements: dict, s: str, strict: bool
+) -> list[str]:
+    """D_s on the pointed carrier, filtering every element in order: the
+    signature idempotent e of A sits below ss° (e = ss°·e; strict: e = ss°)
+    and A contains e·s."""
+    ran = cat.table[(s, inv[s])]
+    out = []
+    for key, a in elements.items():
+        below = a.idem == ran if strict else cat.table.get((ran, a.idem)) == a.idem
+        if below and cat.table.get((a.idem, s)) in a.members:
+            out.append(key)
+    return out
+
+
 def brute_inverse_semigroup_violations(
     elements: tuple[str, ...], table: dict[tuple[str, str], str]
 ) -> list[tuple[str, tuple, str]]:

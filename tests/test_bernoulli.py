@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invcat import (
+    FibredAction,
+    MomentMap,
     SizeCapExceeded,
     bernoulli_global,
     bernoulli_partial,
@@ -14,7 +17,12 @@ from invcat import (
     validate_partial,
 )
 
-from oracles import brute_bernoulli_subsets
+from oracles import (
+    PARTIAL_BIJECTIONS,
+    brute_bernoulli_subsets,
+    brute_pointed_domain,
+    sub_inverse_monoid,
+)
 
 
 def test_counts_and_membership_match_subset_filter(t1, z2, g2, i2):
@@ -155,3 +163,34 @@ def test_frozen_action_values(z2, i2):
     assert sorted(strict_action.domain("id1")) == ["{id1,s21}", "{id1}", "{s21}"]
     strict_bundle = bernoulli_partial(i2, strict=True)
     assert strict_bundle.domains["swap"] == frozenset({"{id,swap}"})
+
+
+def assert_domains_match_filters(ic) -> None:
+    """``BernoulliPoset.domain`` against a filter over every carrier element,
+    element order included: admissibility of s° on the global carrier, the
+    signature-and-marker oracle on the pointed one."""
+    for pointed in (False, True):
+        bp = build_bernoulli(ic, pointed=pointed)
+        moment = MomentMap(
+            {k: elt.obj for k, elt in bp.elements.items()},
+            {k: elt.idem for k, elt in bp.elements.items()},
+        )
+        for strict in (False, True):
+            action = FibredAction(ic, bp.poset, moment, {}, strict=strict)
+            for s in ic.morphisms:
+                if pointed:
+                    expected = brute_pointed_domain(ic.cat, ic.inverse, bp.elements, s, strict)
+                else:
+                    expected = [x for x in bp.poset.elements if action.admissible(ic.inv(s), x)]
+                assert list(bp.domain(s, strict)) == expected, (pointed, strict, s)
+
+
+def test_domains_match_filters_on_fixtures(request):
+    for name in ("t1", "z2", "g2", "i2", "iic_point", "iic_chain2"):
+        assert_domains_match_filters(request.getfixturevalue(name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from(PARTIAL_BIJECTIONS), min_size=1, max_size=3))
+def test_domains_match_filters_on_random_sub_inverse_monoids_of_i3(generators):
+    assert_domains_match_filters(sub_inverse_monoid(generators))

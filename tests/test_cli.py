@@ -163,11 +163,13 @@ def test_enlargement_verdicts(datadir, capsys):
 
 
 def test_enlargement_needs_embedding_for_disjoint_names(datadir, capsys):
-    code, report, _ = run(
+    code, report, err = run(
         capsys, "enlargement", str(datadir / "t1.json"), str(datadir / "g2.json")
     )
     assert code == 2
     assert report["error"]["code"] == "UNDECLARED_NAME"
+    assert report["error"]["details"] == {"names": ["*", "1"]}
+    assert "Traceback" not in err
 
 
 def test_embedding_file_must_have_exact_keys(datadir, capsys, tmp_path):
@@ -251,6 +253,7 @@ def test_size_cap_flag_and_env(datadir, capsys, monkeypatch):
 @pytest.mark.parametrize(
     ("argv", "size"),
     [
+        (["expand", "i2.json", "--variant", "global"], 37),  # Σ_s |D_s| arrows
         (["cauchy", "i2.json"], 34),  # Σ_s |↑s°s|·|↑ss°| completion morphisms
         (["enlargement", "t1.json", "g2.json", "--embedding", "t1_into_g2.json"], 4),
         (["decompose", "i2.json"], 7),  # algebra dimension = morphism count

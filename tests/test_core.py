@@ -247,8 +247,9 @@ def test_functor_validation(z2, g2):
 
 
 def test_inclusion_functor_requires_shared_names(z2, g2):
-    with pytest.raises(AssertionError):
+    with pytest.raises(UndeclaredName) as info:
         inclusion_functor(z2.cat, g2.cat)
+    assert info.value.details == {"names": ["*", "e", "g"]}
 
 
 def test_invertible_and_isomorphic(i2, g2):

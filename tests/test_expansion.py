@@ -2,28 +2,35 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from invcat import (
     Functor,
     NotComposable,
     NotIdempotent,
+    PartialOrderIso,
     PreconditionFailed,
+    bernoulli_global,
+    bernoulli_partial,
     classical_group_expansion,
     compose_functors,
     corestriction,
     expansion_functor,
+    fibred_to_symmetry,
     identity_functor,
     inner_expansion,
     projection,
     pseudo_product,
     restriction,
+    symmetry_to_partial,
     szendrei,
     validate_functor,
     validate_inverse_semigroup,
     wedge,
 )
-from invcat.expansion import product_order_leq
+from invcat.expansion import product_order_leq, semidirect_product
 
 from oracles import brute_prefix_expansion
 
@@ -313,3 +320,38 @@ def test_collapse_functor_lifts_and_projection_is_natural(t1, z2, expansions):
     identity = identity_functor(szt.ic.cat)
     assert round_trip.objects == identity.objects
     assert round_trip.morphisms == identity.morphisms
+
+
+def test_converted_global_action_gives_the_global_expansion(t1, z2, g2, i2):
+    # the fibred action reaches the semidirect product through the converters
+    for ic in (t1, z2, g2, i2):
+        bundle = symmetry_to_partial(fibred_to_symmetry(bernoulli_global(ic)))
+        product, arrows = semidirect_product(bundle)
+        sz = szendrei(ic, "global")
+        assert arrows == sz.arrows
+        assert product.cat.table == sz.ic.cat.table
+        assert product.cat.identity == sz.ic.cat.identity
+        assert product.inverse == sz.ic.inverse
+
+
+def test_every_element_needs_exactly_one_unit_arrow(g2):
+    bundle = bernoulli_partial(g2)
+    x = min(bundle.domains["1X"])
+    # x also in the domain of 1Y, with θ_1Y fixing it
+    both = dataclasses.replace(
+        bundle,
+        domains={**bundle.domains, "1Y": bundle.domains["1Y"] | {x}},
+        maps={**bundle.maps, "1Y": PartialOrderIso((*bundle.maps["1Y"].pairs, (x, x)))},
+    )
+    # x in no identity domain
+    neither = dataclasses.replace(
+        bundle,
+        domains={**bundle.domains, "1X": bundle.domains["1X"] - {x}},
+        maps={
+            **bundle.maps,
+            "1X": PartialOrderIso(tuple(p for p in bundle.maps["1X"].pairs if p[0] != x)),
+        },
+    )
+    for broken in (both, neither):
+        with pytest.raises(AssertionError, match="exactly one unit arrow"):
+            semidirect_product(broken)
