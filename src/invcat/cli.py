@@ -158,7 +158,7 @@ def cmd_expand(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
                 f"--inner object {args.inner!r} is not an object of the category",
                 name=args.inner,
             )
-        ie = inner_expansion(sz, args.inner)
+        ie = inner_expansion(sz, args.inner, max_elements=args.max_elements)
         result["inner"] = {
             "object": ie.obj,
             "elements": sorted(ie.elements),

@@ -60,21 +60,30 @@ class CauchyCompletion:
     morphisms_data: dict[str, tuple[str, str, str]]  # name -> (e, s, f)
 
 
-def _join_triples(ic: InverseCategory, triples: dict[str, tuple[str, str, str]]) -> InverseCategory:
-    """The triples (e, s, f) as arrows from (src s, e) to (tgt s, f) between
-    the objects (X, e), composed by (f, t, g)(e, s, f) = (e, ts, g)."""
-    objects = {_object_name(ic.src(e), e): e for e in ic.idempotents()}
-    typing = {
-        name: (_object_name(ic.src(s), e), _object_name(ic.tgt(s), f))
-        for name, (e, s, f) in triples.items()
-    }
-    identities = {oname: _morphism_name(e, e, e) for oname, e in objects.items()}
+def _object_names(ic: InverseCategory) -> dict[str, str]:
+    """Name the object (X, e) of each idempotent e at X, in idempotent order."""
+    return {e: _object_name(ic.src(e), e) for e in ic.idempotents()}
+
+
+def _join_triples(
+    ic: InverseCategory, objects: dict[str, str], names: dict[tuple[str, str, str], str]
+) -> InverseCategory:
+    """The triples (e, s, f), named by ``names``, as arrows from (src s, e)
+    to (tgt s, f) between the ``objects`` (X, e), composed by
+    (f, t, g)(e, s, f) = (e, ts, g).  Names are looked up, never formatted,
+    except that of a composite missing from ``names``; the identity of
+    (X, e) is the triple (e, e, e)."""
+    triples = {name: key for key, name in names.items()}
+    typing = {name: (objects[e], objects[f]) for name, (e, _, f) in triples.items()}
+    identities = {oname: names[(e, e, e)] for e, oname in objects.items()}
+    table = ic.cat.table
 
     def product(a: str, b: str) -> str:
         (_, t, g), (e, s, _) = triples[a], triples[b]
-        return _morphism_name(e, ic.compose(t, s), g)
+        ts = table.get((t, s))
+        return names.get((e, ts, g)) or _morphism_name(e, ts, g)
 
-    return join_category(tuple(objects), typing, identities, product)
+    return join_category(tuple(objects.values()), typing, identities, product)
 
 
 def completion_size(ic: InverseCategory) -> int:
@@ -100,11 +109,8 @@ def cauchy_completion(
     """
     check_cap("Cauchy completion", completion_size(ic), max_elements)
     cat = ic.cat
-    objects_data: dict[str, tuple[str, str]] = {}
-    for e in ic.idempotents():
-        objects_data[_object_name(ic.src(e), e)] = (ic.src(e), e)
-
-    morphisms_data: dict[str, tuple[str, str, str]] = {}
+    objects = _object_names(ic)
+    names: dict[tuple[str, str, str], str] = {}
     for s in cat.morphisms:
         for e in ic.idempotents_at(cat.src[s]):
             if cat.table.get((s, e)) != s:
@@ -112,19 +118,24 @@ def cauchy_completion(
             for f in ic.idempotents_at(cat.tgt[s]):
                 if cat.table.get((f, s)) != s:
                     continue
-                morphisms_data[_morphism_name(e, s, f)] = (e, s, f)
+                names[(e, s, f)] = _morphism_name(e, s, f)
 
-    completed = _join_triples(ic, morphisms_data)
+    completed = _join_triples(ic, objects, names)
     embedding = Functor(
         cat,
         completed.cat,
-        {x: _object_name(x, cat.identity[x]) for x in cat.objects},
+        {x: objects[cat.identity[x]] for x in cat.objects},
         {
-            s: _morphism_name(cat.identity[cat.src[s]], s, cat.identity[cat.tgt[s]])
+            s: names[(cat.identity[cat.src[s]], s, cat.identity[cat.tgt[s]])]
             for s in cat.morphisms
         },
     )
-    return CauchyCompletion(completed, embedding, objects_data, morphisms_data)
+    return CauchyCompletion(
+        completed,
+        embedding,
+        {name: (ic.src(e), e) for e, name in objects.items()},
+        {name: key for key, name in names.items()},
+    )
 
 
 def restriction_groupoid(ic: InverseCategory) -> InverseCategory:
@@ -133,11 +144,11 @@ def restriction_groupoid(ic: InverseCategory) -> InverseCategory:
     Same objects (X, e); one arrow (s°s, s, ss°) per morphism s of the
     original category, so the morphism counts agree.
     """
-    triples = {}
+    names = {}
     for s in ic.morphisms:
         d, r = ic.dom_idem(s), ic.ran_idem(s)
-        triples[_morphism_name(d, s, r)] = (d, s, r)
-    return _join_triples(ic, triples)
+        names[(d, s, r)] = _morphism_name(d, s, r)
+    return _join_triples(ic, _object_names(ic), names)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ Conventions used throughout the package:
   the inverse search read these buckets.  Every derived category is built
   by ``join_category``, which composes each arrow only with the arrows
   starting where it ends, so its cost follows the composable pairs.
+  Products name a composite by looking it up among the declared arrows,
+  so the table shares the declared strings; ``FiniteCategory.build``
+  checks all of the table's names at once, as one set, and scans entry by
+  entry only to report the first undeclared one.
 """
 
 from __future__ import annotations
@@ -102,10 +106,16 @@ class FiniteCategory:
         composition: Mapping[tuple[str, str], str],
     ) -> "FiniteCategory":
         """Assemble a category, rejecting any reference to an undeclared name.
-        Names are stored as the declared string objects, never as copies."""
+
+        Sources and targets are stored as the declared object names.  The
+        table is stored as given, so a product that returns the declared
+        names shares them.  Its names are checked in bulk, as one set
+        against the declared morphisms; only when that fails does the
+        ordered scan run, so UNDECLARED_NAME names the first offending name
+        in table order."""
         objs = tuple(objects)
         mors = tuple(morphisms)
-        oset, mset = {x: x for x in objs}, {m: m for m in mors}
+        oset, mset = {x: x for x in objs}, set(mors)
         if len(oset) != len(objs):
             raise UndeclaredName("duplicate object declaration", objects=objs)
         if len(mset) != len(mors):
@@ -124,13 +134,14 @@ class FiniteCategory:
             if m not in mset:
                 raise UndeclaredName(f"identity of {obj!r} is undeclared morphism {m!r}", name=m)
             ident[obj] = m
-        table = {}
-        for pair, h in composition.items():
-            for name in (*pair, h):
-                if name not in mset:
-                    raise UndeclaredName(f"composition entry uses undeclared morphism {name!r}", name=name)
-            table[pair] = mset[h]
-        return FiniteCategory(objs, mors, src, tgt, ident, table)
+        used = set(itertools.chain.from_iterable(composition))
+        used.update(composition.values())
+        if not used <= mset:
+            for pair, h in composition.items():
+                for name in (*pair, h):
+                    if name not in mset:
+                        raise UndeclaredName(f"composition entry uses undeclared morphism {name!r}", name=name)
+        return FiniteCategory(objs, mors, src, tgt, ident, dict(composition))
 
     # -- basic queries ------------------------------------------------
 
@@ -360,8 +371,12 @@ def join_category(
 ) -> InverseCategory:
     """Build and verify the inverse category whose arrows are ``typing``
     (name -> (source, target), in declaration order) and whose composite g∘f
-    is named by ``product(g, f)``, called only when tgt f = src g.  A
-    composite that is not an arrow raises UNDECLARED_NAME."""
+    is named by ``product(g, f)``, called only when tgt f = src g.
+
+    ``product`` should return the declared name, looked up rather than
+    formatted, so the table shares the declared strings.  ``build`` checks
+    the table's names in bulk; a composite that is not an arrow raises
+    UNDECLARED_NAME naming the first such composite in table order."""
     by_src = _buckets(typing, lambda m: typing[m][0])
     table = {
         (g, f): product(g, f)

@@ -52,8 +52,10 @@ def semidirect_product(
     x pairs it with the one identity whose domain holds x, or with the one
     idempotent whose domain holds x when the bundle is strict.  A fibred
     action reaches this through ``fibred_to_symmetry`` and
-    ``symmetry_to_partial``.  Returns the verified inverse category together
-    with the map from arrow names back to (element, morphism) pairs.
+    ``symmetry_to_partial``.  The composite (x, s)(y, t) = (x, st) is looked
+    up by (x, st), so the table shares the arrow names.  Returns the
+    verified inverse category together with the map from arrow names back
+    to (element, morphism) pairs.
     """
     ic, domains = bundle.ic, bundle.domains
     objects = bundle.poset.elements
@@ -68,17 +70,21 @@ def semidirect_product(
         identities[x] = f"({x}|{found[0]})"
 
     arrows: dict[str, tuple[str, str]] = {}
+    names: dict[tuple[str, str], str] = {}
     typing: dict[str, tuple[str, str]] = {}
     for s in ic.morphisms:
         back = dict(bundle.maps[ic.inv(s)].pairs)
         for x in sorted(domains[s]):
             name = f"({x}|{s})"
             arrows[name] = (x, s)
+            names[(x, s)] = name
             typing[name] = (back[x], x)
+    table = ic.cat.table
 
     def product(a: str, b: str) -> str:
         (x, s), (_, t) = arrows[a], arrows[b]
-        return f"({x}|{ic.compose(s, t)})"
+        st = table.get((s, t))
+        return names.get((x, st)) or f"({x}|{st})"
 
     return join_category(objects, typing, identities, product), arrows
 
@@ -253,17 +259,22 @@ class InnerExpansion:
     identity: str | None
 
 
-def inner_expansion(sz: SzCategory, obj: str) -> InnerExpansion:
+def inner_expansion(
+    sz: SzCategory, obj: str, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> InnerExpansion:
     """Restrict an expansion to one object; ⋆ becomes a total operation.
 
     The pointed variants contain ({1_X}, 1_X) and form inverse monoids; the
     full variants are inverse semigroups without identity in general.
+    Raises SIZE_CAP_EXCEEDED before any ⋆ is taken when the table's
+    |elements|² entries are above ``max_elements``.
     """
     elements = tuple(
         name
         for name, (_, s) in sz.arrows.items()
         if sz.origin.src(s) == obj and sz.origin.tgt(s) == obj
     )
+    check_cap("inner expansion", len(elements) ** 2, max_elements)
     table = {
         (a, b): pseudo_product(sz, a, b) for a in elements for b in elements
     }

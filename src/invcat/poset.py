@@ -249,7 +249,8 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
     ``{}``).  A morphism U -> V is a triple (U, V, s) where s is an order
     isomorphism from an ideal contained in U onto an ideal contained in V;
     composition composes the partial maps on the largest defined domain, and
-    the identity of U is the total identity on U.
+    the identity of U is the total identity on U.  Each distinct pair of
+    isos is composed once per call, and composites are named by lookup.
     """
     ids = ideals(poset)
     object_names = [subset_name(u) for u in ids]
@@ -260,13 +261,16 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
     for u, v in itertools.product(ids, repeat=2):
         isos.extend(order_isos_between(poset, u, v))
 
-    data: dict[str, tuple[str, str, PartialOrderIso]] = {}
+    labels = [s.label() for s in isos]
+    data: dict[str, tuple[str, str, int]] = {}
+    names: dict[tuple[str, str, str], str] = {}
     for uname, vname in itertools.product(object_names, repeat=2):
         u, v = by_name[uname], by_name[vname]
-        for s in isos:
+        for k, s in enumerate(isos):
             if s.dom <= u and s.ran <= v:
-                name = f"{uname}->{vname}|{s.label()}"
-                data[name] = (uname, vname, s)
+                name = f"{uname}->{vname}|{labels[k]}"
+                data[name] = (uname, vname, k)
+                names[(uname, vname, labels[k])] = name
                 if len(data) > max_elements:
                     raise SizeCapExceeded(
                         f"morphism count exceeded cap {max_elements}",
@@ -277,10 +281,14 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
         uname: f"{uname}->{uname}|{identity_iso(by_name[uname]).label()}"
         for uname in object_names
     }
+    composite: dict[tuple[int, int], str] = {}  # label of t∘s, per pair of isos
 
     def product(g: str, f: str) -> str:
         (_, v, t), (u, _, s) = data[g], data[f]
-        return f"{u}->{v}|{compose_partial_isos(t, s).label()}"
+        ts = composite.get((t, s))
+        if ts is None:
+            ts = composite[(t, s)] = compose_partial_isos(isos[t], isos[s]).label()
+        return names.get((u, v, ts)) or f"{u}->{v}|{ts}"
 
     typing = {name: (u, v) for name, (u, v, _) in data.items()}
     return join_category(object_names, typing, identities, product)

@@ -8,9 +8,12 @@ import pytest
 
 from invcat import (
     cyclic_group_2,
+    find_inverse_structure,
     full_transformation_monoid_2,
+    load_category,
     save_category,
     symmetric_inverse_monoid_2,
+    szendrei,
     trivial_category,
     two_object_groupoid,
 )
@@ -126,6 +129,25 @@ def test_expand_inner_and_emit(datadir, capsys, tmp_path):
         str(out),
     )
     assert report3["result"]["emitted"]["sha256"] == report["result"]["emitted"]["sha256"]
+
+
+@pytest.mark.parametrize("variant", ["global", "partial", "strict-global", "strict-partial"])
+@pytest.mark.parametrize("name", ["i2", "z2"])
+def test_emit_spec_loads_back_to_an_equal_category(datadir, capsys, tmp_path, name, variant):
+    out = tmp_path / "sz.json"
+    code, _, _ = run(
+        capsys, "expand", str(datadir / f"{name}.json"), "--variant", variant, "--emit-spec", str(out)
+    )
+    assert code == 0
+    origin = find_inverse_structure(load_category(str(datadir / f"{name}.json"))[0])
+    want = szendrei(origin, variant.replace("-", "_")).ic
+    cat, inverse = load_category(str(out))
+    assert cat.objects == want.cat.objects
+    assert cat.morphisms == want.cat.morphisms
+    assert (cat.src, cat.tgt) == (want.cat.src, want.cat.tgt)
+    assert cat.identity == want.cat.identity
+    assert cat.table == want.cat.table
+    assert inverse == want.inverse
 
 
 def test_expand_unknown_inner_object(datadir, capsys):
@@ -254,6 +276,7 @@ def test_size_cap_flag_and_env(datadir, capsys, monkeypatch):
     ("argv", "size"),
     [
         (["expand", "i2.json", "--variant", "global"], 37),  # Σ_s |D_s| arrows
+        (["expand", "i2.json", "--variant", "global", "--inner", "*"], 1369),  # 37² ⋆ entries
         (["cauchy", "i2.json"], 34),  # Σ_s |↑s°s|·|↑ss°| completion morphisms
         (["enlargement", "t1.json", "g2.json", "--embedding", "t1_into_g2.json"], 4),
         (["decompose", "i2.json"], 7),  # algebra dimension = morphism count

@@ -22,6 +22,9 @@ from invcat import (
     validate_category,
 )
 
+import invcat.completion as completion_module
+import invcat.poset as poset_module
+from invcat.poset import antichain_poset
 from oracles import brute_composable_pairs, brute_inverse_map
 
 FIXTURES = ("t1", "z2", "g2", "i2", "iic_point", "iic_chain2")
@@ -112,8 +115,61 @@ def test_join_kernel_builds_a_group():
 
 
 def test_join_kernel_rejects_a_composite_outside_the_arrows():
-    with pytest.raises(UndeclaredName):
+    with pytest.raises(UndeclaredName) as info:
         _cyclic(3, escape=True)
+    # the first escape in table order: f = g1 is met before f = g2
+    assert info.value.details == {"name": "g3"}
+    assert info.value.message == "composition entry uses undeclared morphism 'g3'"
+
+
+def test_build_reports_the_first_undeclared_name_in_table_order():
+    composition = {
+        ("1", "1"): "1",
+        ("1", "q"): "1",  # q is met first, p sorts first
+        ("p", "1"): "p",
+    }
+    with pytest.raises(UndeclaredName) as info:
+        FiniteCategory.build(["X"], {"1": ("X", "X")}, {"X": "1"}, composition)
+    assert info.value.details == {"name": "q"}
+    assert info.value.message == "composition entry uses undeclared morphism 'q'"
+
+
+def test_build_iic_composes_each_pair_of_isos_once(monkeypatch):
+    """Iic(antichain 3) has 34 order isos between ideals, so at most 34² of
+    its 14,468 composable pairs need a composition of partial isos."""
+    calls = 0
+    compose = poset_module.compose_partial_isos
+
+    def counting(t, s):
+        nonlocal calls
+        calls += 1
+        return compose(t, s)
+
+    monkeypatch.setattr(poset_module, "compose_partial_isos", counting)
+    ic = build_Iic(antichain_poset(["a", "b", "c"]))
+    assert len(ic.cat.table) == 14468
+    assert 0 < calls <= 34**2
+
+
+def test_cauchy_completion_formats_each_name_once(monkeypatch):
+    """Composites are looked up, so the names formatted are at most one per
+    arrow and one per object of the completion, not one per composable pair."""
+    ic = build_Iic(antichain_poset(["a", "b", "c"]))
+    calls = 0
+
+    def counting(fn):
+        def wrapped(*args):
+            nonlocal calls
+            calls += 1
+            return fn(*args)
+
+        return wrapped
+
+    for name in ("_object_name", "_morphism_name"):
+        monkeypatch.setattr(completion_module, name, counting(getattr(completion_module, name)))
+    cc = cauchy_completion(ic)
+    assert len(cc.ic.cat.table) == 127854
+    assert 0 < calls <= len(cc.ic.morphisms) + len(cc.ic.objects)
 
 
 def test_index_is_built_once_in_declaration_order():
