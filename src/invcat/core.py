@@ -20,11 +20,15 @@ Conventions used throughout the package:
   so the table shares the declared strings; ``FiniteCategory.build``
   checks all of the table's names at once, as one set, and scans entry by
   entry only to report the first undeclared one.
+* Associativity is decided by Light's test on the generating set of
+  ``generators``; the action validators check their composition laws on
+  the same generators once the acting category passes.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping
 
@@ -108,11 +112,22 @@ class FiniteCategory:
         """Assemble a category, rejecting any reference to an undeclared name.
 
         Sources and targets are stored as the declared object names.  The
-        table is stored as given, so a product that returns the declared
-        names shares them.  Its names are checked in bulk, as one set
-        against the declared morphisms; only when that fails does the
-        ordered scan run, so UNDECLARED_NAME names the first offending name
-        in table order."""
+        table is stored as a copy of ``composition`` that shares its
+        strings, so a product that returns the declared names shares them.
+        Its names are checked in bulk, as one set against the declared
+        morphisms; only when that fails does the ordered scan run, so
+        UNDECLARED_NAME names the first offending name in table order."""
+        return FiniteCategory._assemble(objects, morphisms, identities, dict(composition))
+
+    @staticmethod
+    def _assemble(
+        objects: Iterable[str],
+        morphisms: Mapping[str, tuple[str, str]],
+        identities: Mapping[str, str],
+        table: dict[tuple[str, str], str],
+    ) -> "FiniteCategory":
+        """``build`` storing ``table`` itself: the caller hands the dict
+        over and keeps no use of it, so the table is never held twice."""
         objs = tuple(objects)
         mors = tuple(morphisms)
         oset, mset = {x: x for x in objs}, set(mors)
@@ -134,14 +149,14 @@ class FiniteCategory:
             if m not in mset:
                 raise UndeclaredName(f"identity of {obj!r} is undeclared morphism {m!r}", name=m)
             ident[obj] = m
-        used = set(itertools.chain.from_iterable(composition))
-        used.update(composition.values())
+        used = set(itertools.chain.from_iterable(table))
+        used.update(table.values())
         if not used <= mset:
-            for pair, h in composition.items():
+            for pair, h in table.items():
                 for name in (*pair, h):
                     if name not in mset:
                         raise UndeclaredName(f"composition entry uses undeclared morphism {name!r}", name=name)
-        return FiniteCategory(objs, mors, src, tgt, ident, dict(composition))
+        return FiniteCategory(objs, mors, src, tgt, ident, table)
 
     # -- basic queries ------------------------------------------------
 
@@ -177,9 +192,36 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
     """Check the category axioms; every violation is reported with a witness.
 
     Rules: identity typing and neutrality, composability exactness (the table
-    holds *exactly* the composable pairs), typing of composites, and full
-    associativity over composable triples.
+    holds *exactly* the composable pairs), typing of composites, and
+    associativity.  Once the other rules hold, associativity is decided by
+    Light's test: (h∘g)∘f = h∘(g∘f) is checked only for the g of
+    ``generators(cat)``.  When that test fails, or an earlier rule is
+    broken, every composable triple is walked, so the report lists each
+    failing (h, g, f) in order.
     """
+    report = _table_report(cat)
+    if report.ok and _light_test(cat) is not None:
+        return report
+    # associativity over composable triples, walking src buckets; triples
+    # touching a missing composite are already reported above
+    for f in cat.morphisms:
+        for g in cat._by_src.get(cat.tgt[f], ()):
+            gf = cat.table.get((g, f))
+            if gf is None:
+                continue
+            for h in cat._by_src.get(cat.tgt[g], ()):
+                hg = cat.table.get((h, g))
+                if hg is None:
+                    continue
+                lhs = cat.table.get((h, gf))
+                rhs = cat.table.get((hg, f))
+                if lhs != rhs or lhs is None:
+                    report.add("associativity", (h, g, f), f"h(gf)={lhs!r} but (hg)f={rhs!r}")
+    return report
+
+
+def _table_report(cat: FiniteCategory) -> ValidationReport:
+    """The rules of ``validate_category`` other than associativity."""
     report = ValidationReport()
     for obj in cat.objects:
         m = cat.identity.get(obj)
@@ -213,22 +255,113 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
             report.add("identity-neutral-left", (left, f), "1∘f differs from f")
         if right is not None and cat.table.get((f, right)) != f:
             report.add("identity-neutral-right", (f, right), "f∘1 differs from f")
-    # associativity over composable triples, walking src buckets; triples
-    # touching a missing composite are already reported above
-    for f in cat.morphisms:
-        for g in cat._by_src.get(cat.tgt[f], ()):
-            gf = cat.table.get((g, f))
-            if gf is None:
-                continue
-            for h in cat._by_src.get(cat.tgt[g], ()):
-                hg = cat.table.get((h, g))
-                if hg is None:
-                    continue
-                lhs = cat.table.get((h, gf))
-                rhs = cat.table.get((hg, f))
-                if lhs != rhs or lhs is None:
-                    report.add("associativity", (h, g, f), f"h(gf)={lhs!r} but (hg)f={rhs!r}")
     return report
+
+
+class _IntTable:
+    """The composable pairs of a category in integer form, as Light's test
+    and the generator search read them.
+
+    Morphism i is ``cat.morphisms[i]``; ``rows[h][slot[f]]`` is the number
+    of h∘f, where f runs over the morphisms ending where h starts, in
+    declaration order, and ``slot[f]`` is the place of f among the
+    morphisms ending where f ends.  Assumes the table holds the composable
+    pairs (the exactness rules of ``validate_category``)."""
+
+    def __init__(self, cat: FiniteCategory) -> None:
+        num = {m: i for i, m in enumerate(cat.morphisms)}
+        table, by_tgt = cat.table, cat._by_tgt
+        self.src = [cat.src[m] for m in cat.morphisms]
+        self.tgt = [cat.tgt[m] for m in cat.morphisms]
+        self.slot = [0] * len(num)
+        for bucket in by_tgt.values():
+            for k, f in enumerate(bucket):
+                self.slot[num[f]] = k
+        self.rows = [
+            [num[table[(h, f)]] for f in by_tgt.get(cat.src[h], ())] for h in cat.morphisms
+        ]
+        self.star = {x: [num[m] for m in bucket] for x, bucket in cat._by_src.items()}
+        self.units = [num[m] for m in cat.identity.values()]
+
+    def generators(self) -> list[int]:
+        """Greedy: the morphisms that are seldom composites come first,
+        being the likeliest to be needed (ties keep declaration order).
+        What is reached, starting from the identities, stays closed under
+        y ↦ y∘g for the generators g so far, so a morphism not yet reached
+        becomes the next generator."""
+        rows, slot, src, tgt = self.rows, self.slot, self.src, self.tgt
+        produced = Counter(itertools.chain.from_iterable(rows))
+        gens: list[int] = []
+        into: dict[str, list[int]] = {}  # generators by target
+        reached = set(self.units)
+        reached_from: dict[str, list[int]] = {}  # reached morphisms by source
+        for u in self.units:
+            reached_from.setdefault(src[u], []).append(u)
+        for x in sorted(range(len(rows)), key=produced.__getitem__):
+            if x in reached:
+                continue
+            gens.append(x)
+            into.setdefault(tgt[x], []).append(x)
+            k = slot[x]
+            frontier = [x, *(rows[y][k] for y in reached_from.get(tgt[x], ()))]
+            while frontier:
+                y = frontier.pop()
+                if y not in reached:
+                    reached.add(y)
+                    reached_from.setdefault(src[y], []).append(y)
+                    row = rows[y]
+                    frontier.extend(row[slot[g]] for g in into.get(src[y], ()))
+        return gens
+
+    def associative_at(self, gens: Iterable[int]) -> bool:
+        """(h∘g)∘f = h∘(g∘f) for each g of ``gens`` and all h, f composable
+        with it: row h∘g must equal row h read at the places of the g∘f."""
+        rows, slot = self.rows, self.slot
+        for g in gens:
+            k = slot[g]
+            places = [slot[gf] for gf in rows[g]]
+            for h in self.star.get(self.tgt[g], ()):
+                row = rows[h]
+                if rows[row[k]] != [row[j] for j in places]:
+                    return False
+        return True
+
+
+def generators(cat: FiniteCategory) -> tuple[str, ...]:
+    """A generating set of ``cat``: every morphism is an identity or a
+    composite g1∘g2∘…∘gk (k ≥ 1) of generators, listed in the order they
+    are chosen.  One walk over the composable pairs counts how often each
+    morphism is a composite; see ``_IntTable.generators``.  Assumes the
+    table holds the composable pairs (``validate_category``)."""
+    return tuple(cat.morphisms[g] for g in _IntTable(cat).generators())
+
+
+def _light_test(cat: FiniteCategory) -> tuple[str, ...] | None:
+    """``generators(cat)`` when Light's test (Clifford & Preston, *The
+    Algebraic Theory of Semigroups* I, §1.2) passes on them, else None.
+
+    The test asks (h∘g)∘f = h∘(g∘f) for a generator g and all h, f
+    composable with it.  The g passing it are closed under composition (for
+    a, b passing, h∘((a∘b)∘f) = ((h∘a)∘b)∘f by four uses of the test), and
+    neutral identities pass it, so a generating set that passes makes the
+    category associative.  Needs the exactness rules of
+    ``validate_category``, and its identity rules when ``cat`` declares
+    identities."""
+    ints = _IntTable(cat)
+    gens = ints.generators()
+    if not ints.associative_at(gens):
+        return None
+    return tuple(cat.morphisms[g] for g in gens)
+
+
+def associative_generators(cat: FiniteCategory) -> tuple[str, ...] | None:
+    """A generating set of ``cat`` on which Light's test passes, once the
+    other rules of ``validate_category`` hold; None when anything fails.
+
+    A validator of a functor-like law checks the law on these generators
+    only: a law that holds for each generator with all of its composable
+    partners, and that survives composition, holds for every morphism."""
+    return _light_test(cat) if _table_report(cat).ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +463,15 @@ class InverseCategory:
         return tuple(m for m in self.morphisms if self.dom_idem(m) == e)
 
 
-def generalized_inverses(cat: FiniteCategory, s: str) -> tuple[str, ...]:
-    """All t with s = sts and t = tst (candidates run over hom(tgt s, src s))."""
+def generalized_inverses(
+    cat: FiniteCategory, s: str, candidates: Iterable[str] | None = None
+) -> tuple[str, ...]:
+    """All t with s = sts and t = tst.  Candidates run over
+    hom(tgt s, src s), read from ``candidates`` when the caller has it."""
     found = []
-    for t in cat.hom(cat.tgt[s], cat.src[s]):
+    if candidates is None:
+        candidates = cat.hom(cat.tgt[s], cat.src[s])
+    for t in candidates:
         ts = cat.table.get((t, s))
         st = cat.table.get((s, t))
         if ts is None or st is None:
@@ -346,12 +484,15 @@ def generalized_inverses(cat: FiniteCategory, s: str) -> tuple[str, ...]:
 def find_inverse_structure(cat: FiniteCategory) -> InverseCategory:
     """Exhaustively locate the unique generalized inverse of every morphism.
 
-    Raises NOT_INVERSE_CATEGORY naming the first morphism (in declaration
-    order) whose inverse count differs from one.
+    The morphisms are grouped by (source, target) once per call, so each
+    candidate list is a lookup; the grouping is not kept.  Raises
+    NOT_INVERSE_CATEGORY naming the first morphism (in declaration order)
+    whose inverse count differs from one.
     """
+    homs = _buckets(cat.morphisms, lambda m: (cat.src[m], cat.tgt[m]))
     inverse: dict[str, str] = {}
     for s in cat.morphisms:
-        candidates = generalized_inverses(cat, s)
+        candidates = generalized_inverses(cat, s, homs.get((cat.tgt[s], cat.src[s]), ()))
         if len(candidates) != 1:
             raise NotInverseCategory(
                 f"morphism {s!r} has {len(candidates)} generalized inverses",
@@ -383,7 +524,7 @@ def join_category(
         for f, (_, y) in typing.items()
         for g in by_src.get(y, ())
     }
-    return find_inverse_structure(FiniteCategory.build(objects, typing, identities, table))
+    return find_inverse_structure(FiniteCategory._assemble(objects, typing, identities, table))
 
 
 def natural_leq(ic: InverseCategory, s: str, t: str) -> bool:

@@ -22,16 +22,17 @@ and the projection back onto the underlying category.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable
 
 from .actions import PartialActionBundle
 from .bernoulli import BernoulliPoset, _bundle, build_bernoulli
 from .core import (
+    FiniteCategory,
     Functor,
     InverseCategory,
     ValidationReport,
+    _light_test,
     join_category,
     natural_leq,
 )
@@ -292,11 +293,12 @@ def validate_inverse_semigroup(
     """Totality, associativity, commuting idempotents, unique inverses.
 
     Associativity is decided by Light's test (Clifford & Preston, *The
-    Algebraic Theory of Semigroups* I, §1.2): the elements a with
-    (xa)y = x(ay) for all x, y are closed under the product, so checking
-    them over a generating set costs n²·|generators| instead of n³.  When
-    the test fails, every triple is scanned, so the report lists each
-    failing (a, b, c) in order.
+    Algebraic Theory of Semigroups* I, §1.2), run by ``core`` on the table
+    read as a one-object category: the elements a with (xa)y = x(ay) for
+    all x, y are closed under the product, so checking them over a
+    generating set (``core.generators``) costs n²·|generators| instead of
+    n³.  When the test fails, every triple is scanned, so the report lists
+    each failing (a, b, c) in order.
     """
     report = ValidationReport()
     elems = tuple(elements)
@@ -307,7 +309,8 @@ def validate_inverse_semigroup(
                 report.add("semigroup-total", (a, b), "product missing or escapes the set")
     if report.violations:
         return report
-    if not _light_associative(elems, table):
+    ends = dict.fromkeys(elems, "*")
+    if _light_test(FiniteCategory(("*",), elems, ends, ends, {}, table)) is None:
         for a in elems:
             for b in elems:
                 for c in elems:
@@ -329,39 +332,6 @@ def validate_inverse_semigroup(
                 "unique-inverse", (a,), f"{len(inverses)} generalized inverses"
             )
     return report
-
-
-def _light_associative(elems: tuple[str, ...], table: dict[tuple[str, str], str]) -> bool:
-    """(xg)y = x(gy) for every generator g and all x, y of a total table."""
-    index = {a: i for i, a in enumerate(elems)}
-    rows = [[index[table[(a, b)]] for b in elems] for a in elems]
-    for g in _generators(rows):
-        gy = rows[g]
-        for row in rows:
-            if rows[row[g]] != [row[j] for j in gy]:
-                return False
-    return True
-
-
-def _generators(rows: list[list[int]]) -> list[int]:
-    """A generating set of the table ``rows`` (entry [a][b] is ab): every
-    element is a generator times generators, multiplied from the left.
-    Elements that are seldom products come first, being the likeliest to
-    be needed."""
-    produced = Counter(itertools.chain.from_iterable(rows))
-    gens: list[int] = []
-    reached: set[int] = set()
-    for x in sorted(range(len(rows)), key=produced.__getitem__):
-        if x in reached:
-            continue
-        gens.append(x)
-        frontier = [x, *(rows[y][x] for y in reached)]
-        while frontier:
-            y = frontier.pop()
-            if y not in reached:
-                reached.add(y)
-                frontier.extend(rows[y][g] for g in gens)
-    return gens
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,8 @@ def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory,
         for k, v in inverse.items():
             _want(v, str, f"inverse of {k}")
 
-    cat = FiniteCategory.build(objects, morphisms, identities, composition)
+    # the table was built here only to be handed over
+    cat = FiniteCategory._assemble(objects, morphisms, identities, composition)
     return cat, inverse
 
 

@@ -3,9 +3,10 @@
 Everything here works from the raw composition table by exhaustive search,
 deliberately avoiding the library's cached structure and formulas, so that
 agreement between the two is meaningful evidence rather than a tautology.
-The pairwise scans that the indexed order checks replaced are kept here as
-their references.  The last section generates inverse monoids by closure
-for the property tests.
+The pairwise scans that the indexed order checks replaced, and the full
+scans that Light's test and the generator-only action checks replaced, are
+kept here as their references.  The last section generates inverse monoids
+by closure for the property tests.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
+from invcat.actions import FibredAction, SymmetryAction
 from invcat.core import FiniteCategory, InverseCategory, join_category
 from invcat.poset import PartialOrderIso, Poset
 
@@ -56,6 +58,24 @@ def brute_exactness_violations(cat: FiniteCategory) -> list[tuple[str, tuple]]:
                 h = cat.table[(g, f)]
                 if cat.src[h] != cat.src[f] or cat.tgt[h] != cat.tgt[g]:
                     out.append(("composite-typing", (g, f, h)))
+    return out
+
+
+def brute_associativity_violations(cat: FiniteCategory) -> list[tuple[str, tuple]]:
+    """("associativity", (h, g, f)) for every composable triple, looping
+    over all triples (f, g, h) in declaration order, on which h∘(g∘f) is
+    missing or differs from (h∘g)∘f.  Triples touching a missing g∘f or
+    h∘g are left to the exactness rules."""
+    out = []
+    for f, g, h in itertools.product(cat.morphisms, repeat=3):
+        if cat.tgt[f] != cat.src[g] or cat.tgt[g] != cat.src[h]:
+            continue
+        gf, hg = cat.table.get((g, f)), cat.table.get((h, g))
+        if gf is None or hg is None:
+            continue
+        lhs = cat.table.get((h, gf))
+        if lhs is None or lhs != cat.table.get((hg, f)):
+            out.append(("associativity", (h, g, f)))
     return out
 
 
@@ -324,6 +344,158 @@ def brute_inverse_semigroup_violations(
         if count != 1:
             out.append(("unique-inverse", (a,), f"{count} generalized inverses"))
     return out
+
+
+# ---------------------------------------------------------------------------
+# full scans behind the generator-only action checks
+
+
+class _FirstWitnesses(list):
+    """(rule, witness, detail) rows, keeping the first witness of each rule."""
+
+    def add(self, rule: str, witness: tuple, detail: str) -> None:
+        if all(row[0] != rule for row in self):
+            self.append((rule, witness, detail))
+
+
+def brute_fibred_violations(action: FibredAction) -> list[tuple[str, tuple, str]]:
+    """The first witness of each broken fibred-action rule, by scanning
+    every morphism, every admissible pair and every pair of elements."""
+    out = _FirstWitnesses()
+    ic, poset, moment, theta = action.ic, action.poset, action.moment, action.theta
+    elements = set(poset.elements)
+    for x in poset.elements:
+        if x not in moment.obj or x not in moment.idem:
+            out.add("moment-total", (x,), "element has no moment")
+            continue
+        e = moment.idem[x]
+        if e not in ic.morphisms or not ic.is_idempotent(e) or ic.src(e) != moment.obj[x]:
+            out.add("moment-typing", (x,), "moment is not an idempotent at the element's object")
+    if out:
+        return out
+    for a, b in sorted(poset.relation):
+        if a != b and not ic.leq_idem(moment.idem[a], moment.idem[b]):
+            out.add("moment-monotone", (a, b), "moment does not preserve the order")
+    adm = {s: [x for x in poset.elements if action.admissible(s, x)] for s in ic.morphisms}
+    admissible = {(s, x) for s in ic.morphisms for x in adm[s]}
+    for key in sorted(theta):
+        if key not in admissible:
+            out.add("theta-domain", key, "θ defined on a non-admissible pair")
+    for key in sorted(admissible):
+        if key not in theta:
+            out.add("theta-domain", key, "θ missing on an admissible pair")
+    for key in sorted(theta):
+        if theta[key] not in elements:
+            out.add("theta-image", key, "θ image is not a poset element")
+    for x in poset.elements:
+        got = theta.get((moment.idem[x], x)) if (moment.idem[x], x) in admissible else None
+        if got != x:
+            out.add("axiom-i", (x,), f"θ_e(x) = {got!r} differs from x")
+    for s, x in sorted(admissible):
+        y = theta.get((s, x))
+        if y not in elements:
+            continue
+        if moment.obj[y] != ic.tgt(s):
+            out.add("axiom-ii", (s, x), "image lies in the wrong fiber")
+        elif not ic.leq_idem(moment.idem[y], ic.ran_idem(s)):
+            out.add("axiom-ii", (s, x), "image idempotent does not sit below ss°")
+        elif moment.idem[x] == ic.dom_idem(s) and moment.idem[y] != ic.ran_idem(s):
+            out.add("axiom-ii", (s, x), "image idempotent must equal ss° when x sits at s°s")
+    for s in ic.morphisms:
+        bad = sorted(
+            (a, b)
+            for a, b in itertools.product(adm[s], repeat=2)
+            if a != b
+            and poset.leq(a, b)
+            and theta.get((s, a)) in elements
+            and theta.get((s, b)) in elements
+            and not poset.leq(theta[(s, a)], theta[(s, b)])
+        )
+        if bad:
+            out.add("axiom-ii-monotone", (s, *bad[0]), "θ_s does not preserve the order")
+    for t, s in itertools.product(ic.morphisms, repeat=2):
+        st = ic.compose(s, t)
+        if st is None:
+            continue
+        for x in adm[t]:
+            y = theta.get((t, x))
+            defined_lhs = (s, y) in admissible
+            defined_rhs = (st, x) in admissible
+            lhs = theta.get((s, y)) if defined_lhs else None
+            rhs = theta.get((st, x)) if defined_rhs else None
+            if defined_lhs != defined_rhs or (defined_lhs and lhs != rhs):
+                out.add(
+                    "axiom-iii",
+                    (s, t, x),
+                    f"θ_s∘θ_t gives {lhs!r} (defined={defined_lhs}) but "
+                    f"θ_st gives {rhs!r} (defined={defined_rhs})",
+                )
+    return out
+
+
+def brute_symmetry_violations(sym: SymmetryAction) -> list[tuple[str, tuple, str]]:
+    """The first witness of each broken symmetry-action rule, by checking
+    every iso pairwise and the composition law on every composable pair."""
+    out = _FirstWitnesses()
+    ic, poset = sym.ic, sym.poset
+    covered: list[str] = []
+    for X in ic.objects:
+        if X not in sym.fibers:
+            out.add("fiber-total", (X,), "object has no fiber")
+            continue
+        if not brute_is_ideal(poset, sym.fibers[X]):
+            out.add("fiber-ideal", (X,), "fiber is not an ideal of the poset")
+        covered.extend(sym.fibers[X])
+    if sorted(covered) != sorted(poset.elements):
+        out.add("fiber-partition", (), "fibers do not partition the poset")
+    for s in ic.morphisms:
+        if s not in sym.isos:
+            out.add("iso-total", (s,), "morphism has no order isomorphism")
+            continue
+        iso = sym.isos[s]
+        checked = brute_order_iso(poset, iso.pairs)
+        if not isinstance(checked, PartialOrderIso):
+            out.add("iso-order", (s,), f"not an order isomorphism: {checked!r}")
+            continue
+        if not iso.dom <= sym.fibers.get(ic.src(s), frozenset()):
+            out.add("iso-typing", (s,), "domain leaves the source fiber")
+        if not iso.ran <= sym.fibers.get(ic.tgt(s), frozenset()):
+            out.add("iso-typing", (s,), "range leaves the target fiber")
+        if not brute_is_ideal(poset, iso.dom) or not brute_is_ideal(poset, iso.ran):
+            out.add("iso-ideal", (s,), "domain or range is not an ideal")
+    if out:
+        return out
+    for X in ic.objects:
+        unit = tuple(sorted((x, x) for x in sym.fibers[X]))
+        if sym.isos[ic.identity_of(X)].pairs != unit:
+            out.add("functor-identity", (X,), "identity does not act as the identity of its fiber")
+    for (s, t), st in ic.cat.table.items():
+        after = dict(sym.isos[s].pairs)
+        composite = tuple(sorted((a, after[b]) for a, b in sym.isos[t].pairs if b in after))
+        if composite != sym.isos[st].pairs:
+            out.add("functor-composition", (s, t), "Θ(s)∘Θ(t) differs from Θ(st)")
+    for s in ic.morphisms:
+        if sym.isos[ic.inv(s)].pairs != tuple(sorted((b, a) for a, b in sym.isos[s].pairs)):
+            out.add("functor-inverse", (s,), "Θ(s°) differs from Θ(s)⁻¹")
+    return out
+
+
+# ---------------------------------------------------------------------------
+# operation counts
+
+
+class CountingTable(dict):
+    """A composition table that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
 
 
 # ---------------------------------------------------------------------------

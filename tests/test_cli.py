@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invcat import (
     cyclic_group_2,
@@ -17,7 +22,7 @@ from invcat import (
     trivial_category,
     two_object_groupoid,
 )
-from invcat.cli import main
+from invcat.cli import _INPUT_ERROR_CODES, main
 
 
 @pytest.fixture(scope="module")
@@ -304,3 +309,92 @@ def test_bad_max_elements_env_is_a_parse_error(datadir, capsys, monkeypatch):
         assert report["error"]["code"] == "PARSE_ERROR"
         assert report["error"]["details"] == {"value": raw, "variable": "INVCAT_MAX_ELEMENTS"}
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# malformed spec text: a typed error and exit 2, never a traceback
+
+DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
+SPECS = {name: (DEMO_DATA / f"{name}.json").read_text() for name in ("t1", "z2", "g2", "i2")}
+
+
+def run_quietly(*argv: str) -> tuple[int, str]:
+    """main() with stdout captured and stderr dropped; an escaping
+    exception fails the test with its traceback."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def assert_typed_input_error(path) -> dict:
+    code, out = run_quietly("validate", str(path))
+    report = json.loads(out)
+    assert code == 2, report
+    assert report["error"]["code"] in _INPUT_ERROR_CODES
+    return report
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_truncated_specs_are_parse_errors(tmp_path, name):
+    text = SPECS[name].rstrip()
+    path = tmp_path / "cut.json"
+    for cut in sorted({*range(0, len(text), max(1, len(text) // 40)), len(text) - 1}):
+        path.write_text(text[:cut])
+        assert assert_typed_input_error(path)["error"]["code"] == "PARSE_ERROR"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(SPECS)),
+    st.integers(0, 10**6),
+    st.sampled_from(list('{}[],:"01-x *') + ["", '"1"', "null", "[]", "{}", "true"]),
+)
+def test_mutated_specs_never_escape_as_tracebacks(name, where, replacement):
+    text = SPECS[name]
+    k = where % len(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "mutated.json"
+        path.write_text(text[:k] + replacement + text[k + 1:])
+        code, out = run_quietly("validate", str(path))
+    report = json.loads(out)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert report["error"]["code"] in _INPUT_ERROR_CODES
+    else:
+        assert report["command"] == "validate" and "result" in report
+
+
+def _nodes(value, path=()):
+    """Every (path, value) of a parsed JSON document, the root first."""
+    yield path, value
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield from _nodes(child, (*path, key))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(sorted(SPECS)),
+    st.integers(0, 10**6),
+    st.sampled_from([None, 0, 1.5, -1, True, "", "x", "*", [], {}, ["x"], {"x": 1}, [["x"]]]),
+)
+def test_specs_with_a_retyped_value_never_escape_as_tracebacks(name, where, replacement):
+    data = json.loads(SPECS[name])
+    paths = [path for path, _ in _nodes(data)]
+    path = paths[where % len(paths)]
+    if path:
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = replacement
+    else:
+        data = replacement
+    with tempfile.TemporaryDirectory() as tmp:
+        spec = pathlib.Path(tmp) / "retyped.json"
+        spec.write_text(json.dumps(data))
+        code, out = run_quietly("validate", str(spec))
+    report = json.loads(out)
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert report["error"]["code"] in _INPUT_ERROR_CODES

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invcat import (
     Functor,
@@ -20,6 +21,7 @@ from invcat import (
     expansion_functor,
     fibred_to_symmetry,
     identity_functor,
+    inclusion_functor,
     inner_expansion,
     projection,
     pseudo_product,
@@ -32,7 +34,7 @@ from invcat import (
 )
 from invcat.expansion import product_order_leq, semidirect_product
 
-from oracles import brute_prefix_expansion
+from oracles import PARTIAL_BIJECTIONS, brute_prefix_expansion, sub_inverse_monoid
 
 FROZEN_COUNTS = {
     ("z2", "global"): 6,
@@ -355,3 +357,27 @@ def test_every_element_needs_exactly_one_unit_arrow(g2):
     for broken in (both, neither):
         with pytest.raises(AssertionError, match="exactly one unit arrow"):
             semidirect_product(broken)
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    st.lists(st.sampled_from(PARTIAL_BIJECTIONS), max_size=2),
+    st.lists(st.sampled_from(PARTIAL_BIJECTIONS), max_size=2),
+    st.lists(st.sampled_from(PARTIAL_BIJECTIONS), max_size=1),
+    st.sampled_from(["global", "partial", "strict_global", "strict_partial"]),
+)
+def test_expansion_is_functorial_on_inclusions_of_sub_inverse_monoids_of_i3(a, b, c, variant):
+    """Sz(g∘f) = Sz(g)∘Sz(f) and Sz(1) = 1 for inclusions M_a ⊆ M_ab ⊆ M_abc."""
+    small, middle, large = (sub_inverse_monoid(gens) for gens in (a, a + b, a + b + c))
+    sz = {k: szendrei(m, variant) for k, m in (("s", small), ("m", middle), ("l", large))}
+    f = inclusion_functor(small.cat, middle.cat)
+    g = inclusion_functor(middle.cat, large.cat)
+    lift_f = expansion_functor(sz["s"], sz["m"], f)
+    lift_g = expansion_functor(sz["m"], sz["l"], g)
+    assert validate_functor(lift_f).ok and validate_functor(lift_g).ok
+    lift_gf = expansion_functor(sz["s"], sz["l"], compose_functors(g, f))
+    composed = compose_functors(lift_g, lift_f)
+    assert (lift_gf.objects, lift_gf.morphisms) == (composed.objects, composed.morphisms)
+    lift_1 = expansion_functor(sz["m"], sz["m"], identity_functor(middle.cat))
+    unit = identity_functor(sz["m"].ic.cat)
+    assert (lift_1.objects, lift_1.morphisms) == (unit.objects, unit.morphisms)

@@ -31,6 +31,7 @@ from invcat import (
 )
 
 from oracles import (
+    CountingTable,
     PARTIAL_BIJECTIONS,
     brute_bernoulli_relation,
     brute_inverse_semigroup_violations,
@@ -203,20 +204,6 @@ def test_light_test_matches_the_cubic_scan_on_random_tables(entries):
 
 # ---------------------------------------------------------------------------
 # operation counts
-
-
-class CountingTable(dict):
-    """A composition table that counts its lookups."""
-
-    lookups = 0
-
-    def __getitem__(self, key):
-        self.lookups += 1
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.lookups += 1
-        return super().get(key, default)
 
 
 def test_inverse_semigroup_check_stays_below_a_quarter_of_the_triples(prefix_expansions):
