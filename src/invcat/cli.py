@@ -2,6 +2,8 @@
 
 Every command prints one JSON report to stdout with canonical key order, so
 identical inputs produce identical bytes; wall-clock timing goes to stderr.
+Reports are written by ``specfile.to_json``, the writer of spec files too,
+and match ``json.dumps(report, indent=2, sort_keys=True)`` byte for byte.
 Exit codes: 0 for success or a positive verdict, 1 for mathematical failures
 (axiom violations, INCONCLUSIVE verdicts), 2 for input errors (unreadable or
 malformed files, undeclared names, size caps).
@@ -11,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 import time
 
@@ -42,7 +43,7 @@ from .errors import (
 )
 from .expansion import inner_expansion, szendrei
 from .limits import check_cap, max_elements_from_env
-from .specfile import _load_json, load_category, save_category
+from .specfile import _load_json, load_category, save_category, to_json
 
 _INPUT_ERROR_CODES = {
     "PARSE_ERROR",
@@ -80,7 +81,7 @@ def _declaration_notes(ic: InverseCategory, declared: dict[str, str] | None) -> 
 
 
 def _emit(report: dict, started: float) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(to_json(report, sort_keys=True))
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 

@@ -154,9 +154,10 @@ class PartialOrderIso:
 
         The order test asks, for each pair (c, f c), that f map
         down(c) ∩ dom onto down(f c) ∩ ran, one bit per relation pair
-        inside dom.  When it fails (or a point lies outside the poset) the
-        pairwise scan runs instead, so the assertion names the first
-        offending pair of pairs in sorted order.
+        inside dom.  Only when it fails are the points looked up, so that
+        the assertion names the first point outside the poset, and then the
+        pairwise scan runs, so that it names the first offending pair of
+        pairs in sorted order.
         """
         ordered = tuple(sorted(pairs))
         dom = [a for a, _ in ordered]
@@ -165,6 +166,8 @@ class PartialOrderIso:
         assert len(set(ran)) == len(ran), "mapping not injective"
         if _maps_down_sets_onto(poset, ordered):
             return PartialOrderIso(ordered)
+        for point in itertools.chain.from_iterable(ordered):
+            assert point in poset._pos, ("point outside the poset", point)
         for (a, b), (c, d) in itertools.product(ordered, repeat=2):
             assert poset.leq(a, c) == poset.leq(b, d), (
                 "mapping does not preserve and reflect order",

@@ -1,4 +1,4 @@
-"""Reading and writing category description files.
+"""Reading and writing category description files, and the one JSON writer.
 
 The format is JSON with a fixed schema::
 
@@ -14,13 +14,24 @@ The format is JSON with a fixed schema::
 A composition entry means left∘right = result, with ``right`` acting first;
 pairs absent from the list do not compose.  The optional inverse map is
 verified against the computed one, never trusted.  Unknown fields and
-repeated keys anywhere are rejected.  Serialisation is canonical: fixed key
-order, sorted entries, two-space indent, trailing newline.
+repeated keys anywhere are rejected.  A well-formed spec is checked in bulk,
+column by column; on any doubt the ordered scan runs instead, and it is the
+only place that reports errors, so each message names the first offender.
+
+Every JSON text that invcat writes, spec files and the CLI's reports, comes
+from ``to_json`` (``dump_category`` writes the same layout from fixed
+templates) and matches ``json.dumps(value, indent=2, sort_keys=...)`` byte
+for byte.  ``json.dumps`` drops to its pure-Python encoder whenever
+``indent`` is set; ``to_json`` escapes strings with the C
+``encode_basestring_ascii`` and writes each list of strings and each
+record with one ``str.join``.  Spec files are canonical: fixed
+key order, sorted entries, two-space indent, trailing newline.
 """
 
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any
 
 from .core import FiniteCategory
@@ -29,6 +40,125 @@ from .errors import ParseError
 SCHEMA_VERSION = 1
 _TOP_KEYS = {"invcat-spec", "objects", "morphisms", "identities", "composition", "inverse"}
 _REQUIRED = _TOP_KEYS - {"inverse"}
+_MORPHISM_KEYS = ("name", "src", "tgt")
+_ENTRY_KEYS = ("left", "right", "result")
+
+# ---------------------------------------------------------------------------
+# writing
+
+_quote = json.encoder.encode_basestring_ascii
+_INF = float("inf")
+
+
+def to_json(value: Any, sort_keys: bool = False) -> str:
+    """``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte,
+    including its output for floats and non-str keys and its TypeError for
+    values it cannot write."""
+    return _encode(value, "\n", sort_keys)
+
+
+def _encode(o: Any, nl: str, sort_keys: bool) -> str:
+    """``o`` written as an item whose line starts with ``nl`` (a newline
+    and the current indent)."""
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + "  "
+        try:  # a list of strings
+            body = ("," + inner).join(map(_quote, o))
+        except TypeError:
+            body = ("," + inner).join(
+                [_quote(v) if type(v) is str else _encode(v, inner, sort_keys) for v in o]
+            )
+        return f"[{inner}{body}{nl}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + "  "
+        items = sorted(o.items()) if sort_keys else o.items()
+        body = ("," + inner).join(
+            [
+                f"{_quote(k if type(k) is str else _key(k))}: "
+                f"{_quote(v) if type(v) is str else _encode(v, inner, sort_keys)}"
+                for k, v in items
+            ]
+        )
+        return f"{{{inner}{body}{nl}}}"
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        return _float(o)
+    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
+
+
+def _float(o: float) -> str:
+    if o != o:
+        return "NaN"
+    if o == _INF:
+        return "Infinity"
+    if o == -_INF:
+        return "-Infinity"
+    return float.__repr__(o)
+
+
+def _key(k: Any) -> str:
+    """A dict key as ``json.dumps`` writes it."""
+    if isinstance(k, str):
+        return k
+    if isinstance(k, float):
+        return _float(k)
+    if k is True:
+        return "true"
+    if k is False:
+        return "false"
+    if k is None:
+        return "null"
+    if isinstance(k, int):
+        return int.__repr__(k)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+
+
+_MORPHISM = '    {\n      "name": %s,\n      "src": %s,\n      "tgt": %s\n    }'
+_ENTRY = '    {\n      "left": %s,\n      "right": %s,\n      "result": %s\n    }'
+
+
+def _records(rows: list[str]) -> str:
+    return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+
+
+def dump_category(cat: FiniteCategory, inverse: dict[str, str] | None = None) -> str:
+    """Canonical serialisation; re-parsing reproduces the category exactly.
+    The text is ``to_json`` of the spec's payload, written from templates."""
+    q, table = _quote, cat.table
+    fields = [
+        f'{{\n  "invcat-spec": {SCHEMA_VERSION}',
+        '  "objects": ' + _encode(cat.objects, "\n  ", False),
+        '  "morphisms": '
+        + _records([_MORPHISM % (q(m), q(cat.src[m]), q(cat.tgt[m])) for m in cat.morphisms]),
+        '  "identities": ' + _encode(cat.identity, "\n  ", True),
+        '  "composition": '
+        + _records([_ENTRY % (q(g), q(f), q(table[g, f])) for g, f in sorted(table)]),
+    ]
+    if inverse is not None:
+        fields.append('  "inverse": ' + _encode(inverse, "\n  ", True))
+    return ",\n".join(fields) + "\n}\n"
+
+
+def save_category(path: str, cat: FiniteCategory, inverse: dict[str, str] | None = None) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(dump_category(cat, inverse))
+
+
+# ---------------------------------------------------------------------------
+# reading
 
 
 def _reject_extra(mapping: dict, allowed: set[str], where: str) -> None:
@@ -50,11 +180,13 @@ def _load_json(text: str, source: str) -> Any:
     syntax errors carry line and column."""
 
     def unique(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
-        out: dict[str, Any] = {}
-        for key, value in pairs:
-            if key in out:
-                raise ParseError(f"duplicate key {key!r} in {source}", key=key)
-            out[key] = value
+        out = dict(pairs)
+        if len(out) != len(pairs):
+            seen: set[str] = set()
+            for key, _ in pairs:
+                if key in seen:
+                    raise ParseError(f"duplicate key {key!r} in {source}", key=key)
+                seen.add(key)
         return out
 
     try:
@@ -70,14 +202,71 @@ def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory,
     map, if any.  Syntax errors carry line and column; schema errors name the
     offending field."""
     data = _load_json(text, source)
+    return _parse_bulk(data) or _parse_scan(data)
+
+
+def _all_str(values: Any) -> bool:
+    return set(map(type, values)) <= {str}
+
+
+def _columns(records: Any, keys: tuple[str, ...]) -> list[list[str]] | None:
+    """The columns ``keys`` of a list of records that each have exactly
+    those keys and only string values; None otherwise."""
+    if type(records) is not list or not set(map(type, records)) <= {dict}:
+        return None
+    if not set(map(len, records)) <= {len(keys)}:
+        return None
+    try:
+        columns = [list(map(itemgetter(key), records)) for key in keys]
+    except KeyError:
+        return None
+    return columns if all(map(_all_str, columns)) else None
+
+
+def _parse_bulk(data: Any) -> tuple[FiniteCategory, dict[str, str] | None] | None:
+    """``_parse_scan`` for a spec that passes every schema rule, checked one
+    column at a time; None on any doubt, leaving the report to the scan.
+    Declared names are still checked by ``FiniteCategory._assemble``."""
+    if type(data) is not dict or not _REQUIRED <= data.keys() <= _TOP_KEYS:
+        return None
+    version, objects, identities = data["invcat-spec"], data["objects"], data["identities"]
+    inverse = data.get("inverse")
+    if (
+        type(version) is not int
+        or version != SCHEMA_VERSION
+        or type(objects) is not list
+        or not _all_str(objects)
+        or type(identities) is not dict
+        or not _all_str(identities.values())
+        or ("inverse" in data and (type(inverse) is not dict or not _all_str(inverse.values())))
+    ):
+        return None
+    arrows = _columns(data["morphisms"], _MORPHISM_KEYS)
+    entries = _columns(data["composition"], _ENTRY_KEYS)
+    if arrows is None or entries is None:
+        return None
+    names, srcs, tgts = arrows
+    lefts, rights, results = entries
+    morphisms = dict(zip(names, zip(srcs, tgts)))
+    composition = dict(zip(zip(lefts, rights), results))
+    if len(morphisms) != len(names) or len(composition) != len(lefts):
+        return None  # a repeated name or pair
+    # the table was built here only to be handed over
+    return FiniteCategory._assemble(objects, morphisms, identities, composition), inverse
+
+
+def _parse_scan(data: Any) -> tuple[FiniteCategory, dict[str, str] | None]:
+    """Every schema rule, entry by entry in document order: the first
+    offender is the one reported."""
     _want(data, dict, "top level")
     _reject_extra(data, _TOP_KEYS, "top level")
     missing = sorted(_REQUIRED - set(data))
     if missing:
         raise ParseError(f"missing required field(s) {missing}", fields=missing)
-    if data["invcat-spec"] != SCHEMA_VERSION:
+    version = data["invcat-spec"]
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
         raise ParseError(
-            f"unsupported schema version {data['invcat-spec']!r}; expected {SCHEMA_VERSION}"
+            f"unsupported schema version {version!r}; expected {SCHEMA_VERSION}"
         )
 
     objects = _want(data["objects"], list, "objects")
@@ -87,8 +276,8 @@ def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory,
     morphisms: dict[str, tuple[str, str]] = {}
     for entry in _want(data["morphisms"], list, "morphisms"):
         _want(entry, dict, "morphism entry")
-        _reject_extra(entry, {"name", "src", "tgt"}, f"morphism entry {entry}")
-        for key in ("name", "src", "tgt"):
+        _reject_extra(entry, set(_MORPHISM_KEYS), f"morphism entry {entry}")
+        for key in _MORPHISM_KEYS:
             if key not in entry:
                 raise ParseError(f"morphism entry {entry} lacks {key!r}")
             _want(entry[key], str, f"morphism {key}")
@@ -103,8 +292,8 @@ def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory,
     composition: dict[tuple[str, str], str] = {}
     for entry in _want(data["composition"], list, "composition"):
         _want(entry, dict, "composition entry")
-        _reject_extra(entry, {"left", "right", "result"}, f"composition entry {entry}")
-        for key in ("left", "right", "result"):
+        _reject_extra(entry, set(_ENTRY_KEYS), f"composition entry {entry}")
+        for key in _ENTRY_KEYS:
             if key not in entry:
                 raise ParseError(f"composition entry {entry} lacks {key!r}")
             _want(entry[key], str, f"composition {key}")
@@ -127,27 +316,3 @@ def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory,
 def load_category(path: str) -> tuple[FiniteCategory, dict[str, str] | None]:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_category(handle.read(), source=path)
-
-
-def dump_category(cat: FiniteCategory, inverse: dict[str, str] | None = None) -> str:
-    """Canonical serialisation; re-parsing reproduces the category exactly."""
-    payload: dict[str, Any] = {
-        "invcat-spec": SCHEMA_VERSION,
-        "objects": list(cat.objects),
-        "morphisms": [
-            {"name": m, "src": cat.src[m], "tgt": cat.tgt[m]} for m in cat.morphisms
-        ],
-        "identities": {x: cat.identity[x] for x in sorted(cat.identity)},
-        "composition": [
-            {"left": g, "right": f, "result": h}
-            for (g, f), h in sorted(cat.table.items())
-        ],
-    }
-    if inverse is not None:
-        payload["inverse"] = {m: inverse[m] for m in sorted(inverse)}
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def save_category(path: str, cat: FiniteCategory, inverse: dict[str, str] | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(dump_category(cat, inverse))

@@ -273,13 +273,17 @@ def brute_is_ideal(poset: Poset, subset) -> bool:
 
 def brute_order_iso(poset: Poset, pairs) -> PartialOrderIso | str | tuple:
     """The partial order isomorphism, or the message of the assertion that
-    rejects it: functionality, injectivity, then the first pair of pairs (in
-    sorted order) on which ≤ is not preserved and reflected."""
+    rejects it: functionality, injectivity, the first point (in sorted pair
+    order) that is not an element of the poset, then the first pair of pairs
+    (in sorted order) on which ≤ is not preserved and reflected."""
     ordered = tuple(sorted(pairs))
     if len({a for a, _ in ordered}) != len(ordered):
         return "mapping not functional"
     if len({b for _, b in ordered}) != len(ordered):
         return "mapping not injective"
+    for point in itertools.chain.from_iterable(ordered):
+        if point not in poset.elements:
+            return ("point outside the poset", point)
     for (a, b), (c, d) in itertools.product(ordered, repeat=2):
         if poset.leq(a, c) != poset.leq(b, d):
             return ("mapping does not preserve and reflect order", (a, b), (c, d))

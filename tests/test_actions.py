@@ -11,6 +11,7 @@ from invcat import (
     NotGlobal,
     NotIdeal,
     PartialActionBundle,
+    PartialOrderIso,
     bernoulli_partial,
     build_bernoulli,
     bernoulli_global,
@@ -76,6 +77,22 @@ def test_fibred_to_symmetry_to_partial_roundtrip(t1, z2, g2, i2, iic_chain2):
         # the bundle retells the action: D_s = range of θ_s = action.domain(s)
         for s in action.ic.morphisms:
             assert bundle.domains[s] == action.domain(s)
+
+
+def test_points_outside_the_poset_are_a_broken_iso(z2):
+    bundle = bernoulli_partial(z2)
+    tampered = dataclasses.replace(
+        bundle,
+        domains={s: d | {"ghost"} for s, d in bundle.domains.items()},
+        maps={
+            s: PartialOrderIso(tuple(sorted((*iso.pairs, ("ghost", "ghost")))))
+            for s, iso in bundle.maps.items()
+        },
+    )
+    report = validate_partial(tampered)
+    first = report.violations[0]
+    assert first.rule == "axiom-i"
+    assert "point outside the poset" in first.detail and "ghost" in first.detail
 
 
 def test_broken_symmetry_is_rejected(z2):

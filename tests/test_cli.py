@@ -12,10 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from invcat import (
+    FiniteCategory,
+    ToolkitError,
     cyclic_group_2,
+    dump_category,
     find_inverse_structure,
     full_transformation_monoid_2,
     load_category,
+    parse_category,
     save_category,
     symmetric_inverse_monoid_2,
     szendrei,
@@ -23,6 +27,7 @@ from invcat import (
     two_object_groupoid,
 )
 from invcat.cli import _INPUT_ERROR_CODES, main
+from invcat.specfile import _load_json, _parse_bulk, _parse_scan
 
 
 @pytest.fixture(scope="module")
@@ -147,6 +152,7 @@ def test_emit_spec_loads_back_to_an_equal_category(datadir, capsys, tmp_path, na
     origin = find_inverse_structure(load_category(str(datadir / f"{name}.json"))[0])
     want = szendrei(origin, variant.replace("-", "_")).ic
     cat, inverse = load_category(str(out))
+    assert_bulk_path_taken_and_equal_to_the_scan(out.read_text())
     assert cat.objects == want.cat.objects
     assert cat.morphisms == want.cat.morphisms
     assert (cat.src, cat.tgt) == (want.cat.src, want.cat.tgt)
@@ -318,6 +324,33 @@ DEMO_DATA = pathlib.Path(__file__).resolve().parent.parent / "demos" / "data"
 SPECS = {name: (DEMO_DATA / f"{name}.json").read_text() for name in ("t1", "z2", "g2", "i2")}
 
 
+def parse_outcome(parse, text: str):
+    """(category, inverse), or the class, message and details of the error."""
+    try:
+        return parse(text)
+    except ToolkitError as exc:
+        return type(exc), exc.message, exc.details
+
+
+def assert_bulk_agrees_with_the_scan(text: str) -> None:
+    """``parse_category`` (bulk check first) and the ordered scan called
+    directly give the same category and inverse, or the same error."""
+    scan = parse_outcome(lambda t: _parse_scan(_load_json(t, "<string>")), text)
+    assert parse_outcome(parse_category, text) == scan
+
+
+def assert_bulk_path_taken_and_equal_to_the_scan(text: str) -> None:
+    data = _load_json(text, "<string>")
+    bulk = _parse_bulk(data)
+    assert bulk is not None, "a well-formed spec fell back to the scan"
+    assert bulk == _parse_scan(data)
+
+
+@pytest.mark.parametrize("name", sorted(SPECS))
+def test_demo_specs_load_in_bulk_as_the_scan_loads_them(name):
+    assert_bulk_path_taken_and_equal_to_the_scan(SPECS[name])
+
+
 def run_quietly(*argv: str) -> tuple[int, str]:
     """main() with stdout captured and stderr dropped; an escaping
     exception fails the test with its traceback."""
@@ -342,6 +375,7 @@ def test_truncated_specs_are_parse_errors(tmp_path, name):
     for cut in sorted({*range(0, len(text), max(1, len(text) // 40)), len(text) - 1}):
         path.write_text(text[:cut])
         assert assert_typed_input_error(path)["error"]["code"] == "PARSE_ERROR"
+        assert_bulk_agrees_with_the_scan(text[:cut])
 
 
 @settings(max_examples=150, deadline=None)
@@ -353,9 +387,11 @@ def test_truncated_specs_are_parse_errors(tmp_path, name):
 def test_mutated_specs_never_escape_as_tracebacks(name, where, replacement):
     text = SPECS[name]
     k = where % len(text)
+    mutated = text[:k] + replacement + text[k + 1:]
+    assert_bulk_agrees_with_the_scan(mutated)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "mutated.json"
-        path.write_text(text[:k] + replacement + text[k + 1:])
+        path.write_text(mutated)
         code, out = run_quietly("validate", str(path))
     report = json.loads(out)
     assert code in (0, 1, 2)
@@ -390,6 +426,7 @@ def test_specs_with_a_retyped_value_never_escape_as_tracebacks(name, where, repl
         parent[path[-1]] = replacement
     else:
         data = replacement
+    assert_bulk_agrees_with_the_scan(json.dumps(data))
     with tempfile.TemporaryDirectory() as tmp:
         spec = pathlib.Path(tmp) / "retyped.json"
         spec.write_text(json.dumps(data))
@@ -398,3 +435,38 @@ def test_specs_with_a_retyped_value_never_escape_as_tracebacks(name, where, repl
     assert code in (0, 1, 2)
     if code == 2:
         assert report["error"]["code"] in _INPUT_ERROR_CODES
+
+
+# ---------------------------------------------------------------------------
+# renaming every name renames the report and nothing else
+
+
+@pytest.mark.parametrize("name", ["i2", "z2", "g2"])
+def test_renaming_every_name_renames_the_validate_report(datadir, tmp_path, name):
+    cat, inverse = load_category(str(datadir / f"{name}.json"))
+    # injective (the index is unique) onto names with a quote, a backslash,
+    # spaces, control characters and non-ASCII text
+    ob = {x: f'o{i} {x}"\\\x01\té' for i, x in enumerate(cat.objects)}
+    mo = {m: f'm{i} {m}"\\\x1f\x7f ✓\U0001f600' for i, m in enumerate(cat.morphisms)}
+    renamed = FiniteCategory.build(
+        [ob[x] for x in cat.objects],
+        {mo[m]: (ob[cat.src[m]], ob[cat.tgt[m]]) for m in cat.morphisms},
+        {ob[x]: mo[m] for x, m in cat.identity.items()},
+        {(mo[g], mo[f]): mo[h] for (g, f), h in cat.table.items()},
+    )
+    renamed_inverse = {mo[m]: mo[v] for m, v in inverse.items()}
+    text = dump_category(renamed, renamed_inverse)
+    assert dump_category(*parse_category(text)) == text
+    path = tmp_path / "renamed.json"
+    path.write_text(text)
+
+    code, out = run_quietly("validate", str(datadir / f"{name}.json"))
+    renamed_code, renamed_out = run_quietly("validate", str(path))
+    before, after = json.loads(out), json.loads(renamed_out)
+    assert renamed_code == code == 0
+    assert after["violations"] == before["violations"] == []
+    assert after["result"]["valid"] is before["result"]["valid"] is True
+    assert after["result"]["objects"] == before["result"]["objects"]
+    assert after["result"]["morphisms"] == before["result"]["morphisms"]
+    assert sorted(after["result"]["idempotents"]) == sorted(mo[m] for m in before["result"]["idempotents"])
+    assert after["result"]["inverse"] == {mo[m]: mo[v] for m, v in before["result"]["inverse"].items()}

@@ -73,6 +73,9 @@ def test_partial_order_iso_validation():
         PartialOrderIso.make(chain, [("a", "b"), ("b", "a")])  # reverses the order
     with pytest.raises(AssertionError):
         PartialOrderIso.make(chain, [("a", "a"), ("b", "a")])  # not injective
+    with pytest.raises(AssertionError) as err:
+        PartialOrderIso.make(chain, [("b", "b"), ("ghost", "ghost2")])  # points outside
+    assert err.value.args[0] == ("point outside the poset", "ghost")
 
 
 def test_compose_partial_isos_takes_largest_domain():

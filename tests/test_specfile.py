@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import json
+import math
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invcat import (
+    FiniteCategory,
     ParseError,
     UndeclaredName,
     dump_category,
     parse_category,
     validate_category,
 )
+from invcat.specfile import to_json
 
 MINIMAL = """{
   "invcat-spec": 1,
@@ -32,6 +38,37 @@ def test_roundtrip_is_canonical(t1, z2, g2, i2):
         assert dump_category(cat, declared) == text
 
 
+def payload_dump(cat, inverse=None) -> str:
+    """The spec text as a payload dict written by ``json.dumps``."""
+    payload = {
+        "invcat-spec": 1,
+        "objects": list(cat.objects),
+        "morphisms": [{"name": m, "src": cat.src[m], "tgt": cat.tgt[m]} for m in cat.morphisms],
+        "identities": {x: cat.identity[x] for x in sorted(cat.identity)},
+        "composition": [
+            {"left": g, "right": f, "result": h} for (g, f), h in sorted(cat.table.items())
+        ],
+    }
+    if inverse is not None:
+        payload["inverse"] = {m: inverse[m] for m in sorted(inverse)}
+    return json.dumps(payload, indent=2) + "\n"
+
+
+def test_templates_match_the_payload_written_by_json_dumps(t1, z2, g2, i2, expansions):
+    for ic in (t1, z2, g2, i2, *(sz.ic for sz in expansions.values())):
+        assert dump_category(ic.cat, ic.inverse) == payload_dump(ic.cat, ic.inverse)
+        assert dump_category(ic.cat) == payload_dump(ic.cat)
+    # an unvalidated table: a pair that does not compose, one that is missing
+    table = dict(g2.cat.table)
+    table[("1X", "1Y")] = "1X"
+    del table[min(table)]
+    typing = {m: (g2.cat.src[m], g2.cat.tgt[m]) for m in g2.cat.morphisms}
+    odd = FiniteCategory.build(g2.cat.objects, typing, g2.cat.identity, table)
+    assert dump_category(odd) == payload_dump(odd)
+    empty = FiniteCategory.build((), {}, {}, {})
+    assert dump_category(empty, {}) == payload_dump(empty, {})
+
+
 def test_inverse_field_is_optional():
     cat, declared = parse_category(MINIMAL)
     assert declared is None
@@ -51,6 +88,9 @@ def test_syntax_errors_carry_position():
     "mutation, message_part",
     [
         ('{"invcat-spec": 2, "objects": [], "morphisms": [], "identities": {}, "composition": []}', "schema version"),
+        # True == 1.0 == 1 in Python, but neither is the integer version
+        ('{"invcat-spec": true, "objects": [], "morphisms": [], "identities": {}, "composition": []}', "schema version"),
+        ('{"invcat-spec": 1.0, "objects": [], "morphisms": [], "identities": {}, "composition": []}', "schema version"),
         ('{"objects": [], "morphisms": [], "identities": {}, "composition": []}', "missing required"),
         ('{"invcat-spec": 1, "objects": [], "morphisms": [], "identities": {}, "composition": [], "extra": 1}', "unknown field"),
         ('[1, 2]', "top level"),
@@ -96,3 +136,63 @@ def test_undeclared_identity():
             '{"invcat-spec": 1, "objects": ["X"], "morphisms": [],'
             ' "identities": {"X": "1"}, "composition": []}'
         )
+
+
+# ---------------------------------------------------------------------------
+# the writer: json.dumps(indent=2) byte for byte
+
+# quotes, backslashes, control characters, non-ASCII and astral characters
+TEXT = st.text(st.sampled_from(list('ab "\\/\x00\x01\x1f\x7f\n\t\r\u00e9\u2028\ud800') + ["\U0001f600"]))
+SCALARS = st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | TEXT
+TREES = st.recursive(
+    SCALARS,
+    lambda kids: st.lists(kids, max_size=4)
+    | st.lists(kids, max_size=3).map(tuple)
+    | st.dictionaries(TEXT, kids, max_size=4),
+    max_leaves=25,
+)
+ODD_KEYS = st.floats() | st.integers() | st.booleans() | st.none() | TEXT
+ODD_TREES = st.recursive(
+    SCALARS | st.floats(),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(ODD_KEYS, kids, max_size=3),
+    max_leaves=15,
+)
+
+
+def outcome(write, value, sort_keys):
+    """The text written, or the class and message of the error raised."""
+    try:
+        return write(value, sort_keys)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def dumps(value, sort_keys):
+    return json.dumps(value, indent=2, sort_keys=sort_keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES, st.booleans())
+def test_writer_matches_json_dumps(value, sort_keys):
+    assert to_json(value, sort_keys) == dumps(value, sort_keys)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ODD_TREES, st.booleans())
+def test_writer_matches_json_dumps_on_floats_and_non_str_keys(value, sort_keys):
+    # mixed key types cannot be sorted: both raise the same TypeError then
+    assert outcome(to_json, value, sort_keys) == outcome(dumps, value, sort_keys)
+
+
+EDGE_VALUES = [
+    [], {}, (), [[]], {"a": {}}, "", "\ud800", -0.0, math.nan, [math.inf, -math.inf, 1e300, 0.1],
+    {3: "int", 2.5: "float", True: "bool", None: "null"},
+    {"b": 1, "a": [None, True, False, -(2**70)], "c": {"d": ()}},
+    object(), [1, object()], {(1, 2): "tuple key"}, {"x": {1, 2}}, {1: "a", "b": 2},
+]
+
+
+def test_writer_matches_json_dumps_on_edge_values():
+    for value in EDGE_VALUES:
+        for sort_keys in (False, True):
+            assert outcome(to_json, value, sort_keys) == outcome(dumps, value, sort_keys), value
