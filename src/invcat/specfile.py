@@ -126,6 +126,14 @@ def _key(k: Any) -> str:
     raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
 
 
+class _Quoted(dict):
+    """Name -> its JSON string literal, each name quoted once."""
+
+    def __missing__(self, name: str) -> str:
+        self[name] = text = _quote(name)
+        return text
+
+
 _MORPHISM = '    {\n      "name": %s,\n      "src": %s,\n      "tgt": %s\n    }'
 _ENTRY = '    {\n      "left": %s,\n      "right": %s,\n      "result": %s\n    }'
 
@@ -134,18 +142,36 @@ def _records(rows: list[str]) -> str:
     return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
 
+def _composition_records(cat: FiniteCategory, q: _Quoted) -> list[str]:
+    """The composition records sorted by (left, right).  Each left g is
+    paired with the arrows that end where g starts, in name order, so only
+    the morphisms are sorted; a table holding a pair that does not compose
+    is sorted as it stands."""
+    table, get = cat.table, cat.table.get
+    after = {x: sorted(ms) for x, ms in cat._by_tgt.items()}
+    rows = []
+    for g in sorted(cat.morphisms):
+        head = f'    {{\n      "left": {q[g]},\n      "right": '
+        for f in after.get(cat.src[g], ()):
+            h = get((g, f))
+            if h is not None:
+                rows.append(f'{head}{q[f]},\n      "result": {q[h]}\n    }}')
+    if len(rows) != len(table):
+        rows = [_ENTRY % (q[g], q[f], q[table[g, f]]) for g, f in sorted(table)]
+    return rows
+
+
 def dump_category(cat: FiniteCategory, inverse: dict[str, str] | None = None) -> str:
     """Canonical serialisation; re-parsing reproduces the category exactly.
     The text is ``to_json`` of the spec's payload, written from templates."""
-    q, table = _quote, cat.table
+    q = _Quoted()
     fields = [
         f'{{\n  "invcat-spec": {SCHEMA_VERSION}',
         '  "objects": ' + _encode(cat.objects, "\n  ", False),
         '  "morphisms": '
-        + _records([_MORPHISM % (q(m), q(cat.src[m]), q(cat.tgt[m])) for m in cat.morphisms]),
+        + _records([_MORPHISM % (q[m], q[cat.src[m]], q[cat.tgt[m]]) for m in cat.morphisms]),
         '  "identities": ' + _encode(cat.identity, "\n  ", True),
-        '  "composition": '
-        + _records([_ENTRY % (q(g), q(f), q(table[g, f])) for g, f in sorted(table)]),
+        '  "composition": ' + _records(_composition_records(cat, q)),
     ]
     if inverse is not None:
         fields.append('  "inverse": ' + _encode(inverse, "\n  ", True))
