@@ -23,9 +23,9 @@ from ``to_json`` (``dump_category`` writes the same layout from fixed
 templates) and matches ``json.dumps(value, indent=2, sort_keys=...)`` byte
 for byte.  ``json.dumps`` drops to its pure-Python encoder whenever
 ``indent`` is set; ``to_json`` escapes strings with the C
-``encode_basestring_ascii`` and writes each list of strings and each
-record with one ``str.join``.  Spec files are canonical: fixed
-key order, sorted entries, two-space indent, trailing newline.
+``encode_basestring_ascii`` and writes each list of strings and each record
+with one ``str.join``.  Spec files are canonical: fixed key order, sorted
+entries, two-space indent, trailing newline.
 """
 
 from __future__ import annotations
