@@ -2,8 +2,9 @@
 
 Every command prints one JSON report to stdout with canonical key order, so
 identical inputs produce identical bytes; wall-clock timing goes to stderr.
-Reports are written by ``specfile.to_json``, the writer of spec files too,
-and match ``json.dumps(report, indent=2, sort_keys=True)`` byte for byte.
+Reports are written by ``specfile.to_json`` and spec files by
+``specfile.dump_category``; reports match
+``json.dumps(report, indent=2, sort_keys=True)`` byte for byte.
 Exit codes: 0 for success or a positive verdict, 1 for mathematical failures
 (axiom violations, INCONCLUSIVE verdicts), 2 for input errors (unreadable or
 malformed files, undeclared names, size caps).
@@ -81,7 +82,7 @@ def _declaration_notes(ic: InverseCategory, declared: dict[str, str] | None) -> 
 
 
 def _emit(report: dict, started: float) -> None:
-    print(to_json(report, sort_keys=True))
+    print(to_json(report))
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 

@@ -18,14 +18,14 @@ repeated keys anywhere are rejected.  A well-formed spec is checked in bulk,
 column by column; on any doubt the ordered scan runs instead, and it is the
 only place that reports errors, so each message names the first offender.
 
-Every JSON text that invcat writes, spec files and the CLI's reports, comes
-from ``to_json`` (``dump_category`` writes the same layout from fixed
-templates) and matches ``json.dumps(value, indent=2, sort_keys=...)`` byte
-for byte.  ``json.dumps`` drops to its pure-Python encoder whenever
-``indent`` is set; ``to_json`` escapes strings with the C
-``encode_basestring_ascii`` and writes each list of strings and each record
-with one ``str.join``.  Spec files are canonical: fixed key order, sorted
-entries, two-space indent, trailing newline.
+Every JSON text that invcat writes comes from this module and matches
+``json.dumps(value, indent=2)`` byte for byte: the CLI's reports from
+``to_json``, with their keys sorted, and spec files from ``dump_category``,
+which writes the payload above from fixed templates.  ``json.dumps`` drops
+to its pure-Python encoder whenever ``indent`` is set; ``to_json`` escapes
+strings with the C ``encode_basestring_ascii`` and writes each list of
+strings and each record with one ``str.join``.  Spec files are canonical:
+fixed key order, sorted entries, two-space indent, trailing newline.
 """
 
 from __future__ import annotations
@@ -50,14 +50,14 @@ _quote = json.encoder.encode_basestring_ascii
 _INF = float("inf")
 
 
-def to_json(value: Any, sort_keys: bool = False) -> str:
-    """``json.dumps(value, indent=2, sort_keys=sort_keys)``, byte for byte,
+def to_json(value: Any) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte,
     including its output for floats and non-str keys and its TypeError for
     values it cannot write."""
-    return _encode(value, "\n", sort_keys)
+    return _encode(value, "\n")
 
 
-def _encode(o: Any, nl: str, sort_keys: bool) -> str:
+def _encode(o: Any, nl: str) -> str:
     """``o`` written as an item whose line starts with ``nl`` (a newline
     and the current indent)."""
     if isinstance(o, str):
@@ -70,18 +70,18 @@ def _encode(o: Any, nl: str, sort_keys: bool) -> str:
             body = ("," + inner).join(map(_quote, o))
         except TypeError:
             body = ("," + inner).join(
-                [_quote(v) if type(v) is str else _encode(v, inner, sort_keys) for v in o]
+                [_quote(v) if type(v) is str else _encode(v, inner) for v in o]
             )
         return f"[{inner}{body}{nl}]"
     if isinstance(o, dict):
         if not o:
             return "{}"
         inner = nl + "  "
-        items = sorted(o.items()) if sort_keys else o.items()
+        items = sorted(o.items())
         body = ("," + inner).join(
             [
                 f"{_quote(k if type(k) is str else _key(k))}: "
-                f"{_quote(v) if type(v) is str else _encode(v, inner, sort_keys)}"
+                f"{_quote(v) if type(v) is str else _encode(v, inner)}"
                 for k, v in items
             ]
         )
@@ -143,22 +143,9 @@ def _records(rows: list[str]) -> str:
 
 
 def _composition_records(cat: FiniteCategory, q: _Quoted) -> list[str]:
-    """The composition records sorted by (left, right).  Each left g is
-    paired with the arrows that end where g starts, in name order, so only
-    the morphisms are sorted; a table holding a pair that does not compose
-    is sorted as it stands."""
-    table, get = cat.table, cat.table.get
-    after = {x: sorted(ms) for x, ms in cat._by_tgt.items()}
-    rows = []
-    for g in sorted(cat.morphisms):
-        head = f'    {{\n      "left": {q[g]},\n      "right": '
-        for f in after.get(cat.src[g], ()):
-            h = get((g, f))
-            if h is not None:
-                rows.append(f'{head}{q[f]},\n      "result": {q[h]}\n    }}')
-    if len(rows) != len(table):
-        rows = [_ENTRY % (q[g], q[f], q[table[g, f]]) for g, f in sorted(table)]
-    return rows
+    """The composition records sorted by (left, right)."""
+    table = cat.table
+    return [_ENTRY % (q[g], q[f], q[table[g, f]]) for g, f in sorted(table)]
 
 
 def dump_category(cat: FiniteCategory, inverse: dict[str, str] | None = None) -> str:
@@ -167,14 +154,14 @@ def dump_category(cat: FiniteCategory, inverse: dict[str, str] | None = None) ->
     q = _Quoted()
     fields = [
         f'{{\n  "invcat-spec": {SCHEMA_VERSION}',
-        '  "objects": ' + _encode(cat.objects, "\n  ", False),
+        '  "objects": ' + _encode(cat.objects, "\n  "),
         '  "morphisms": '
         + _records([_MORPHISM % (q[m], q[cat.src[m]], q[cat.tgt[m]]) for m in cat.morphisms]),
-        '  "identities": ' + _encode(cat.identity, "\n  ", True),
+        '  "identities": ' + _encode(cat.identity, "\n  "),
         '  "composition": ' + _records(_composition_records(cat, q)),
     ]
     if inverse is not None:
-        fields.append('  "inverse": ' + _encode(inverse, "\n  ", True))
+        fields.append('  "inverse": ' + _encode(inverse, "\n  "))
     return ",\n".join(fields) + "\n}\n"
 
 
@@ -252,7 +239,9 @@ def _columns(records: Any, keys: tuple[str, ...]) -> list[list[str]] | None:
 def _parse_bulk(data: Any) -> tuple[FiniteCategory, dict[str, str] | None] | None:
     """``_parse_scan`` for a spec that passes every schema rule, checked one
     column at a time; None on any doubt, leaving the report to the scan.
-    Declared names are still checked by ``FiniteCategory._assemble``."""
+    Declared names are still checked by ``FiniteCategory._assemble``.
+    Each rule here restates one of ``_parse_scan``: a rule added to either
+    must be added to both, or a bad spec passes one path."""
     if type(data) is not dict or not _REQUIRED <= data.keys() <= _TOP_KEYS:
         return None
     version, objects, identities = data["invcat-spec"], data["objects"], data["identities"]
@@ -283,7 +272,8 @@ def _parse_bulk(data: Any) -> tuple[FiniteCategory, dict[str, str] | None] | Non
 
 def _parse_scan(data: Any) -> tuple[FiniteCategory, dict[str, str] | None]:
     """Every schema rule, entry by entry in document order: the first
-    offender is the one reported."""
+    offender is the one reported.  ``_parse_bulk`` restates each rule for
+    the well-formed case; a rule added here must be added there too."""
     _want(data, dict, "top level")
     _reject_extra(data, _TOP_KEYS, "top level")
     missing = sorted(_REQUIRED - set(data))
