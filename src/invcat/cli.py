@@ -13,6 +13,7 @@ malformed files, undeclared names, size caps).
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import time
@@ -285,7 +286,9 @@ def cmd_morita(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """Built once per process: each ``parse_args`` fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="invcat",
         description="Computations on finite inverse categories described by JSON files.",

@@ -60,32 +60,6 @@ class CauchyCompletion:
     morphisms_data: dict[str, tuple[str, str, str]]  # name -> (e, s, f)
 
 
-def _object_names(ic: InverseCategory) -> dict[str, str]:
-    """Name the object (X, e) of each idempotent e at X, in idempotent order."""
-    return {e: _object_name(ic.src(e), e) for e in ic.idempotents()}
-
-
-def _join_triples(
-    ic: InverseCategory, objects: dict[str, str], names: dict[tuple[str, str, str], str]
-) -> InverseCategory:
-    """The triples (e, s, f), named by ``names``, as arrows from (src s, e)
-    to (tgt s, f) between the ``objects`` (X, e), composed by
-    (f, t, g)(e, s, f) = (e, ts, g).  Names are looked up, never formatted,
-    except that of a composite missing from ``names``; the identity of
-    (X, e) is the triple (e, e, e)."""
-    triples = {name: key for key, name in names.items()}
-    typing = {name: (objects[e], objects[f]) for name, (e, _, f) in triples.items()}
-    identities = {oname: names[(e, e, e)] for e, oname in objects.items()}
-    table = ic.cat.table
-
-    def product(a: str, b: str) -> str:
-        (_, t, g), (e, s, _) = triples[a], triples[b]
-        ts = table.get((t, s))
-        return names.get((e, ts, g)) or _morphism_name(e, ts, g)
-
-    return join_category(tuple(objects.values()), typing, identities, product)
-
-
 def completion_size(ic: InverseCategory) -> int:
     """Morphisms of the Cauchy completion: s·e = s and f·s = s say that
     e ≥ s°s and f ≥ ss°, so s contributes |↑s°s|·|↑ss°| triples."""
@@ -109,32 +83,31 @@ def cauchy_completion(
     """
     check_cap("Cauchy completion", completion_size(ic), max_elements)
     cat = ic.cat
-    objects = _object_names(ic)
-    names: dict[tuple[str, str, str], str] = {}
-    for s in cat.morphisms:
-        for e in ic.idempotents_at(cat.src[s]):
-            if cat.table.get((s, e)) != s:
-                continue
-            for f in ic.idempotents_at(cat.tgt[s]):
-                if cat.table.get((f, s)) != s:
-                    continue
-                names[(e, s, f)] = _morphism_name(e, s, f)
-
-    completed = _join_triples(ic, objects, names)
+    triples = {
+        _morphism_name(e, s, f): (e, s, f)
+        for s in cat.morphisms
+        for e in ic.idempotents_at(cat.src[s])
+        if cat.table.get((s, e)) == s
+        for f in ic.idempotents_at(cat.tgt[s])
+        if cat.table.get((f, s)) == s
+    }
+    completed, objects = _split(ic, triples)
+    ident = cat.identity
     embedding = Functor(
         cat,
         completed.cat,
-        {x: objects[cat.identity[x]] for x in cat.objects},
+        {x: objects[ident[x]] for x in cat.objects},
         {
-            s: names[(cat.identity[cat.src[s]], s, cat.identity[cat.tgt[s]])]
-            for s in cat.morphisms
+            s: name
+            for name, (e, s, f) in triples.items()
+            if e == ident[cat.src[s]] and f == ident[cat.tgt[s]]
         },
     )
     return CauchyCompletion(
         completed,
         embedding,
         {name: (ic.src(e), e) for e, name in objects.items()},
-        {name: key for key, name in names.items()},
+        triples,
     )
 
 
@@ -144,11 +117,31 @@ def restriction_groupoid(ic: InverseCategory) -> InverseCategory:
     Same objects (X, e); one arrow (s°s, s, ss°) per morphism s of the
     original category, so the morphism counts agree.
     """
-    names = {}
+    triples = {}
     for s in ic.morphisms:
         d, r = ic.dom_idem(s), ic.ran_idem(s)
-        names[(d, s, r)] = _morphism_name(d, s, r)
-    return _join_triples(ic, _object_names(ic), names)
+        triples[_morphism_name(d, s, r)] = (d, s, r)
+    return _split(ic, triples)[0]
+
+
+def _split(
+    ic: InverseCategory, triples: dict[str, tuple[str, str, str]]
+) -> tuple[InverseCategory, dict[str, str]]:
+    """Join the triples (e, s, f), keyed by name, as the arrows
+    ((src s, e), s, (tgt s, f)) of ``join_category`` over the columns of
+    ``ic``, so (f, t, g)(e, s, f) = (e, ts, g); the identity of (X, e) is
+    (e, e, e).  Returns the category and its object names by idempotent."""
+    objects = {e: _object_name(ic.src(e), e) for e in ic.idempotents()}
+    idem = {name: e for e, name in objects.items()}
+    units = {e: name for name, (e, s, f) in triples.items() if e == s == f}
+    completed = join_category(
+        objects.values(),
+        {name: (objects[e], s, objects[f]) for name, (e, s, f) in triples.items()},
+        {name: units[e] for e, name in objects.items()},
+        ic.cat.columns(),
+        lambda a, s, b: _morphism_name(idem[a], s, idem[b]),
+    )
+    return completed, objects
 
 
 # ---------------------------------------------------------------------------

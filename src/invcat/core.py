@@ -14,12 +14,14 @@ Conventions used throughout the package:
 * A category is immutable once built and indexes its morphisms by source
   and by target once, in declaration order; hom-sets, stars, costars and
   the inverse search read these buckets.  Every derived category is built
-  by ``join_category``, which composes each arrow only with the arrows
-  starting where it ends, so its cost follows the composable pairs.
-  Products name a composite by looking it up among the declared arrows,
-  so the table shares the declared strings; ``FiniteCategory.build``
-  checks all of the table's names at once, as one set, and scans entry by
-  entry only to report the first undeclared one.
+  by ``join_category`` from triples (source, base morphism, target) over
+  the base table read by columns (``FiniteCategory.columns``, built on
+  first use), composing each arrow only with the arrows starting where it
+  ends, so its cost follows the composable pairs.  It looks every
+  composite up among the declared arrows, so its table is closed by
+  construction; ``FiniteCategory.build`` checks all of a table's names at
+  once, as one set, and scans entry by entry only to report the first
+  undeclared one.
 * Associativity is decided by Light's test on the generating set of
   ``generators``; the action validators check their composition laws on
   the same generators once the acting category passes.
@@ -30,6 +32,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
+from operator import getitem
 from typing import Callable, Iterable, Mapping
 
 from .errors import NotInverseCategory, NotParallel, UndeclaredName
@@ -97,10 +100,19 @@ class FiniteCategory:
     table: dict[tuple[str, str], str]
     _by_src: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _by_tgt: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _columns: dict[str, dict[str, str]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         self._by_src = _buckets(self.morphisms, self.src.__getitem__)
         self._by_tgt = _buckets(self.morphisms, self.tgt.__getitem__)
+
+    def columns(self) -> dict[str, dict[str, str]]:
+        """The table by its first factor, t -> {s: s∘t}, built on first use."""
+        if self._columns is None:
+            self._columns = {}
+            for (s, t), st in self.table.items():
+                self._columns.setdefault(t, {})[s] = st
+        return self._columns
 
     @staticmethod
     def build(
@@ -113,10 +125,9 @@ class FiniteCategory:
 
         Sources and targets are stored as the declared object names.  The
         table is stored as a copy of ``composition`` that shares its
-        strings, so a product that returns the declared names shares them.
-        Its names are checked in bulk, as one set against the declared
-        morphisms; only when that fails does the ordered scan run, so
-        UNDECLARED_NAME names the first offending name in table order."""
+        strings.  Its names are checked in bulk, as one set against the
+        declared morphisms; only when that fails does the ordered scan run,
+        so UNDECLARED_NAME names the first offending name in table order."""
         return FiniteCategory._assemble(objects, morphisms, identities, dict(composition))
 
     @staticmethod
@@ -375,6 +386,7 @@ class InverseCategory:
     cat: FiniteCategory
     inverse: dict[str, str]
     _idem: tuple[str, ...] | None = field(default=None, repr=False, compare=False)
+    _idem_at: dict[str, tuple[str, ...]] | None = field(default=None, repr=False, compare=False)
 
     # delegation ------------------------------------------------------
 
@@ -425,7 +437,10 @@ class InverseCategory:
         return self._idem
 
     def idempotents_at(self, x: str) -> tuple[str, ...]:
-        return tuple(e for e in self.idempotents() if self.src(e) == x)
+        """The idempotents at x, sorted by name, bucketed on first use."""
+        if self._idem_at is None:
+            object.__setattr__(self, "_idem_at", _buckets(self.idempotents(), self.cat.src.__getitem__))
+        return self._idem_at.get(x, ())
 
     def leq_idem(self, e: str, f: str) -> bool:
         """Natural order on idempotents: e ≤ f iff e = fe (= ef)."""
@@ -506,25 +521,46 @@ def find_inverse_structure(cat: FiniteCategory) -> InverseCategory:
 
 def join_category(
     objects: Iterable[str],
-    typing: Mapping[str, tuple[str, str]],
+    arrows: Mapping[str, tuple[str, str, str]],
     identities: Mapping[str, str],
-    product: Callable[[str, str], str],
+    columns: Mapping[str, Mapping[str, str]],
+    name: Callable[[str, str, str], str],
 ) -> InverseCategory:
-    """Build and verify the inverse category whose arrows are ``typing``
-    (name -> (source, target), in declaration order) and whose composite g∘f
-    is named by ``product(g, f)``, called only when tgt f = src g.
+    """Build and verify the inverse category whose arrows are the distinct
+    triples ``arrows`` (name -> (source, base morphism, target), in
+    declaration order) over a base category whose table is given by its
+    ``columns`` t -> {s: s∘t}: g = (y, s, z) after f = (x, t, y) is the
+    declared arrow (x, s∘t, z).
 
-    ``product`` should return the declared name, looked up rather than
-    formatted, so the table shares the declared strings.  ``build`` checks
-    the table's names in bulk; a composite that is not an arrow raises
-    UNDECLARED_NAME naming the first such composite in table order."""
-    by_src = _buckets(typing, lambda m: typing[m][0])
-    table = {
-        (g, f): product(g, f)
-        for f, (_, y) in typing.items()
-        for g in by_src.get(y, ())
+    For each f, one ``dict.update`` reads the arrows starting at y as
+    parallel lists, the column of t and the map source -> base
+    morphism -> target -> name, so no Python frame runs per pair.  The
+    table is thus closed by construction, and its names are not checked
+    again.  A composite that is not declared raises UNDECLARED_NAME for
+    ``name(x, s∘t, z)``, the first in table order."""
+    named: dict[str, dict[str, dict[str, str]]] = {}
+    for m, (x, s, z) in arrows.items():
+        named.setdefault(x, {}).setdefault(s, {})[z] = m
+    left = {
+        y: (gs, [arrows[g][1] for g in gs], [arrows[g][2] for g in gs])
+        for y, gs in _buckets(arrows, lambda m: arrows[m][0]).items()
     }
-    return find_inverse_structure(FiniteCategory._assemble(objects, typing, identities, table))
+    typing = {m: (x, z) for m, (x, _, z) in arrows.items()}
+    table: dict[tuple[str, str], str] = {}
+    # checks the declarations while the table is empty; it is filled in place
+    cat = FiniteCategory._assemble(objects, typing, identities, table)
+    for f, (x, t, y) in arrows.items():
+        gs, mids, ends = left.get(y, ((), (), ()))
+        row, column = named[x], columns.get(t, {})
+        composites = map(getitem, map(row.__getitem__, map(column.__getitem__, mids)), ends)
+        try:
+            table.update(zip(zip(gs, itertools.repeat(f)), composites))
+        except KeyError:
+            # the entries before the miss are in: name the first one left out
+            s, z = next((s, z) for g, s, z in zip(gs, mids, ends) if (g, f) not in table)
+            miss = name(x, column.get(s), z)
+            raise UndeclaredName(f"composition entry uses undeclared morphism {miss!r}", name=miss) from None
+    return find_inverse_structure(cat)
 
 
 def natural_leq(ic: InverseCategory, s: str, t: str) -> bool:

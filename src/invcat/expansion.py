@@ -53,10 +53,10 @@ def semidirect_product(
     x pairs it with the one identity whose domain holds x, or with the one
     idempotent whose domain holds x when the bundle is strict.  A fibred
     action reaches this through ``fibred_to_symmetry`` and
-    ``symmetry_to_partial``.  The composite (x, s)(y, t) = (x, st) is looked
-    up by (x, st), so the table shares the arrow names.  Returns the
-    verified inverse category together with the map from arrow names back
-    to (element, morphism) pairs.
+    ``symmetry_to_partial``.  The arrows are the triples (θ_{s°}x, s, x)
+    of ``join_category``, which composes (x, s)(y, t) = (x, st).  Returns
+    the verified inverse category together with the map from arrow names
+    back to (element, morphism) pairs.
     """
     ic, domains = bundle.ic, bundle.domains
     objects = bundle.poset.elements
@@ -71,23 +71,15 @@ def semidirect_product(
         identities[x] = f"({x}|{found[0]})"
 
     arrows: dict[str, tuple[str, str]] = {}
-    names: dict[tuple[str, str], str] = {}
-    typing: dict[str, tuple[str, str]] = {}
+    triples: dict[str, tuple[str, str, str]] = {}
     for s in ic.morphisms:
         back = dict(bundle.maps[ic.inv(s)].pairs)
         for x in sorted(domains[s]):
             name = f"({x}|{s})"
             arrows[name] = (x, s)
-            names[(x, s)] = name
-            typing[name] = (back[x], x)
-    table = ic.cat.table
-
-    def product(a: str, b: str) -> str:
-        (x, s), (_, t) = arrows[a], arrows[b]
-        st = table.get((s, t))
-        return names.get((x, st)) or f"({x}|{st})"
-
-    return join_category(objects, typing, identities, product), arrows
+            triples[name] = (back[x], s, x)
+    inv = join_category(objects, triples, identities, ic.cat.columns(), lambda _, s, x: f"({x}|{s})")
+    return inv, arrows
 
 
 @dataclass

@@ -252,49 +252,44 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
     ``{}``).  A morphism U -> V is a triple (U, V, s) where s is an order
     isomorphism from an ideal contained in U onto an ideal contained in V;
     composition composes the partial maps on the largest defined domain, and
-    the identity of U is the total identity on U.  Each distinct pair of
-    isos is composed once per call, and composites are named by lookup.
+    the identity of U is the total identity on U.  Each iso s gives a
+    morphism per pair U ⊇ dom s, V ⊇ ran s; SIZE_CAP_EXCEEDED is raised in
+    the walk over isos once that count passes ``max_elements``.  Morphisms
+    are the triples (U, s, V) of ``join_category`` over iso labels,
+    composed once per pair of isos.
     """
     ids = ideals(poset)
     object_names = [subset_name(u) for u in ids]
-    by_name = dict(zip(object_names, ids))
+    above = {u: sum(u <= w for w in ids) for u in ids}
 
-    # all order isos between pairs of ideals, keyed by (dom, ran)
-    isos: list[PartialOrderIso] = []
+    # all order isos between pairs of ideals, labelled, with domain and range
+    isos: list[tuple[str, PartialOrderIso, frozenset[str], frozenset[str]]] = []
+    count = 0
     for u, v in itertools.product(ids, repeat=2):
-        isos.extend(order_isos_between(poset, u, v))
+        for s in order_isos_between(poset, u, v):
+            isos.append((s.label(), s, u, v))
+            count += above[u] * above[v]
+            if count > max_elements:
+                raise SizeCapExceeded(
+                    f"morphism count exceeded cap {max_elements}",
+                    cap=max_elements,
+                )
 
-    labels = [s.label() for s in isos]
-    data: dict[str, tuple[str, str, int]] = {}
-    names: dict[tuple[str, str, str], str] = {}
-    for uname, vname in itertools.product(object_names, repeat=2):
-        u, v = by_name[uname], by_name[vname]
-        for k, s in enumerate(isos):
-            if s.dom <= u and s.ran <= v:
-                name = f"{uname}->{vname}|{labels[k]}"
-                data[name] = (uname, vname, k)
-                names[(uname, vname, labels[k])] = name
-                if len(data) > max_elements:
-                    raise SizeCapExceeded(
-                        f"morphism count exceeded cap {max_elements}",
-                        cap=max_elements,
-                    )
+    arrows: dict[str, tuple[str, str, str]] = {}
+    for uname, u in zip(object_names, ids):
+        for vname, v in zip(object_names, ids):
+            for label, _, dom, ran in isos:
+                if dom <= u and ran <= v:
+                    arrows[f"{uname}->{vname}|{label}"] = (uname, label, vname)
 
     identities = {
-        uname: f"{uname}->{uname}|{identity_iso(by_name[uname]).label()}"
-        for uname in object_names
+        uname: f"{uname}->{uname}|{identity_iso(u).label()}"
+        for uname, u in zip(object_names, ids)
     }
-    composite: dict[tuple[int, int], str] = {}  # label of t∘s, per pair of isos
-
-    def product(g: str, f: str) -> str:
-        (_, v, t), (u, _, s) = data[g], data[f]
-        ts = composite.get((t, s))
-        if ts is None:
-            ts = composite[(t, s)] = compose_partial_isos(isos[t], isos[s]).label()
-        return names.get((u, v, ts)) or f"{u}->{v}|{ts}"
-
-    typing = {name: (u, v) for name, (u, v, _) in data.items()}
-    return join_category(object_names, typing, identities, product)
+    columns = {  # label of s -> label of t -> label of t∘s
+        ls: {lt: compose_partial_isos(t, s).label() for lt, t, _, _ in isos} for ls, s, _, _ in isos
+    }
+    return join_category(object_names, arrows, identities, columns, lambda u, s, v: f"{u}->{v}|{s}")
 
 
 def iic_morphism_data(name: str) -> tuple[str, str, tuple[tuple[str, str], ...]]:

@@ -47,19 +47,25 @@ _ENTRY_KEYS = ("left", "right", "result")
 # writing
 
 _quote = json.encoder.encode_basestring_ascii
-_INF = float("inf")
 
 
 def to_json(value: Any) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte,
-    including its output for floats and non-str keys and its TypeError for
-    values it cannot write."""
-    return _encode(value, "\n")
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    Strings, lists, tuples, dicts with str keys, None, bools and ints are
+    written here.  A value holding anything else (a float, another key or
+    type), or too deep for this writer, circular or not, is handed to
+    ``json.dumps`` itself, which writes it or raises its own error."""
+    try:
+        return _encode(value, "\n")
+    except (TypeError, RecursionError):
+        pass
+    return json.dumps(value, indent=2, sort_keys=True)
 
 
 def _encode(o: Any, nl: str) -> str:
     """``o`` written as an item whose line starts with ``nl`` (a newline
-    and the current indent)."""
+    and the current indent); TypeError for what only ``json.dumps`` writes."""
     if isinstance(o, str):
         return _quote(o)
     if isinstance(o, (list, tuple)):
@@ -80,8 +86,7 @@ def _encode(o: Any, nl: str) -> str:
         items = sorted(o.items())
         body = ("," + inner).join(
             [
-                f"{_quote(k if type(k) is str else _key(k))}: "
-                f"{_quote(v) if type(v) is str else _encode(v, inner)}"
+                f"{_quote(k)}: {_quote(v) if type(v) is str else _encode(v, inner)}"
                 for k, v in items
             ]
         )
@@ -94,36 +99,7 @@ def _encode(o: Any, nl: str) -> str:
         return "false"
     if isinstance(o, int):
         return int.__repr__(o)
-    if isinstance(o, float):
-        return _float(o)
-    raise TypeError(f"Object of type {o.__class__.__name__} is not JSON serializable")
-
-
-def _float(o: float) -> str:
-    if o != o:
-        return "NaN"
-    if o == _INF:
-        return "Infinity"
-    if o == -_INF:
-        return "-Infinity"
-    return float.__repr__(o)
-
-
-def _key(k: Any) -> str:
-    """A dict key as ``json.dumps`` writes it."""
-    if isinstance(k, str):
-        return k
-    if isinstance(k, float):
-        return _float(k)
-    if k is True:
-        return "true"
-    if k is False:
-        return "false"
-    if k is None:
-        return "null"
-    if isinstance(k, int):
-        return int.__repr__(k)
-    raise TypeError(f"keys must be str, int, float, bool or None, not {k.__class__.__name__}")
+    raise TypeError(o)
 
 
 class _Quoted(dict):

@@ -5,8 +5,9 @@ deliberately avoiding the library's cached structure and formulas, so that
 agreement between the two is meaningful evidence rather than a tautology.
 The pairwise scans that the indexed order checks replaced, and the full
 scans that Light's test and the generator-only action checks replaced, are
-kept here as their references.  The last section generates inverse monoids
-by closure for the property tests.
+kept here as their references.  The derived categories of the join kernel
+are rebuilt from their definitions, and the last section generates inverse
+monoids by closure for the property tests.
 """
 
 from __future__ import annotations
@@ -503,6 +504,108 @@ class CountingTable(dict):
 
 
 # ---------------------------------------------------------------------------
+# derived categories from their definitions
+
+
+def _join_pairs(typing: dict[str, tuple[str, str]]) -> list[tuple[str, str]]:
+    """Every (g, f) with tgt f = src g, by grouping the arrows on their source."""
+    starting: dict[str, list[str]] = {}
+    for g, (x, _) in typing.items():
+        starting.setdefault(x, []).append(g)
+    return [(g, f) for f, (_, y) in typing.items() for g in starting.get(y, ())]
+
+
+def brute_expansion(sz) -> tuple[dict[str, tuple[str, str]], dict[tuple[str, str], str]]:
+    """Typing and table of an expansion from its definition: the arrow
+    (A, s) runs from s°A = {s°a : a ∈ A} to A, and (x, s)(y, t) = (x, st)."""
+    base = sz.origin.cat
+    inverse = brute_inverse_map(base)
+    typing = {}
+    for name, (key, s) in sz.arrows.items():
+        members = sz.carrier.elements[key].members
+        back = "{" + ",".join(sorted(base.table[(inverse[s], a)] for a in members)) + "}"
+        typing[name] = (back, key)
+    table = {}
+    for g, f in _join_pairs(typing):
+        (x, s), (_, t) = sz.arrows[g], sz.arrows[f]
+        table[(g, f)] = f"({x}|{base.table[(s, t)]})"
+    return typing, table
+
+
+def brute_split(
+    ic: InverseCategory, triples: list[tuple[str, str, str]]
+) -> tuple[dict[str, tuple[str, str]], dict[tuple[str, str], str]]:
+    """Typing and table of the triples (e, s, f), named ``(e|s|f)``, from
+    (src s, e) to (tgt s, f), composed by (f, t, g)(e, s, f) = (e, ts, g)."""
+    cat = ic.cat
+    data = {f"({e}|{s}|{f})": (e, s, f) for e, s, f in triples}
+    typing = {
+        name: (f"({cat.src[s]}|{e})", f"({cat.tgt[s]}|{f})") for name, (e, s, f) in data.items()
+    }
+    table = {}
+    for b, a in _join_pairs(typing):
+        (_, t, g), (e, s, _) = data[b], data[a]
+        table[(b, a)] = f"({e}|{cat.table[(t, s)]}|{g})"
+    return typing, table
+
+
+def brute_completion_triples(ic: InverseCategory) -> list[tuple[str, str, str]]:
+    """The (e, s, f) with e, f idempotent and se = s = fs, by full search."""
+    cat = ic.cat
+    idem = brute_idempotents(cat)
+    return [
+        (e, s, f)
+        for s in cat.morphisms
+        for e in idem
+        for f in idem
+        if cat.table.get((s, e)) == s and cat.table.get((f, s)) == s
+    ]
+
+
+def brute_groupoid_triples(ic: InverseCategory) -> list[tuple[str, str, str]]:
+    """The (s°s, s, ss°), one per morphism."""
+    cat, inverse = ic.cat, brute_inverse_map(ic.cat)
+    return [(cat.table[(inverse[s], s)], s, cat.table[(s, inverse[s])]) for s in cat.morphisms]
+
+
+def brute_iic(poset: Poset) -> tuple[dict[str, tuple[str, str]], dict[tuple[str, str], str]]:
+    """Typing and table of the category of order isos between ideals, from
+    the ideals of ``brute_ideals`` and the isos of ``brute_order_isos``:
+    U -> V for each iso between an ideal inside U and one inside V,
+    composed on the largest domain where the chain is defined (once per
+    pair of isos)."""
+    ideals = brute_ideals(poset.elements, poset.leq)
+    isos = [
+        f
+        for a in ideals
+        for b in ideals
+        for f in brute_order_isos(tuple(a), tuple(b), poset.leq)
+    ]
+    names = {u: "{" + ",".join(sorted(u)) + "}" for u in ideals}
+    labels = [",".join(f"{a}:{b}" for a, b in sorted(f.items())) for f in isos]
+    data = {
+        f"{names[u]}->{names[v]}|{labels[k]}": (u, v, k)
+        for u in ideals
+        for v in ideals
+        for k, f in enumerate(isos)
+        if set(f) <= u and set(f.values()) <= v
+    }
+    typing = {n: (names[u], names[v]) for n, (u, v, _) in data.items()}
+    composite: dict[tuple[int, int], str] = {}
+    table = {}
+    for g, f in _join_pairs(typing):
+        (_, w, k), (u, _, j) = data[g], data[f]
+        label = composite.get((k, j))
+        if label is None:
+            t, s = isos[k], isos[j]
+            label = composite[(k, j)] = ",".join(
+                f"{a}:{t[b]}" for a, b in sorted(s.items()) if b in t
+            )
+        table[(g, f)] = f"{names[u]}->{names[w]}|{label}"
+    return typing, table
+
+
+# ---------------------------------------------------------------------------
 # inverse monoids generated by closure
 
 POINTS = range(3)
@@ -539,7 +642,7 @@ def sub_inverse_monoid(generators: list[tuple]) -> InverseCategory:
         frontier = new - elements
         elements |= frontier
     names = {_name(p): p for p in sorted(elements, key=_name)}
-    return join_category(
+    return join_by_product(
         ["*"],
         {n: ("*", "*") for n in names},
         {"*": _name(IDENTITY)},
@@ -549,9 +652,23 @@ def sub_inverse_monoid(generators: list[tuple]) -> InverseCategory:
 
 def cyclic_group(n: int) -> InverseCategory:
     """Z_n on one object, elements named "0" .. "n-1"."""
-    return join_category(
+    return join_by_product(
         ["*"],
         {str(i): ("*", "*") for i in range(n)},
         {"*": "0"},
         lambda g, f: str((int(g) + int(f)) % n),
     )
+
+
+def join_by_product(objects, typing, identities, product) -> InverseCategory:
+    """The category whose arrows are ``typing`` (name -> (source, target))
+    and whose composite g∘f is named ``product(g, f)``, built by
+    ``join_category``: each arrow m is the triple (source, m, target) over
+    the columns f -> {g: product(g, f)} on the composable pairs, and a
+    composite outside the arrows is named as ``product`` names it."""
+    columns = {
+        f: {g: product(g, f) for g, (x, _) in typing.items() if x == y}
+        for f, (_, y) in typing.items()
+    }
+    triples = {m: (a, m, b) for m, (a, b) in typing.items()}
+    return join_category(objects, triples, identities, columns, lambda _a, m, _b: m)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -92,6 +93,36 @@ def test_cli_output_is_byte_identical(case, tmp_path):
     assert stdout == _golden(f"{case}.out")
     if spec is not None:
         assert spec == _golden(f"{case}.{EMITTED}")
+
+
+# one process runs these back to back, forwards and then backwards, so each
+# run follows runs with and without --circ, --max-elements and the env cap;
+# each gives its golden report, or SIZE_CAP_EXCEEDED at the cap given for
+# the 37 arrows of the expansion
+SEQUENCE: list[tuple[list[str], str | None, str | int]] = [
+    (["bernoulli", _data("i2"), "--circ"], None, "bernoulli_i2_circ"),
+    (["bernoulli", _data("i2")], None, "bernoulli_i2"),
+    (["expand", _data("i2"), "--max-elements", "36"], None, 36),
+    (["expand", _data("i2"), "--variant", "global"], None, "expand_i2_global"),
+    (["expand", _data("i2")], "30", 30),
+    (["expand", _data("i2"), "--max-elements", "37"], "30", "expand_i2_global"),
+    (["expand", _data("i2"), "--variant", "partial"], None, "expand_i2_partial"),
+]
+
+
+def test_back_to_back_runs_share_no_parsed_state(tmp_path, monkeypatch):
+    for argv, env, want in SEQUENCE + SEQUENCE[::-1]:
+        if env is None:
+            monkeypatch.delenv("INVCAT_MAX_ELEMENTS", raising=False)
+        else:
+            monkeypatch.setenv("INVCAT_MAX_ELEMENTS", env)
+        code, stdout, _ = _run(argv, str(tmp_path))
+        if isinstance(want, str):
+            assert (code, stdout) == (0, _golden(f"{want}.out")), argv
+        else:
+            error = json.loads(stdout)["error"]
+            assert code == 2 and error["code"] == "SIZE_CAP_EXCEEDED", argv
+            assert error["details"] == {"cap": want, "size": 37}, argv
 
 
 if __name__ == "__main__":

@@ -2,30 +2,47 @@
 
 Every query is compared as an exact tuple, so the order it promises is
 pinned too: declaration order for hom-sets, stars, costars, L/R-classes and
-generalized inverses; name order for isotropy groups and idempotents.
+generalized inverses; name order for isotropy groups and idempotents.  The
+categories the kernel joins are compared, typing and table, with the ones
+``oracles.py`` builds from their definitions.
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invcat import (
     FiniteCategory,
+    Poset,
+    SizeCapExceeded,
     UndeclaredName,
     antichain2_poset,
     build_Iic,
     cauchy_completion,
     generalized_inverses,
     idempotents_at,
-    join_category,
     restriction_groupoid,
+    szendrei,
     validate_category,
 )
 
 import invcat.completion as completion_module
 import invcat.poset as poset_module
 from invcat.poset import antichain_poset
-from oracles import brute_composable_pairs, brute_inverse_map
+from oracles import (
+    PARTIAL_BIJECTIONS,
+    brute_completion_triples,
+    brute_composable_pairs,
+    brute_expansion,
+    brute_groupoid_triples,
+    brute_iic,
+    brute_inverse_map,
+    brute_split,
+    join_by_product,
+    sub_inverse_monoid,
+)
+from test_poset_index import orders
 
 FIXTURES = ("t1", "z2", "g2", "i2", "iic_point", "iic_chain2")
 VARIANTS = ("global", "partial", "strict_global", "strict_partial")
@@ -104,7 +121,7 @@ def _cyclic(n: int, escape: bool = False):
         k = int(g[1:]) + int(f[1:])
         return f"g{k if escape else k % n}"
 
-    return join_category(["*"], typing, {"*": "g0"}, product)
+    return join_by_product(["*"], typing, {"*": "g0"}, product)
 
 
 def test_join_kernel_builds_a_group():
@@ -151,6 +168,28 @@ def test_build_iic_composes_each_pair_of_isos_once(monkeypatch):
     assert 0 < calls <= 34**2
 
 
+def test_build_iic_refuses_during_the_iso_walk(monkeypatch):
+    """Antichain 6 has 64 ideals, so its empty iso alone gives 64² morphisms:
+    a cap of 100 is passed at the first iso test, not after all 13,327.
+    Antichain 3 has 286 morphisms, the count the walk must reach exactly."""
+    calls = 0
+    test = poset_module._maps_down_sets_onto
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return test(*args)
+
+    monkeypatch.setattr(poset_module, "_maps_down_sets_onto", counting)
+    with pytest.raises(SizeCapExceeded) as info:
+        build_Iic(antichain_poset("abcdef"), max_elements=100)
+    assert calls == 1
+    assert info.value.details == {"cap": 100}
+    assert len(build_Iic(antichain_poset("abc"), max_elements=286).morphisms) == 286
+    with pytest.raises(SizeCapExceeded):
+        build_Iic(antichain_poset("abc"), max_elements=285)
+
+
 def test_cauchy_completion_formats_each_name_once(monkeypatch):
     """Composites are looked up, so the names formatted are at most one per
     arrow and one per object of the completion, not one per composable pair."""
@@ -182,3 +221,29 @@ def test_index_is_built_once_in_declaration_order():
     assert cat.hom("X", "Y") == ("b", "a")
     assert cat.hom("Y", "X") == ()
     assert cat.endo("X") == ("1X",)
+
+
+def _typed(cat: FiniteCategory) -> tuple[dict, dict]:
+    return {m: (cat.src[m], cat.tgt[m]) for m in cat.morphisms}, cat.table
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.lists(st.sampled_from(PARTIAL_BIJECTIONS), min_size=1, max_size=3))
+def test_joined_tables_match_their_definitions_on_sub_inverse_monoids_of_i3(generators):
+    """(x, s)(y, t) = (x, st) in the four expansions, and
+    (f, t, g)(e, s, f) = (e, ts, g) in the completion and the groupoid."""
+    monoid = sub_inverse_monoid(generators)
+    for variant in VARIANTS:
+        sz = szendrei(monoid, variant)
+        assert _typed(sz.ic.cat) == brute_expansion(sz), variant
+    completed = cauchy_completion(monoid).ic.cat
+    assert _typed(completed) == brute_split(monoid, brute_completion_triples(monoid))
+    groupoid = restriction_groupoid(monoid).cat
+    assert _typed(groupoid) == brute_split(monoid, brute_groupoid_triples(monoid))
+
+
+@settings(max_examples=12, deadline=None)
+@given(orders(most=4))
+def test_build_iic_matches_its_definition_on_random_posets(order):
+    poset = Poset(*order)
+    assert _typed(build_Iic(poset).cat) == brute_iic(poset)

@@ -46,10 +46,11 @@ NAMES = tuple("abcdefg")
 
 
 @st.composite
-def orders(draw) -> tuple[tuple[str, ...], frozenset[tuple[str, str]]]:
-    """A random partial order: the reflexive-transitive closure of random
-    edges between shuffled names, each edge going up in the shuffle."""
-    n = draw(st.integers(1, len(NAMES)))
+def orders(draw, most: int = len(NAMES)) -> tuple[tuple[str, ...], frozenset[tuple[str, str]]]:
+    """A random partial order on at most ``most`` names: the
+    reflexive-transitive closure of random edges between shuffled names,
+    each edge going up in the shuffle."""
+    n = draw(st.integers(1, most))
     names = tuple(draw(st.permutations(NAMES[:n])))
     edges = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))))
     above = [{i} for i in range(n)]

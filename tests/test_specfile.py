@@ -191,6 +191,11 @@ EDGE_VALUES = [
     {"b": 1, "a": [None, True, False, -(2**70)], "c": {"d": ()}},
     object(), [1, object()], {(1, 2): "tuple key"}, {"x": {1, 2}}, {1: "a", "b": 2},
 ]
+SELF_LIST: list = [1]
+SELF_LIST.append(SELF_LIST)
+SELF_DICT: dict = {"a": 1}
+SELF_DICT["b"] = [SELF_DICT]
+EDGE_VALUES += [SELF_LIST, SELF_DICT, [SELF_LIST], {"c": SELF_DICT}]
 
 
 def test_writer_matches_json_dumps_on_edge_values():
