@@ -12,7 +12,6 @@ from invcat import (
     cyclic_group_2,
     decompose,
     morita_check,
-    structure_constants,
     symmetric_inverse_monoid_2,
     szendrei,
     trivial_category,
@@ -35,10 +34,9 @@ def main() -> None:
         print(f"{name}: |morphisms| = {len(ic.morphisms)} = {parts}"
               f"  (identity holds: {dec.dimension == len(ic.morphisms)})")
 
-    sc = structure_constants(fixtures["I2"])
-    zero_pairs = sum(1 for v in sc.product.values() if v is None)
-    print(f"\nconvolution product on I2: {len(sc.product) - zero_pairs} nonzero"
-          f" of {len(sc.product)} basis pairs")
+    i2 = fixtures["I2"]
+    print(f"\nconvolution product on I2: {len(i2.cat.table)} nonzero"
+          f" of {len(i2.morphisms) ** 2} basis pairs")
 
     print("\nMorita comparisons:")
     pairs = [
@@ -50,7 +48,6 @@ def main() -> None:
         verdict = morita_check(fixtures[a], fixtures[b])
         print(f"  {a} vs {b}: {verdict.status}")
 
-    i2 = fixtures["I2"]
     sub = szendrei(i2, "strict_partial").ic
     sup = szendrei(i2, "strict_global").ic
     verdict = morita_check(sub, sup)

@@ -18,7 +18,7 @@ import hashlib
 import sys
 import time
 
-from .algebra import decompose, morita_check
+from .algebra import decompose, idempotent_classes, morita_check
 from .bernoulli import build_bernoulli
 from .completion import (
     cauchy_completion,
@@ -26,7 +26,6 @@ from .completion import (
     completion_size,
     enlargement_check,
     equivalence_check,
-    idempotent_classes,
     restriction_groupoid,
 )
 from .core import (

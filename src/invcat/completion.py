@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import idempotent_classes  # re-exported: classes live with the groupoid
 from .core import (
     Functor,
     InverseCategory,
@@ -33,7 +32,6 @@ __all__ = [
     "cauchy_completion",
     "completion_size",
     "restriction_groupoid",
-    "idempotent_classes",
     "EnlargementReport",
     "enlargement_check",
     "EquivalenceReport",

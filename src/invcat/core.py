@@ -11,17 +11,17 @@ Conventions used throughout the package:
 * All identities must be declared explicitly.
 * Declaration order of objects and morphisms is the canonical order;
   derived collections are emitted sorted by name.
-* A category is immutable once built and indexes its morphisms by source
-  and by target once, in declaration order; hom-sets, stars, costars and
-  the inverse search read these buckets.  Every derived category is built
-  by ``join_category`` from triples (source, base morphism, target) over
-  the base table read by columns (``FiniteCategory.columns``, built on
-  first use), composing each arrow only with the arrows starting where it
-  ends, so its cost follows the composable pairs.  It looks every
-  composite up among the declared arrows, so its table is closed by
-  construction; ``FiniteCategory.build`` checks all of a table's names at
-  once, as one set, and scans entry by entry only to report the first
-  undeclared one.
+* A category is immutable once built and indexes its morphisms by source,
+  by target and by (source, target) once, in declaration order; hom-sets,
+  stars, costars and the inverse search read these buckets.  Every derived
+  category is built by ``join_category`` from triples (source, base
+  morphism, target) over the base table read by columns
+  (``FiniteCategory.columns``, built on first use), composing each arrow
+  only with the arrows starting where it ends, so its cost follows the
+  composable pairs.  It looks every composite up among the declared
+  arrows, so its table is closed by construction; ``FiniteCategory.build``
+  checks all of a table's names at once, as one set, and scans entry by
+  entry only to report the first undeclared one.
 * Associativity is decided by Light's test on the generating set of
   ``generators``; the action validators check their composition laws on
   the same generators once the acting category passes.
@@ -100,11 +100,14 @@ class FiniteCategory:
     table: dict[tuple[str, str], str]
     _by_src: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _by_tgt: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _by_hom: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _columns: dict[str, dict[str, str]] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        self._by_src = _buckets(self.morphisms, self.src.__getitem__)
-        self._by_tgt = _buckets(self.morphisms, self.tgt.__getitem__)
+        src, tgt = self.src, self.tgt
+        self._by_src = _buckets(self.morphisms, src.__getitem__)
+        self._by_tgt = _buckets(self.morphisms, tgt.__getitem__)
+        self._by_hom = _buckets(self.morphisms, lambda m: (src[m], tgt[m]))
 
     def columns(self) -> dict[str, dict[str, str]]:
         """The table by its first factor, t -> {s: s∘t}, built on first use."""
@@ -179,7 +182,7 @@ class FiniteCategory:
         return self.tgt[f] == self.src[g]
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
-        return tuple(m for m in self._by_src.get(x, ()) if self.tgt[m] == y)
+        return self._by_hom.get((x, y), ())
 
     def endo(self, x: str) -> tuple[str, ...]:
         return self.hom(x, x)
@@ -385,8 +388,8 @@ class InverseCategory:
 
     cat: FiniteCategory
     inverse: dict[str, str]
-    _idem: tuple[str, ...] | None = field(default=None, repr=False, compare=False)
-    _idem_at: dict[str, tuple[str, ...]] | None = field(default=None, repr=False, compare=False)
+    _idem: tuple[str, ...] | None = field(default=None, init=False, repr=False, compare=False)
+    _idem_at: dict[str, tuple[str, ...]] | None = field(default=None, init=False, repr=False, compare=False)
 
     # delegation ------------------------------------------------------
 
@@ -432,14 +435,13 @@ class InverseCategory:
 
     def idempotents(self) -> tuple[str, ...]:
         if self._idem is None:
-            found = tuple(sorted(m for m in self.morphisms if self.is_idempotent(m)))
-            object.__setattr__(self, "_idem", found)
+            self._idem = tuple(sorted(m for m in self.morphisms if self.is_idempotent(m)))
         return self._idem
 
     def idempotents_at(self, x: str) -> tuple[str, ...]:
         """The idempotents at x, sorted by name, bucketed on first use."""
         if self._idem_at is None:
-            object.__setattr__(self, "_idem_at", _buckets(self.idempotents(), self.cat.src.__getitem__))
+            self._idem_at = _buckets(self.idempotents(), self.cat.src.__getitem__)
         return self._idem_at.get(x, ())
 
     def leq_idem(self, e: str, f: str) -> bool:
@@ -478,15 +480,11 @@ class InverseCategory:
         return tuple(m for m in self.morphisms if self.dom_idem(m) == e)
 
 
-def generalized_inverses(
-    cat: FiniteCategory, s: str, candidates: Iterable[str] | None = None
-) -> tuple[str, ...]:
-    """All t with s = sts and t = tst.  Candidates run over
-    hom(tgt s, src s), read from ``candidates`` when the caller has it."""
+def generalized_inverses(cat: FiniteCategory, s: str) -> tuple[str, ...]:
+    """All t with s = sts and t = tst; the candidates are the (source,
+    target) bucket hom(tgt s, src s)."""
     found = []
-    if candidates is None:
-        candidates = cat.hom(cat.tgt[s], cat.src[s])
-    for t in candidates:
+    for t in cat._by_hom.get((cat.tgt[s], cat.src[s]), ()):
         ts = cat.table.get((t, s))
         st = cat.table.get((s, t))
         if ts is None or st is None:
@@ -497,17 +495,14 @@ def generalized_inverses(
 
 
 def find_inverse_structure(cat: FiniteCategory) -> InverseCategory:
-    """Exhaustively locate the unique generalized inverse of every morphism.
-
-    The morphisms are grouped by (source, target) once per call, so each
-    candidate list is a lookup; the grouping is not kept.  Raises
+    """Exhaustively locate the unique generalized inverse of every morphism,
+    scanning the hom-set hom(tgt s, src s) of each s.  Raises
     NOT_INVERSE_CATEGORY naming the first morphism (in declaration order)
     whose inverse count differs from one.
     """
-    homs = _buckets(cat.morphisms, lambda m: (cat.src[m], cat.tgt[m]))
     inverse: dict[str, str] = {}
     for s in cat.morphisms:
-        candidates = generalized_inverses(cat, s, homs.get((cat.tgt[s], cat.src[s]), ()))
+        candidates = generalized_inverses(cat, s)
         if len(candidates) != 1:
             raise NotInverseCategory(
                 f"morphism {s!r} has {len(candidates)} generalized inverses",
@@ -644,17 +639,18 @@ def validate_functor(f: Functor) -> ValidationReport:
     """Check totality, typing, identity and composition preservation."""
     report = ValidationReport()
     src_cat, dst_cat = f.source, f.target
+    dst_objects, dst_morphisms = set(dst_cat.objects), set(dst_cat.morphisms)
     for x in src_cat.objects:
         if x not in f.objects:
             report.add("functor-object-total", (x,), "object has no image")
-        elif f.objects[x] not in set(dst_cat.objects):
+        elif f.objects[x] not in dst_objects:
             report.add("functor-object-image", (x,), "image object not in target category")
     for m in src_cat.morphisms:
         if m not in f.morphisms:
             report.add("functor-morphism-total", (m,), "morphism has no image")
             continue
         fm = f.morphisms[m]
-        if fm not in set(dst_cat.morphisms):
+        if fm not in dst_morphisms:
             report.add("functor-morphism-image", (m,), "image morphism not in target category")
             continue
         if dst_cat.src[fm] != f.objects.get(src_cat.src[m]) or dst_cat.tgt[fm] != f.objects.get(src_cat.tgt[m]):
@@ -718,19 +714,12 @@ def invertible_morphisms(cat: FiniteCategory) -> dict[str, str]:
 
 
 def isomorphic_objects(cat: FiniteCategory) -> dict[str, set[str]]:
-    """For each object, the set of objects isomorphic to it."""
-    inv = invertible_morphisms(cat)
+    """For each object x, the targets of the invertible morphisms from x.
+
+    Each isomorphism is witnessed by one invertible arrow, since a composite
+    of invertible arrows is itself invertible and listed, so no closure is
+    taken.  Assumes ``cat`` is a category (``validate_category``)."""
     iso: dict[str, set[str]] = {x: {x} for x in cat.objects}
-    for s in inv:
+    for s in invertible_morphisms(cat):
         iso[cat.src[s]].add(cat.tgt[s])
-        iso[cat.tgt[s]].add(cat.src[s])
-    # transitive closure (object count is tiny)
-    changed = True
-    while changed:
-        changed = False
-        for x in cat.objects:
-            extra = set(itertools.chain.from_iterable(iso[y] for y in tuple(iso[x])))
-            if not extra <= iso[x]:
-                iso[x] |= extra
-                changed = True
     return iso

@@ -25,7 +25,8 @@ class Poset:
     Construction indexes the poset once: every element gets a bit position
     (its declaration index) and a down-set bitmask, a Python int whose bit i
     is set when ``elements[i]`` lies below it.  The axioms are checked on
-    these masks in O(|relation|) mask operations, and ``is_ideal``,
+    these masks in O(|relation|) mask operations (a broken one raises
+    AssertionError, also under ``python -O``), and ``is_ideal``,
     ``ideals``, ``down_set`` and ``PartialOrderIso.make`` read them; ``leq``
     stays a lookup in ``relation``.
     """
@@ -37,22 +38,26 @@ class Poset:
 
     def __post_init__(self) -> None:
         pos = {x: i for i, x in enumerate(self.elements)}
-        assert len(pos) == len(self.elements), "duplicate poset elements"
+        if len(pos) != len(self.elements):
+            raise AssertionError("duplicate poset elements")
         down = [0] * len(pos)
         up = [0] * len(pos)
         for a, b in self.relation:
-            assert a in pos and b in pos, "relation references unknown element"
+            if a not in pos or b not in pos:
+                raise AssertionError("relation references unknown element")
             down[pos[b]] |= 1 << pos[a]
             up[pos[a]] |= 1 << pos[b]
         for i in range(len(down)):
-            assert down[i] >> i & 1, "relation not reflexive"
+            if not down[i] >> i & 1:
+                raise AssertionError("relation not reflexive")
         # pair by pair in relation order, as a scan would: (b, a) related
         # back, or something above b that is not above a
         for a, b in self.relation:
             i, j = pos[a], pos[b]
-            if i != j:
-                assert not down[i] >> j & 1, "relation not antisymmetric"
-            assert not up[j] & ~up[i], "relation not transitive"
+            if i != j and down[i] >> j & 1:
+                raise AssertionError("relation not antisymmetric")
+            if up[j] & ~up[i]:
+                raise AssertionError("relation not transitive")
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_down", tuple(down))
 
@@ -162,18 +167,18 @@ class PartialOrderIso:
         ordered = tuple(sorted(pairs))
         dom = [a for a, _ in ordered]
         ran = [b for _, b in ordered]
-        assert len(set(dom)) == len(dom), "mapping not functional"
-        assert len(set(ran)) == len(ran), "mapping not injective"
+        if len(set(dom)) != len(dom):
+            raise AssertionError("mapping not functional")
+        if len(set(ran)) != len(ran):
+            raise AssertionError("mapping not injective")
         if _maps_down_sets_onto(poset, ordered):
             return PartialOrderIso(ordered)
         for point in itertools.chain.from_iterable(ordered):
-            assert point in poset._pos, ("point outside the poset", point)
+            if point not in poset._pos:
+                raise AssertionError(("point outside the poset", point))
         for (a, b), (c, d) in itertools.product(ordered, repeat=2):
-            assert poset.leq(a, c) == poset.leq(b, d), (
-                "mapping does not preserve and reflect order",
-                (a, b),
-                (c, d),
-            )
+            if poset.leq(a, c) != poset.leq(b, d):
+                raise AssertionError(("mapping does not preserve and reflect order", (a, b), (c, d)))
         return PartialOrderIso(ordered)
 
     @property

@@ -7,6 +7,7 @@ import pytest
 from invcat import (
     InverseCategory,
     SzCategory,
+    antichain2_poset,
     build_Iic,
     chain2_poset,
     cyclic_group_2,
@@ -52,6 +53,11 @@ def iic_point() -> InverseCategory:
 @pytest.fixture(scope="session")
 def iic_chain2() -> InverseCategory:
     return build_Iic(chain2_poset())
+
+
+@pytest.fixture(scope="session")
+def iic_antichain2() -> InverseCategory:
+    return build_Iic(antichain2_poset())
 
 
 @pytest.fixture(scope="session")

@@ -3,11 +3,13 @@
 Everything here works from the raw composition table by exhaustive search,
 deliberately avoiding the library's cached structure and formulas, so that
 agreement between the two is meaningful evidence rather than a tautology.
-The pairwise scans that the indexed order checks replaced, and the full
-scans that Light's test and the generator-only action checks replaced, are
-kept here as their references.  The derived categories of the join kernel
-are rebuilt from their definitions, and the last section generates inverse
-monoids by closure for the property tests.
+The pairwise scans that the indexed order checks replaced, the full scans
+that Light's test, the generator-only action checks and the hom-set walk of
+``validate_partial`` replaced, and the group laws and closures that the
+library takes from a validated inverse category, are kept here as their
+references.  The derived categories of the join kernel are rebuilt from
+their definitions, and the last section generates inverse monoids by
+closure for the property tests.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from invcat.actions import FibredAction, SymmetryAction
+from invcat.actions import FibredAction, PartialActionBundle, SymmetryAction
+from invcat.algebra import GroupTable
 from invcat.core import FiniteCategory, InverseCategory, join_category
 from invcat.poset import PartialOrderIso, Poset
 
@@ -220,6 +223,54 @@ def brute_idempotent_iso_classes(
         classes.append(tuple(sorted(cls)))
         left -= cls
     return sorted(classes)
+
+
+def brute_isomorphic_objects(cat: FiniteCategory) -> dict[str, set[str]]:
+    """For each object, the objects isomorphic to it: the pairs joined by
+    some s, t with t∘s and s∘t identities, closed to a fixed point."""
+    iso = {x: {x} for x in cat.objects}
+    for s in cat.morphisms:
+        for t in cat.morphisms:
+            if (
+                cat.table.get((t, s)) == cat.identity[cat.src[s]]
+                and cat.table.get((s, t)) == cat.identity[cat.tgt[s]]
+            ):
+                iso[cat.src[s]].add(cat.tgt[s])
+                iso[cat.tgt[s]].add(cat.src[s])
+    changed = True
+    while changed:
+        changed = False
+        for x in cat.objects:
+            reach = set().union(*(iso[y] for y in iso[x]))
+            if not reach <= iso[x]:
+                iso[x] |= reach
+                changed = True
+    return iso
+
+
+def group_law_failure(group: GroupTable) -> tuple | None:
+    """The first broken group law of an explicit table, or None: the unit
+    is an element, ("unit",); every product is an element, ("closure", a,
+    b); the unit is neutral, ("unit-neutral", a); a·a⁻¹ and a⁻¹·a are the
+    unit, ("inverse", a); every triple associates, ("associativity", a, b,
+    c)."""
+    elems, table, unit = group.elements, group.table, group.unit
+    if unit not in elems:
+        return ("unit",)
+    for a, b in itertools.product(elems, repeat=2):
+        if table.get((a, b)) not in elems:
+            return ("closure", a, b)
+    for a in elems:
+        if not table[(unit, a)] == a == table[(a, unit)]:
+            return ("unit-neutral", a)
+    for a in elems:
+        b = group.inverse.get(a)
+        if b not in elems or not table[(a, b)] == unit == table[(b, a)]:
+            return ("inverse", a)
+    for a, b, c in itertools.product(elems, repeat=3):
+        if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+            return ("associativity", a, b, c)
+    return None
 
 
 def brute_isotropy_order(cat: FiniteCategory, inv: dict[str, str], e: str) -> int:
@@ -482,6 +533,71 @@ def brute_symmetry_violations(sym: SymmetryAction) -> list[tuple[str, tuple, str
     for s in ic.morphisms:
         if sym.isos[ic.inv(s)].pairs != tuple(sorted((b, a) for a, b in sym.isos[s].pairs)):
             out.add("functor-inverse", (s,), "Θ(s°) differs from Θ(s)⁻¹")
+    return out
+
+
+def brute_partial_violations(bundle: PartialActionBundle) -> list[tuple[str, tuple, str]]:
+    """The first witness of each broken partial-bundle rule, as
+    ``validate_partial`` reports it, with axiom iv scanning every pair of
+    morphisms for parallel s ≤ t."""
+    out = _FirstWitnesses()
+    ic, poset, strict = bundle.ic, bundle.poset, bundle.strict
+    for s in ic.morphisms:
+        if s not in bundle.domains or s not in bundle.maps:
+            out.add("bundle-total", (s,), "morphism has no domain or map")
+    if out:
+        return out
+    inv, domains = ic.inverse, bundle.domains
+    lookup = {s: dict(bundle.maps[s].pairs) for s in ic.morphisms}
+    for s in ic.morphisms:
+        iso = bundle.maps[s]
+        checked = brute_order_iso(poset, iso.pairs)
+        if not isinstance(checked, PartialOrderIso):
+            out.add("axiom-i", (s,), f"θ_s is not an order isomorphism: {checked!r}")
+            continue
+        if iso.dom != domains[inv[s]] or iso.ran != domains[s]:
+            out.add("axiom-i", (s,), "θ_s is not a map D_{s°} -> D_s")
+        if not strict and not brute_is_ideal(poset, domains[s]):
+            out.add("axiom-i", (s,), "D_s is not an ideal")
+        if bundle.maps[inv[s]].pairs != tuple(sorted((b, a) for a, b in iso.pairs)):
+            out.add("axiom-i", (s,), "θ_{s°} is not the inverse of θ_s")
+    idems = brute_idempotents(ic.cat)
+    tops = idems if strict else [ic.cat.identity[x] for x in ic.objects]
+    if set().union(*(domains[e] for e in tops)) != set(poset.elements):
+        out.add("axiom-ii", (), "identity domains do not cover the poset")
+    for e in idems:
+        if bundle.maps[e].pairs != tuple(sorted((x, x) for x in domains[e])):
+            out.add("axiom-iii", (e,), "θ_e is not the identity of D_e")
+    for s, t in itertools.product(ic.morphisms, repeat=2):
+        if s == t or not brute_natural_leq(ic.cat, s, t):
+            continue
+        ds, dt = domains[inv[s]], domains[inv[t]]
+        if not strict and not ds <= dt:
+            out.add("axiom-iv", (s, t), "s ≤ t but D_{s°} is not inside D_{t°}")
+        for x in sorted(ds & dt):
+            if lookup[t].get(x) != lookup[s].get(x):
+                out.add("axiom-iv", (s, t, x), "θ_t does not restrict to θ_s")
+    for s in ic.morphisms:
+        if not domains[s] <= domains[ic.cat.table[(s, inv[s])]]:
+            out.add("axiom-v", (s,), "D_s leaves D_{ss°}")
+    for (s, t), st in ic.cat.table.items():
+        lhs = frozenset(lookup[s][x] for x in domains[inv[s]] & domains[t] if x in lookup[s])
+        rhs = domains[s] & domains[st]
+        if strict:
+            if not lhs <= rhs:
+                out.add("axiom-vi", (s, t), "θ_s(D_{s°} ∩ D_t) leaves D_s ∩ D_{st}")
+        elif lhs != rhs:
+            out.add("axiom-vi", (s, t), f"θ_s(D_{{s°}} ∩ D_t) = {sorted(lhs)} differs from D_s ∩ D_{{st}} = {sorted(rhs)}")
+        for y in sorted(domains[t] & domains[inv[s]]):
+            x = lookup[inv[t]].get(y)
+            if x is None or lookup[t].get(x) != y:
+                continue
+            via, direct = lookup[s].get(y), lookup[st].get(x)
+            if strict:
+                if via is not None and direct is not None and via != direct:
+                    out.add("axiom-vi", (s, t, x), "θ_s∘θ_t and θ_{st} disagree where both are defined")
+            elif via != direct or via is None:
+                out.add("axiom-vi", (s, t, x), f"θ_s∘θ_t gives {via!r} but θ_{{st}} gives {direct!r}")
     return out
 
 

@@ -1,8 +1,15 @@
-"""Convolution products, isotropy groups, block decomposition, Morita checks."""
+"""Convolution products, isotropy groups, block decomposition, Morita checks.
+
+The convolution product of two basis morphisms is their composite, read
+from the table by ``InverseCategory.compose`` (None meaning zero).  The
+group laws that ``isotropy_group`` takes from the validated category are
+checked here by ``oracles.group_law_failure``.
+"""
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invcat import (
     GroupTable,
@@ -12,29 +19,41 @@ from invcat import (
     isotropy_group,
     morita_check,
     restriction_groupoid,
-    structure_constants,
 )
 
-from oracles import brute_dimension
+from oracles import PARTIAL_BIJECTIONS, brute_dimension, group_law_failure, sub_inverse_monoid
 
 
-def test_structure_constants(i2):
-    sc = structure_constants(i2)
-    assert set(sc.basis) == set(i2.morphisms)
-    nonzero = {pair for pair, value in sc.product.items() if value is not None}
-    assert nonzero == set(i2.cat.table)
-    assert sc.product[("s12", "s21")] == i2.compose("s12", "s21")
-    assert all(value is None or value in sc.basis for value in sc.product.values())
+def test_group_law_oracle_flags_a_broken_table():
+    # b has no inverse: b·b = b, so nothing multiplies b back to the unit
+    broken = GroupTable(
+        ("a", "b"),
+        {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "b"},
+        "a",
+        {"a": "a", "b": "b"},
+    )
+    assert group_law_failure(broken) == ("inverse", "b")
+    assert group_law_failure(_cyclic4()) is None
+    assert group_law_failure(_klein4()) is None
 
 
-def test_group_table_asserts_group_axioms():
-    with pytest.raises(AssertionError):
-        GroupTable(
-            ("a", "b"),
-            {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): "b"},
-            "a",
-            {"a": "a", "b": "b"},
-        )
+def _isotropy_groups(ic) -> list[GroupTable]:
+    return [isotropy_group(ic, e) for e in ic.idempotents()]
+
+
+def test_isotropy_groups_satisfy_the_group_laws(t1, z2, g2, i2, iic_point, iic_chain2, iic_antichain2, expansions):
+    cats = [t1, z2, g2, i2, iic_point, iic_chain2, iic_antichain2]
+    cats += [sz.ic for (label, _), sz in expansions.items() if label == "i2"]
+    for ic in cats:
+        for group in _isotropy_groups(ic):
+            assert group_law_failure(group) is None, (group.unit, group_law_failure(group))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.sampled_from(PARTIAL_BIJECTIONS), max_size=3))
+def test_isotropy_groups_of_sub_inverse_monoids_of_i3_satisfy_the_group_laws(gens):
+    for group in _isotropy_groups(sub_inverse_monoid(gens)):
+        assert group_law_failure(group) is None
 
 
 def test_isotropy_groups(i2, z2):
@@ -128,20 +147,19 @@ def test_morita_merges_same_group_multiplicities(i2, expansions):
     assert groups == {1, 2}
 
 
-def _mul(sc, a: str | None, b: str | None) -> str | None:
+def _mul(ic, a: str | None, b: str | None) -> str | None:
     """Basis product with zero (None) absorbed."""
     if a is None or b is None:
         return None
-    return sc.product[(a, b)]
+    return ic.compose(a, b)
 
 
 def test_convolution_is_associative(t1, z2, g2, i2):
     for ic in (t1, z2, g2, i2):
-        sc = structure_constants(ic)
-        for a in sc.basis:
-            for b in sc.basis:
-                for c in sc.basis:
-                    assert _mul(sc, _mul(sc, a, b), c) == _mul(sc, a, _mul(sc, b, c))
+        for a in ic.morphisms:
+            for b in ic.morphisms:
+                for c in ic.morphisms:
+                    assert _mul(ic, _mul(ic, a, b), c) == _mul(ic, a, _mul(ic, b, c))
 
 
 def test_convolution_unit_is_sum_of_identities(t1, z2, g2, i2):
@@ -149,22 +167,27 @@ def test_convolution_unit_is_sum_of_identities(t1, z2, g2, i2):
     # element exactly one identity acts as left unit (the target's), one as
     # right unit (the source's), and every other identity multiplies to zero
     for ic in (t1, z2, g2, i2):
-        sc = structure_constants(ic)
         identities = set(ic.cat.identity.values())
-        for m in sc.basis:
-            left = [i for i in identities if _mul(sc, i, m) is not None]
-            right = [i for i in identities if _mul(sc, m, i) is not None]
+        for m in ic.morphisms:
+            left = [i for i in identities if _mul(ic, i, m) is not None]
+            right = [i for i in identities if _mul(ic, m, i) is not None]
             assert left == [ic.cat.identity[ic.cat.tgt[m]]]
             assert right == [ic.cat.identity[ic.cat.src[m]]]
-            assert _mul(sc, left[0], m) == m
-            assert _mul(sc, m, right[0]) == m
+            assert _mul(ic, left[0], m) == m
+            assert _mul(ic, m, right[0]) == m
 
 
-def test_non_composable_products_are_zero(g2):
-    sc = structure_constants(g2)
-    assert sc.product[("1Y", "s")] == "s"
-    assert sc.product[("1X", "s")] is None
-    assert sc.product[("s", "s")] is None
+def test_non_composable_products_are_zero(g2, i2):
+    assert g2.compose("1Y", "s") == "s"
+    assert g2.compose("1X", "s") is None
+    assert g2.compose("s", "s") is None
+    # the products on the basis pairs are exactly the table: every value is
+    # a morphism, and the nonzero pairs are the composable ones
+    for ic in (g2, i2):
+        products = {(a, b): ic.compose(a, b) for a in ic.morphisms for b in ic.morphisms}
+        assert {pair for pair, ab in products.items() if ab is not None} == set(ic.cat.table)
+        assert {ab for ab in products.values() if ab is not None} <= set(ic.morphisms)
+    assert i2.compose("s12", "s21") == "id2"
 
 
 def test_group_iso_is_an_equivalence_relation(t1, z2, g2, i2):

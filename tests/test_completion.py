@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from invcat import (
     Functor,
@@ -16,6 +17,7 @@ from invcat import (
     idempotent_classes,
     identity_functor,
     invertible_morphisms,
+    isomorphic_objects,
     restriction_groupoid,
     validate_category,
     validate_functor,
@@ -23,7 +25,12 @@ from invcat import (
 
 from invcat.completion import completion_size
 
-from oracles import brute_idempotent_iso_classes
+from oracles import (
+    PARTIAL_BIJECTIONS,
+    brute_idempotent_iso_classes,
+    brute_isomorphic_objects,
+    sub_inverse_monoid,
+)
 
 
 def test_completion_counts(t1, z2, g2, i2):
@@ -74,10 +81,29 @@ def test_restriction_groupoid_is_the_invertible_core(t1, z2, g2, i2):
         assert validate_category(groupoid.cat).ok
 
 
-def test_idempotent_classes_match_oracle(g2, i2, iic_chain2):
-    for ic in (g2, i2, iic_chain2):
-        found = [cls.members for cls in idempotent_classes(ic)]
-        assert sorted(found) == brute_idempotent_iso_classes(ic.cat, ic.inverse)
+def _with_completions(cats) -> list:
+    return [*cats, *(cauchy_completion(ic).ic for ic in cats)]
+
+
+def _assert_classes_and_isomorphisms_match_oracles(ic) -> None:
+    classes = idempotent_classes(ic)
+    assert [cls.members for cls in classes] == brute_idempotent_iso_classes(ic.cat, ic.inverse)
+    assert all(cls.representative == cls.members[0] for cls in classes)
+    assert isomorphic_objects(ic.cat) == brute_isomorphic_objects(ic.cat)
+
+
+def test_idempotent_classes_match_oracle(t1, z2, g2, i2, iic_chain2, iic_antichain2, expansions):
+    cats = [t1, z2, g2, i2, iic_chain2, iic_antichain2]
+    cats += [sz.ic for (label, _), sz in expansions.items() if label == "i2"]
+    for ic in _with_completions(cats):
+        _assert_classes_and_isomorphisms_match_oracles(ic)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.sampled_from(PARTIAL_BIJECTIONS), max_size=3))
+def test_classes_and_isomorphisms_of_sub_inverse_monoids_of_i3_match_oracles(gens):
+    for ic in _with_completions([sub_inverse_monoid(gens)]):
+        _assert_classes_and_isomorphisms_match_oracles(ic)
 
 
 def test_idempotent_classes_of_i2(i2):

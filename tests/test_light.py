@@ -3,8 +3,9 @@
 ``validate_category`` decides associativity on ``generators(cat)`` once its
 other rules hold; ``validate_symmetry`` and non-strict ``validate_fibred``
 ask their composition laws (and the order tests they imply) of generators
-only once the acting category passes.  Each report must equal the full scan
-in oracles.py, rule for rule and witness for witness.  The count guards keep
+only once the acting category passes; ``validate_partial`` asks axiom iv of
+the parallel pairs only, walking hom-sets.  Each report must equal the full
+scan in oracles.py, rule for rule and witness for witness.  The count guards keep
 an all-triples walk from coming back unseen.
 """
 
@@ -21,13 +22,16 @@ from invcat import (
     FiniteCategory,
     InverseCategory,
     bernoulli_global,
+    bernoulli_partial,
     build_Iic,
     canonical_self_action,
     conjugation_action,
     fibred_to_symmetry,
     generators,
+    symmetry_to_partial,
     validate_category,
     validate_fibred,
+    validate_partial,
     validate_symmetry,
 )
 from invcat.core import associative_generators
@@ -39,6 +43,7 @@ from oracles import (
     brute_associativity_violations,
     brute_exactness_violations,
     brute_fibred_violations,
+    brute_partial_violations,
     brute_symmetry_violations,
     sub_inverse_monoid,
 )
@@ -179,6 +184,35 @@ def tampered_isos(sym, rng: random.Random):
     return dataclasses.replace(sym, isos=isos)
 
 
+def tampered_bundle(bundle, rng: random.Random):
+    """One seeded change to the domains or the maps of a partial bundle."""
+    domains, maps = dict(bundle.domains), dict(bundle.maps)
+    s, t = rng.choice(bundle.ic.morphisms), rng.choice(bundle.ic.morphisms)
+    pairs = list(maps[s].pairs)
+    elements = bundle.poset.elements
+    kind = rng.randrange(6)
+    if kind == 0 and len(pairs) > 1:  # swap two images of θ_s
+        i, j = rng.sample(range(len(pairs)), 2)
+        (a, b), (c, d) = pairs[i], pairs[j]
+        pairs[i], pairs[j] = (a, d), (c, b)
+    elif kind == 1 and pairs:  # drop a pair of θ_s, keeping D_s
+        pairs.pop(rng.randrange(len(pairs)))
+    elif kind == 2:  # add or remove one element of D_s
+        domains[s] = domains[s] ^ {rng.choice(elements)}
+        return dataclasses.replace(bundle, domains=domains)
+    elif kind == 3:  # exchange the domains of two morphisms
+        domains[s], domains[t] = domains[t], domains[s]
+        return dataclasses.replace(bundle, domains=domains)
+    elif kind == 4:  # exchange the maps of two morphisms
+        maps[s], maps[t] = maps[t], maps[s]
+        return dataclasses.replace(bundle, maps=maps)
+    else:  # send one point elsewhere in the poset
+        x = rng.choice(elements)
+        pairs = [(a, b) for a, b in pairs if a != x] + [(x, rng.choice(elements))]
+    maps[s] = PartialOrderIso(tuple(sorted(pairs)))
+    return dataclasses.replace(bundle, maps=maps)
+
+
 def non_associative(ic: InverseCategory) -> InverseCategory:
     """The same arrows and inverse map over a table that fails Light's test."""
     for k in range(len(ic.cat.table)):
@@ -257,3 +291,26 @@ def test_strict_actions_take_the_full_loops(monkeypatch, i2):
     assert asked == []
     validate_fibred(bernoulli_global(i2))
     assert asked == [i2.cat]
+
+
+@pytest.fixture(scope="module")
+def bundles(z2, g2, i2) -> list:
+    out = []
+    for ic in (i2, g2, z2):
+        out += [bernoulli_partial(ic), bernoulli_partial(ic, strict=True)]
+        out.append(symmetry_to_partial(fibred_to_symmetry(bernoulli_global(ic))))
+    return out
+
+
+def test_partial_reports_match_the_full_scan_untampered(bundles):
+    for bundle in bundles:
+        assert rows(validate_partial(bundle)) == brute_partial_violations(bundle) == []
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_partial_reports_match_the_full_scan_when_tampered(bundles, seed):
+    rng = random.Random(seed)
+    for bundle in bundles:
+        for _ in range(3):
+            broken = tampered_bundle(bundle, rng)
+            assert rows(validate_partial(broken)) == brute_partial_violations(broken)

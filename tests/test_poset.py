@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import pytest
 
 from invcat import (
@@ -42,6 +47,52 @@ def test_poset_rejects_broken_relations():
         Poset(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}))
     with pytest.raises(AssertionError):
         Poset(("a", "b"), frozenset({("a", "b"), ("b", "b")}))
+
+
+# Run under ``python -O``, where ``assert`` statements are stripped: the
+# poset and order-iso checks must still raise, and the validators built on
+# them must still report.
+OPTIMISED_CHECKS = textwrap.dedent(
+    """
+    import dataclasses
+    from invcat import (
+        PartialOrderIso, Poset, bernoulli_global, bernoulli_partial, chain2_poset,
+        cyclic_group_2, fibred_to_symmetry, validate_partial, validate_symmetry,
+    )
+
+    def rejects(build):
+        try:
+            build()
+        except AssertionError as exc:
+            return exc.args
+        return None
+
+    print(rejects(lambda: Poset(("a", "b"), frozenset({("a", "b"), ("b", "b")}))))
+    print(rejects(lambda: PartialOrderIso.make(chain2_poset(), [("a", "b"), ("b", "a")])))
+    z2 = cyclic_group_2()
+    bundle = bernoulli_partial(z2)
+    flip = PartialOrderIso((("{e,g}", "{e}"), ("{e}", "{e,g}")))
+    report = validate_partial(dataclasses.replace(bundle, maps={**bundle.maps, "e": flip}))
+    print(report.violations[0].rule, report.violations[0].witness)
+    sym = fibred_to_symmetry(bernoulli_global(z2))
+    report = validate_symmetry(dataclasses.replace(sym, isos={**sym.isos, "e": flip}))
+    print(report.violations[0].rule, report.violations[0].witness)
+    """
+)
+
+
+def test_checks_hold_under_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", OPTIMISED_CHECKS], capture_output=True, text=True, env=env, check=True
+    )
+    assert run.stdout.splitlines() == [
+        "('relation not reflexive',)",
+        "(('mapping does not preserve and reflect order', ('a', 'b'), ('b', 'a')),)",
+        "axiom-i ('e',)",
+        "iso-order ('e',)",
+    ]
 
 
 def test_ideals_match_brute_force():
