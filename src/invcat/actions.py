@@ -249,14 +249,13 @@ def canonical_self_action(ic: InverseCategory) -> FibredAction:
         {x: ic.ran_idem(x) for x in ic.morphisms},
     )
     action = FibredAction(ic, poset, moment, {})
-    theta = {
-        (s, x): ic.compose(s, x)
+    # admissible(s, x) puts the target of x at the source of s
+    action.theta = {
+        (s, x): ic.cat.table[(s, x)]
         for s in ic.morphisms
         for x in ic.morphisms
         if action.admissible(s, x)
     }
-    assert all(v is not None for v in theta.values())
-    action.theta = theta
     return action
 
 
@@ -266,16 +265,14 @@ def conjugation_action(ic: InverseCategory) -> FibredAction:
     poset = poset_from_function(idem, ic.leq_idem)
     moment = MomentMap({e: ic.src(e) for e in idem}, {e: e for e in idem})
     action = FibredAction(ic, poset, moment, {})
-    theta: dict[tuple[str, str], str] = {}
-    for s in ic.morphisms:
-        for e in idem:
-            if action.admissible(s, e):
-                se = ic.compose(s, e)
-                assert se is not None
-                out = ic.compose(se, ic.inv(s))
-                assert out is not None
-                theta[(s, e)] = out
-    action.theta = theta
+    # admissible(s, e) puts e at the source of s, where s° ends
+    table = ic.cat.table
+    action.theta = {
+        (s, e): table[(table[(s, e)], ic.inv(s))]
+        for s in ic.morphisms
+        for e in idem
+        if action.admissible(s, e)
+    }
     return action
 
 

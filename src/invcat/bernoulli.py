@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 
 from .actions import FibredAction, MomentMap, PartialActionBundle
 from .core import InverseCategory, _buckets
+from .errors import NotComposable
 from .limits import DEFAULT_MAX_ELEMENTS, check_cap
 from .poset import PartialOrderIso, Poset, subset_name
 
@@ -59,13 +60,13 @@ class BernoulliPoset:
         return (elt.obj, elt.idem)
 
     def act(self, s: str, key: str) -> str:
-        """The key of sA; every member must be composable with s."""
-        out = []
-        for m in self.elements[key].members:
-            sm = self.ic.compose(s, m)
-            assert sm is not None, (s, m, "not composable")
-            out.append(sm)
-        return subset_name(out)
+        """The key of sA.  Every member of A ends at the object of A, so
+        NOT_COMPOSABLE unless s starts there."""
+        elt = self.elements[key]
+        if self.ic.src(s) != elt.obj:
+            raise NotComposable(f"{s!r} does not compose with the members of {key!r}", morphism=s, element=key)
+        table = self.ic.cat.table
+        return subset_name([table[(s, m)] for m in elt.members])
 
     def domain(self, s: str, strict: bool = False) -> tuple[str, ...]:
         """D_s, the elements that θ_s maps onto, in element order.

@@ -304,8 +304,4 @@ def completion_inclusion(
         name: _morphism_name(emb.morphisms[e], emb.morphisms[s], emb.morphisms[f])
         for name, (e, s, f) in chat.morphisms_data.items()
     }
-    for name in obj_map.values():
-        assert name in dhat.objects_data
-    for name in mor_map.values():
-        assert name in dhat.morphisms_data
     return chat, dhat, Functor(chat.ic.cat, dhat.ic.cat, obj_map, mor_map)

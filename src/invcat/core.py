@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from operator import getitem
 from typing import Callable, Iterable, Mapping
 
-from .errors import NotInverseCategory, NotParallel, UndeclaredName
+from .errors import NotAFunctor, NotComposable, NotInverseCategory, NotParallel, UndeclaredName
 
 
 # ---------------------------------------------------------------------------
@@ -420,15 +420,11 @@ class InverseCategory:
 
     def dom_idem(self, s: str) -> str:
         """Inner source id(s) = s°s (an idempotent at the source object)."""
-        out = self.compose(self.inverse[s], s)
-        assert out is not None
-        return out
+        return self.cat.table[(self.inverse[s], s)]
 
     def ran_idem(self, s: str) -> str:
         """Inner target ir(s) = ss° (an idempotent at the target object)."""
-        out = self.compose(s, self.inverse[s])
-        assert out is not None
-        return out
+        return self.cat.table[(s, self.inverse[s])]
 
     def is_idempotent(self, m: str) -> bool:
         return self.cat.table.get((m, m)) == m
@@ -451,9 +447,12 @@ class InverseCategory:
         return self.compose(f, e) == e
 
     def meet_idem(self, e: str, f: str) -> str:
-        """Meet in the semilattice of idempotents at one object: e∧f = ef."""
+        """Meet in the semilattice of idempotents at one object: e∧f = ef.
+
+        Raises NOT_COMPOSABLE for idempotents at different objects."""
         out = self.compose(e, f)
-        assert out is not None, "idempotents at different objects have no meet"
+        if out is None:
+            raise NotComposable("idempotents at different objects have no meet", left=e, right=f)
         return out
 
     # restriction groupoid ingredients ---------------------------------
@@ -668,8 +667,9 @@ def validate_functor(f: Functor) -> ValidationReport:
 
 
 def compose_functors(g: Functor, f: Functor) -> Functor:
-    """g∘f (f first); source/target categories must chain."""
-    assert f.target is g.source or f.target == g.source
+    """g∘f (f first); raises NOT_A_FUNCTOR unless f ends where g starts."""
+    if f.target != g.source:
+        raise NotAFunctor("functors do not chain: the target of f is not the source of g")
     return Functor(
         f.source,
         g.target,

@@ -77,7 +77,8 @@ class NotIdempotent(ToolkitError):
 
 
 class PreconditionFailed(ToolkitError):
-    """Restriction/corestriction requested below an inadmissible idempotent."""
+    """An argument breaks a precondition: an unknown variant, a category that
+    is not a group, or an idempotent outside the admissible range."""
 
     code = "PRECONDITION_FAILED"
 

@@ -36,7 +36,7 @@ from .core import (
     join_category,
     natural_leq,
 )
-from .errors import NotComposable, NotIdempotent, PreconditionFailed
+from .errors import NotAFunctor, NotComposable, NotIdempotent, PreconditionFailed, UndeclaredName
 from .limits import DEFAULT_MAX_ELEMENTS, check_cap
 from .poset import subset_name
 
@@ -67,7 +67,8 @@ def semidirect_product(
     identities: dict[str, str] = {}
     for x in objects:
         found = units.get(x, [])
-        assert len(found) == 1, (x, found, "element needs exactly one unit arrow")
+        if len(found) != 1:
+            raise PreconditionFailed("element needs exactly one unit arrow", element=x, units=found)
         identities[x] = f"({x}|{found[0]})"
 
     arrows: dict[str, tuple[str, str]] = {}
@@ -97,7 +98,8 @@ class SzCategory:
 
     def arrow_name(self, key: str, s: str) -> str:
         name = f"({key}|{s})"
-        assert name in self.arrows, (key, s, "no such arrow")
+        if name not in self.arrows:
+            raise UndeclaredName(f"no arrow {name!r} in the expansion", subset=key, morphism=s)
         return name
 
     def push(self, c: str, key: str) -> str:
@@ -116,9 +118,11 @@ def szendrei(
     """Construct one of the four expansion variants over the Bernoulli poset.
 
     Caps the carrier and then the arrow count Σ_s |D_s| at ``max_elements``,
-    both before any arrow is named.
+    both before any arrow is named.  Raises PRECONDITION_FAILED for a
+    variant outside ``VARIANTS``.
     """
-    assert variant in VARIANTS, f"unknown variant {variant!r}"
+    if variant not in VARIANTS:
+        raise PreconditionFailed(f"unknown variant {variant!r}", variant=variant)
     pointed = variant in ("partial", "strict_partial")
     strict = variant in ("strict_global", "strict_partial")
     carrier = build_bernoulli(origin, pointed=pointed, max_elements=max_elements)
@@ -162,19 +166,13 @@ def pseudo_product(sz: SzCategory, a: str, b: str) -> str:
         raise NotComposable(
             f"underlying morphisms {s!r} and {t!r} do not compose", left=a, right=b
         )
-    eb, ea = sz.idem_of(bkey), sz.idem_of(akey)
-    conj = origin.compose(origin.compose(s, eb), origin.inv(s))
-    lead = origin.compose(ea, s)
-    assert conj is not None and lead is not None
-    members: set[str] = set()
-    for m in sz.carrier.elements[akey].members:
-        cm = origin.compose(conj, m)
-        assert cm is not None
-        members.add(cm)
-    for m in sz.carrier.elements[bkey].members:
-        lm = origin.compose(lead, m)
-        assert lm is not None
-        members.add(lm)
+    # A sits at the target of s and B at its source, so every product below
+    # is defined in the validated table
+    table = origin.cat.table
+    conj = table[(table[(s, sz.idem_of(bkey))], origin.inv(s))]
+    lead = table[(sz.idem_of(akey), s)]
+    members = {table[(conj, m)] for m in sz.carrier.elements[akey].members}
+    members.update(table[(lead, m)] for m in sz.carrier.elements[bkey].members)
     return sz.arrow_name(subset_name(members), st)
 
 
@@ -210,10 +208,8 @@ def restriction(sz: SzCategory, arrow: str, idem: str) -> str:
             idem=idem,
             inner=inner,
         )
-    (akey, s), (ekey, f) = sz.pair(arrow), sz.pair(idem)
-    sf = sz.origin.compose(s, f)
-    assert sf is not None
-    return sz.arrow_name(sz.push(s, ekey), sf)
+    (_, s), (ekey, f) = sz.pair(arrow), sz.pair(idem)
+    return sz.arrow_name(sz.push(s, ekey), sz.origin.cat.table[(s, f)])
 
 
 def corestriction(sz: SzCategory, arrow: str, idem: str) -> str:
@@ -231,10 +227,8 @@ def corestriction(sz: SzCategory, arrow: str, idem: str) -> str:
             idem=idem,
             inner=inner,
         )
-    (akey, s), (ekey, f) = sz.pair(arrow), sz.pair(idem)
-    fs = sz.origin.compose(f, s)
-    assert fs is not None
-    return sz.arrow_name(ekey, fs)
+    (_, s), (ekey, f) = sz.pair(arrow), sz.pair(idem)
+    return sz.arrow_name(ekey, sz.origin.cat.table[(f, s)])
 
 
 # ---------------------------------------------------------------------------
@@ -271,11 +265,10 @@ def inner_expansion(
     table = {
         (a, b): pseudo_product(sz, a, b) for a in elements for b in elements
     }
-    identity = None
-    for u in elements:
-        if all(table[(u, v)] == v and table[(v, u)] == v for v in elements):
-            assert identity is None, "two identities in one expansion"
-            identity = u
+    identity = next(
+        (u for u in elements if all(table[(u, v)] == v == table[(v, u)] for v in elements)),
+        None,
+    )
     return InnerExpansion(sz, obj, elements, table, identity)
 
 
@@ -332,14 +325,21 @@ def validate_inverse_semigroup(
 
 def expansion_functor(szc: SzCategory, szd: SzCategory, f: Functor) -> Functor:
     """Lift a functor of the underlying categories to the expansions:
-    (A, s) ↦ (f(A), f(s)).  Both expansions must be the same variant."""
-    assert szc.variant == szd.variant, "variants differ"
-    assert f.source is szc.origin.cat or f.source == szc.origin.cat
-    assert f.target is szd.origin.cat or f.target == szd.origin.cat
+    (A, s) ↦ (f(A), f(s)).
+
+    Raises PRECONDITION_FAILED unless both expansions are the same variant
+    and ``f`` runs between their underlying categories, and NOT_A_FUNCTOR
+    when the image of a subset is not an element of the target carrier.
+    """
+    if szc.variant != szd.variant:
+        raise PreconditionFailed("variants differ", source=szc.variant, target=szd.variant)
+    if f.source != szc.origin.cat or f.target != szd.origin.cat:
+        raise PreconditionFailed("the functor does not run between the underlying categories")
     obj_map: dict[str, str] = {}
     for key, elt in szc.carrier.elements.items():
         image = subset_name({f.morphisms[m] for m in elt.members})
-        assert image in szd.carrier.elements, (key, image, "image subset missing")
+        if image not in szd.carrier.elements:
+            raise NotAFunctor("image subset missing", subset=key, image=image)
         obj_map[key] = image
     mor_map = {
         name: szd.arrow_name(obj_map[key], f.morphisms[s])
@@ -373,11 +373,15 @@ def classical_group_expansion(group: InverseCategory) -> tuple[tuple[str, ...], 
     Elements are pairs (A, g), named ``({..}|g)``, with A a subset of the
     group containing both the identity and g; multiplication is
     (A, g)(B, h) = (A ∪ gB, gh).  Returns (elements, multiplication table).
+    Raises PRECONDITION_FAILED unless ``group`` has one object and every
+    s has s°s = ss° = 1.
     """
-    assert len(group.objects) == 1, "expects a one-object category"
+    if len(group.objects) != 1:
+        raise PreconditionFailed("expects a one-object category", objects=group.objects)
     unit = group.identity_of(group.objects[0])
     for s in group.morphisms:
-        assert group.dom_idem(s) == unit == group.ran_idem(s), "expects a group"
+        if not group.dom_idem(s) == unit == group.ran_idem(s):
+            raise PreconditionFailed("expects a group", morphism=s)
 
     members = sorted(group.morphisms)
     elements: list[tuple[frozenset[str], str]] = []
@@ -390,15 +394,11 @@ def classical_group_expansion(group: InverseCategory) -> tuple[tuple[str, ...], 
     names = {
         (aset, g): f"({subset_name(aset)}|{g})" for aset, g in elements
     }
+    product = group.cat.table  # total: a group has one object
     table: dict[tuple[str, str], str] = {}
     for aset, g in elements:
         for bset, h in elements:
-            gb = {group.compose(g, m) for m in bset}
-            assert None not in gb
-            gh = group.compose(g, h)
-            assert gh is not None
-            table[(names[(aset, g)], names[(bset, h)])] = names[
-                (aset | frozenset(gb), gh)  # type: ignore[arg-type]
-            ]
+            gb = {product[(g, m)] for m in bset}
+            table[(names[(aset, g)], names[(bset, h)])] = names[(aset | gb, product[(g, h)])]
     ordered = tuple(sorted(names.values()))
     return ordered, table

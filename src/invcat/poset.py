@@ -295,16 +295,3 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
         ls: {lt: compose_partial_isos(t, s).label() for lt, t, _, _ in isos} for ls, s, _, _ in isos
     }
     return join_category(object_names, arrows, identities, columns, lambda u, s, v: f"{u}->{v}|{s}")
-
-
-def iic_morphism_data(name: str) -> tuple[str, str, tuple[tuple[str, str], ...]]:
-    """Parse a build_Iic morphism name back into (source, target, pairs)."""
-    typing, _, label = name.partition("|")
-    u, _, v = typing.partition("->")
-    pairs = tuple(
-        (a, b)
-        for chunk in label.split(",")
-        if chunk
-        for a, b in (chunk.split(":"),)
-    )
-    return u, v, pairs

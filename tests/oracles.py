@@ -721,6 +721,19 @@ def brute_iic(poset: Poset) -> tuple[dict[str, tuple[str, str]], dict[tuple[str,
     return typing, table
 
 
+def iic_morphism_data(name: str) -> tuple[str, str, tuple[tuple[str, str], ...]]:
+    """Parse a build_Iic morphism name back into (source, target, pairs)."""
+    typing, _, label = name.partition("|")
+    u, _, v = typing.partition("->")
+    pairs = tuple(
+        (a, b)
+        for chunk in label.split(",")
+        if chunk
+        for a, b in (chunk.split(":"),)
+    )
+    return u, v, pairs
+
+
 # ---------------------------------------------------------------------------
 # inverse monoids generated by closure
 

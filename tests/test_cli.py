@@ -441,6 +441,20 @@ def test_specs_with_a_retyped_value_never_escape_as_tracebacks(name, where, repl
 # renaming every name renames the report and nothing else
 
 
+def write_renamed(path, cat: FiniteCategory, inverse: dict[str, str], ob: dict, mo: dict) -> None:
+    """Save ``cat`` with every object x renamed ob[x] and every morphism m
+    renamed mo[m]; the spec text survives a parse and dump unchanged."""
+    renamed = FiniteCategory.build(
+        [ob[x] for x in cat.objects],
+        {mo[m]: (ob[cat.src[m]], ob[cat.tgt[m]]) for m in cat.morphisms},
+        {ob[x]: mo[m] for x, m in cat.identity.items()},
+        {(mo[g], mo[f]): mo[h] for (g, f), h in cat.table.items()},
+    )
+    text = dump_category(renamed, {mo[m]: mo[v] for m, v in inverse.items()})
+    assert dump_category(*parse_category(text)) == text
+    path.write_text(text, encoding="utf-8")
+
+
 @pytest.mark.parametrize("name", ["i2", "z2", "g2"])
 def test_renaming_every_name_renames_the_validate_report(datadir, tmp_path, name):
     cat, inverse = load_category(str(datadir / f"{name}.json"))
@@ -448,17 +462,8 @@ def test_renaming_every_name_renames_the_validate_report(datadir, tmp_path, name
     # spaces, control characters and non-ASCII text
     ob = {x: f'o{i} {x}"\\\x01\té' for i, x in enumerate(cat.objects)}
     mo = {m: f'm{i} {m}"\\\x1f\x7f ✓\U0001f600' for i, m in enumerate(cat.morphisms)}
-    renamed = FiniteCategory.build(
-        [ob[x] for x in cat.objects],
-        {mo[m]: (ob[cat.src[m]], ob[cat.tgt[m]]) for m in cat.morphisms},
-        {ob[x]: mo[m] for x, m in cat.identity.items()},
-        {(mo[g], mo[f]): mo[h] for (g, f), h in cat.table.items()},
-    )
-    renamed_inverse = {mo[m]: mo[v] for m, v in inverse.items()}
-    text = dump_category(renamed, renamed_inverse)
-    assert dump_category(*parse_category(text)) == text
     path = tmp_path / "renamed.json"
-    path.write_text(text)
+    write_renamed(path, cat, inverse, ob, mo)
 
     code, out = run_quietly("validate", str(datadir / f"{name}.json"))
     renamed_code, renamed_out = run_quietly("validate", str(path))
@@ -470,3 +475,53 @@ def test_renaming_every_name_renames_the_validate_report(datadir, tmp_path, name
     assert after["result"]["morphisms"] == before["result"]["morphisms"]
     assert sorted(after["result"]["idempotents"]) == sorted(mo[m] for m in before["result"]["idempotents"])
     assert after["result"]["inverse"] == {mo[m]: mo[v] for m, v in before["result"]["inverse"].items()}
+
+
+# one prefix on every name keeps the sort order, so representatives and
+# lists map one to one; derived names (x|e) and (e|s|f) take it on each part
+PREFIX = '"é'
+
+
+def lift(value, names: set[str]):
+    """``value`` with each name, plain or derived from plain names, prefixed."""
+    if isinstance(value, list):
+        return [lift(v, names) for v in value]
+    if isinstance(value, dict):
+        return {k: lift(v, names) for k, v in value.items()}
+    if value in names:
+        return PREFIX + value
+    if isinstance(value, str) and value[:1] == "(" and value[-1:] == ")":
+        parts = value[1:-1].split("|")
+        if len(parts) in (2, 3) and all(p in names for p in parts):
+            return "(" + "|".join(PREFIX + p for p in parts) + ")"
+    return value
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["cauchy", n] for n in ("i2", "z2", "g2")),
+        *(["decompose", n] for n in ("i2", "z2", "g2")),
+        *(["morita", a, b] for a in ("i2", "z2", "g2") for b in ("i2", "z2", "g2")),
+    ],
+    ids="-".join,
+)
+def test_renaming_every_name_renames_the_derived_reports(datadir, tmp_path, argv):
+    command, *inputs = argv
+    names: set[str] = set()
+    renamed = []
+    for k, name in enumerate(inputs):
+        cat, inverse = load_category(str(datadir / f"{name}.json"))
+        names |= {*cat.objects, *cat.morphisms}
+        path = tmp_path / f"renamed{k}.json"
+        ob, mo = ({n: PREFIX + n for n in group} for group in (cat.objects, cat.morphisms))
+        write_renamed(path, cat, inverse, ob, mo)
+        renamed.append(str(path))
+
+    code, out = run_quietly(command, *(str(datadir / f"{n}.json") for n in inputs))
+    renamed_code, renamed_out = run_quietly(command, *renamed)
+    before, after = json.loads(out), json.loads(renamed_out)
+    assert renamed_code == code
+    assert after["violations"] == before["violations"] == []
+    assert after["result"] == lift(before["result"], names)
+    assert after["result"] != before["result"]

@@ -355,7 +355,7 @@ def test_every_element_needs_exactly_one_unit_arrow(g2):
         },
     )
     for broken in (both, neither):
-        with pytest.raises(AssertionError, match="exactly one unit arrow"):
+        with pytest.raises(PreconditionFailed, match="exactly one unit arrow"):
             semidirect_product(broken)
 
 

@@ -4,7 +4,9 @@ Each case runs ``invcat.cli.main`` from the repository root, so the input
 paths in the report are the relative ones listed here, and compares stdout
 with ``tests/golden/<case>.out``.  ``expand --emit-spec`` writes into a
 temporary directory whose path is replaced by ``<tmp>`` before comparing;
-the emitted file is compared too.
+the emitted file is compared too.  One ``python -O`` subprocess replays
+every case and every demo, so stripping ``assert`` statements changes no
+output.
 
 Regenerate the files (only when a change of output is intended) with::
 
@@ -17,8 +19,10 @@ import contextlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
+import textwrap
 
 import pytest
 
@@ -123,6 +127,41 @@ def test_back_to_back_runs_share_no_parsed_state(tmp_path, monkeypatch):
             error = json.loads(stdout)["error"]
             assert code == 2 and error["code"] == "SIZE_CAP_EXCEEDED", argv
             assert error["details"] == {"cap": want, "size": 37}, argv
+
+
+# under -O: each case and each demo prints its golden text; the process
+# prints what differs
+REPLAY = textwrap.dedent(
+    """
+    import contextlib, io, json, runpy, sys, tempfile
+    import test_demos, test_golden as g
+
+    differ = []
+    for case, (argv, want_code) in sorted(g.CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, spec = g._run(argv, tmp)
+        if (code, stdout) != (want_code, g._golden(f"{case}.out")):
+            differ.append(case)
+        if spec is not None and spec != g._golden(f"{case}.{g.EMITTED}"):
+            differ.append(f"{case}.{g.EMITTED}")
+    for path in test_demos.DEMOS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            runpy.run_path(path, run_name="__main__")
+        if out.getvalue().encode("utf-8") != test_demos.golden(path):
+            differ.append(path)
+    print(json.dumps([sys.flags.optimize, len(g.CASES), len(test_demos.DEMOS), differ]))
+    """
+)
+
+
+def test_goldens_hold_under_python_O():
+    paths = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    run = subprocess.run(
+        [sys.executable, "-O", "-c", REPLAY], capture_output=True, text=True, env=env, check=True
+    )
+    assert json.loads(run.stdout) == [1, 17, 5, []]
 
 
 if __name__ == "__main__":

@@ -28,11 +28,10 @@ from invcat.poset import (
     antichain_poset,
     compose_partial_isos,
     identity_iso,
-    iic_morphism_data,
     subset_name,
 )
 
-from oracles import brute_ideals, brute_order_isos
+from oracles import brute_ideals, brute_order_isos, iic_morphism_data
 
 
 def diamond() -> Poset:
