@@ -27,7 +27,6 @@ from .poset import (
     compose_partial_isos,
     identity_iso,
     is_ideal,
-    poset_from_function,
 )
 
 
@@ -90,28 +89,19 @@ def validate_fibred(action: FibredAction) -> ValidationReport:
     and the composition law asked only of θ_s for s a generator or an
     identity.  That suffices: the s passing both are closed under
     composition, because θ_{ab} = θ_a∘θ_b then holds as partial maps, which
-    needs dom θ_{ab} ⊆ dom θ_b, i.e. (ab)°ab ≤ b°b, checked on every
-    composable pair first.  Strict actions lack that inclusion.  When the
-    first run finds anything, the report is that of the full run.
+    needs dom θ_{ab} ⊆ dom θ_b, i.e. (ab)°ab ≤ b°b.  That holds in every
+    inverse category, since (ab)°ab·b°b = b°a°ab·b°b = b°a°ab, so it is not
+    checked.  Strict actions lack the domain inclusion.  When the first run
+    finds anything, the report is that of the full run.
     """
     ic = action.ic
-    below = _idempotent_order(ic)
+    below = frozenset((e, f) for f in ic.idempotents() for e in ic.idempotents_below(f))
     scope = None if action.strict else associative_generators(ic.cat)
     if scope is not None:
-        dom = {s: ic.dom_idem(s) for s in ic.morphisms}
-        if all((dom[ab], dom[b]) in below for (_, b), ab in ic.cat.table.items()):
-            report = _fibred_report(action, below, {*scope, *ic.cat.identity.values()})
-            if report.ok:
-                return report
+        report = _fibred_report(action, below, {*scope, *ic.cat.identity.values()})
+        if report.ok:
+            return report
     return _fibred_report(action, below, None)
-
-
-def _idempotent_order(ic: InverseCategory) -> frozenset[tuple[str, str]]:
-    """The pairs e ≤ f (``leq_idem``) that the fibred axioms ask about: e an
-    idempotent, f an idempotent or an inner source or target."""
-    idem = ic.idempotents()
-    tops = {*idem, *map(ic.dom_idem, ic.morphisms), *map(ic.ran_idem, ic.morphisms)}
-    return frozenset((e, f) for f in tops for e in idem if ic.leq_idem(e, f))
 
 
 def _fibred_report(
@@ -231,11 +221,13 @@ def _fibred_report(
 
 
 def natural_order_poset(ic: InverseCategory) -> Poset:
-    """All morphisms under the natural partial order."""
-    def leq(a: str, b: str) -> bool:
-        return ic.cat.parallel(a, b) and natural_leq(ic, a, b)
-
-    return poset_from_function(ic.morphisms, leq)
+    """All morphisms under the natural partial order: s ≤ t exactly when
+    s = t·e for an idempotent e ≤ t°t."""
+    table = ic.cat.table
+    relation = frozenset(
+        (table[(t, e)], t) for t in ic.morphisms for e in ic.idempotents_below(ic.dom_idem(t))
+    )
+    return Poset(ic.morphisms, relation)
 
 
 def canonical_self_action(ic: InverseCategory) -> FibredAction:
@@ -248,32 +240,28 @@ def canonical_self_action(ic: InverseCategory) -> FibredAction:
         {x: ic.tgt(x) for x in ic.morphisms},
         {x: ic.ran_idem(x) for x in ic.morphisms},
     )
-    action = FibredAction(ic, poset, moment, {})
-    # admissible(s, x) puts the target of x at the source of s
-    action.theta = {
+    below = {d: frozenset(ic.idempotents_below(d)) for d in ic.idempotents()}
+    theta = {
         (s, x): ic.cat.table[(s, x)]
         for s in ic.morphisms
-        for x in ic.morphisms
-        if action.admissible(s, x)
+        for x in ic.costar(ic.src(s))
+        if moment.idem[x] in below[ic.dom_idem(s)]
     }
-    return action
+    return FibredAction(ic, poset, moment, theta)
 
 
 def conjugation_action(ic: InverseCategory) -> FibredAction:
     """The category acting on its idempotents by e ↦ ses°."""
     idem = ic.idempotents()
-    poset = poset_from_function(idem, ic.leq_idem)
+    poset = Poset(idem, frozenset((e, f) for f in idem for e in ic.idempotents_below(f)))
     moment = MomentMap({e: ic.src(e) for e in idem}, {e: e for e in idem})
-    action = FibredAction(ic, poset, moment, {})
-    # admissible(s, e) puts e at the source of s, where s° ends
     table = ic.cat.table
-    action.theta = {
+    theta = {
         (s, e): table[(table[(s, e)], ic.inv(s))]
         for s in ic.morphisms
-        for e in idem
-        if action.admissible(s, e)
+        for e in ic.idempotents_below(ic.dom_idem(s))
     }
-    return action
+    return FibredAction(ic, poset, moment, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -78,7 +78,7 @@ class BernoulliPoset:
         """
         ic = self.ic
         ran = ic.ran_idem(s)
-        idems = [ran] if strict else [e for e in self._by_idem if ic.leq_idem(e, ran)]
+        idems = (ran,) if strict else ic.idempotents_below(ran)
         out: list[str] = []
         for e in idems:
             bucket = self._by_idem.get(e, ())
@@ -117,7 +117,7 @@ def build_bernoulli(
 
     # A ≤ B exactly when e = iε(A) ≤ iε(B) and A ⊇ e·B inside R_e, so the
     # down-set of B in the fiber of e is every (pointed) superset of e·B
-    below = {f: [e for e in classes if ic.leq_idem(e, f)] for f in classes}
+    below = {f: ic.idempotents_below(f) for f in classes}
     relation = []
     for bkey, b in elements.items():
         for e in below[b.idem]:

@@ -152,7 +152,7 @@ def cmd_expand(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
         "variant": args.variant,
         "count": len(sz.ic.morphisms),
         "arrows": sorted(sz.ic.morphisms),
-        "idempotents": sorted(m for m in sz.ic.morphisms if sz.ic.is_idempotent(m)),
+        "idempotents": sz.ic.idempotents(),
     }
     if args.inner is not None:
         if args.inner not in ic.objects:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from operator import getitem
 from typing import Callable, Iterable, Mapping
 
-from .errors import NotAFunctor, NotComposable, NotInverseCategory, NotParallel, UndeclaredName
+from .errors import NotAFunctor, NotComposable, NotIdempotent, NotInverseCategory, NotParallel, UndeclaredName
 
 
 # ---------------------------------------------------------------------------
@@ -446,10 +446,26 @@ class InverseCategory:
             return False
         return self.compose(f, e) == e
 
+    def idempotents_below(self, f: str) -> tuple[str, ...]:
+        """The idempotents e with e = f·e, sorted by name: ↓f in the
+        natural order when f is idempotent.  Read from ``idempotents_at``."""
+        table = self.cat.table
+        return tuple(e for e in self.idempotents_at(self.cat.src[f]) if table[(f, e)] == e)
+
+    def idempotents_above(self, e: str) -> tuple[str, ...]:
+        """The idempotents f with e = f·e, sorted by name: ↑e in the
+        natural order when e is idempotent.  Read from ``idempotents_at``."""
+        table = self.cat.table
+        return tuple(f for f in self.idempotents_at(self.cat.tgt[e]) if table[(f, e)] == e)
+
     def meet_idem(self, e: str, f: str) -> str:
         """Meet in the semilattice of idempotents at one object: e∧f = ef.
 
-        Raises NOT_COMPOSABLE for idempotents at different objects."""
+        Raises NOT_IDEMPOTENT unless both arguments are idempotents, and
+        NOT_COMPOSABLE for idempotents at different objects."""
+        for m in (e, f):
+            if not self.is_idempotent(m):
+                raise NotIdempotent(f"arrow {m!r} is not idempotent", arrow=m)
         out = self.compose(e, f)
         if out is None:
             raise NotComposable("idempotents at different objects have no meet", left=e, right=f)

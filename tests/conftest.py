@@ -5,10 +5,12 @@ from __future__ import annotations
 import pytest
 
 from invcat import (
+    CauchyCompletion,
     InverseCategory,
     SzCategory,
     antichain2_poset,
     build_Iic,
+    cauchy_completion,
     chain2_poset,
     cyclic_group_2,
     full_transformation_monoid_2,
@@ -68,3 +70,19 @@ def expansions(z2, g2, i2) -> dict[tuple[str, str], SzCategory]:
         for variant in ("global", "partial", "strict_global", "strict_partial"):
             out[(label, variant)] = szendrei(ic, variant)
     return out
+
+
+@pytest.fixture(scope="session")
+def cases(request, expansions) -> dict[str, InverseCategory]:
+    """Every inverse fixture, Iic of antichain2, the four expansions of I2."""
+    names = ("t1", "z2", "g2", "i2", "iic_point", "iic_chain2", "iic_antichain2")
+    out = {name: request.getfixturevalue(name) for name in names}
+    for variant in ("global", "partial", "strict_global", "strict_partial"):
+        out[f"sz_i2_{variant}"] = expansions[("i2", variant)].ic
+    return out
+
+
+@pytest.fixture(scope="session")
+def completions(cases) -> dict[str, CauchyCompletion]:
+    """The Cauchy completion of every case."""
+    return {name: cauchy_completion(ic) for name, ic in cases.items()}

@@ -98,6 +98,16 @@ def brute_idempotents(cat: FiniteCategory) -> list[str]:
     return sorted(m for m in cat.morphisms if cat.table.get((m, m)) == m)
 
 
+def brute_idempotents_below(cat: FiniteCategory, f: str) -> tuple[str, ...]:
+    """The idempotents e with e = f∘e, sorted by name, over the whole table."""
+    return tuple(e for e in brute_idempotents(cat) if cat.table.get((f, e)) == e)
+
+
+def brute_idempotents_above(cat: FiniteCategory, e: str) -> tuple[str, ...]:
+    """The idempotents f with e = f∘e, sorted by name, over the whole table."""
+    return tuple(f for f in brute_idempotents(cat) if cat.table.get((f, e)) == e)
+
+
 def brute_natural_leq(cat: FiniteCategory, s: str, t: str) -> bool | None:
     """s ≤ t iff s = t∘e for some idempotent e; None if not parallel."""
     if cat.src[s] != cat.src[t] or cat.tgt[s] != cat.tgt[t]:

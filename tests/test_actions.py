@@ -35,12 +35,17 @@ def all_fixture_actions(ics):
         yield conjugation_action(ic)
 
 
-def test_natural_order_poset_matches_natural_leq(i2):
-    poset = natural_order_poset(i2)
-    for a in i2.morphisms:
-        for b in i2.morphisms:
-            expected = i2.cat.parallel(a, b) and natural_leq(i2, a, b)
-            assert poset.leq(a, b) == expected
+def test_natural_order_poset_matches_natural_leq(cases):
+    """So do the order of the conjugation action and ``leq_idem``."""
+    for ic in cases.values():
+        poset = natural_order_poset(ic)
+        for a in ic.morphisms:
+            for b in ic.morphisms:
+                expected = ic.cat.parallel(a, b) and natural_leq(ic, a, b)
+                assert poset.leq(a, b) == expected
+        idem = ic.idempotents()
+        want = {(e, f) for e in idem for f in idem if ic.leq_idem(e, f)}
+        assert conjugation_action(ic).poset.relation == want
 
 
 def test_canonical_and_conjugation_actions_validate(t1, z2, g2, i2, iic_chain2):

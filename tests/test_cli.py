@@ -478,48 +478,65 @@ def test_renaming_every_name_renames_the_validate_report(datadir, tmp_path, name
 
 
 # one prefix on every name keeps the sort order, so representatives and
-# lists map one to one; derived names (x|e) and (e|s|f) take it on each part
+# lists map one to one; derived names {a,b}, (x|e), (A|s) and (e|s|f) take
+# it on each member and part
 PREFIX = '"é'
+RENAMED = ("i2", "z2", "g2")
 
 
 def lift(value, names: set[str]):
-    """``value`` with each name, plain or derived from plain names, prefixed."""
+    """``value`` with each name, plain or derived from plain names, prefixed;
+    dict keys included."""
     if isinstance(value, list):
         return [lift(v, names) for v in value]
     if isinstance(value, dict):
-        return {k: lift(v, names) for k, v in value.items()}
+        return {lift(k, names): lift(v, names) for k, v in value.items()}
+    if not isinstance(value, str):
+        return value
     if value in names:
         return PREFIX + value
-    if isinstance(value, str) and value[:1] == "(" and value[-1:] == ")":
+    if value[:1] == "{" and value[-1:] == "}":
+        members = value[1:-1].split(",")
+        if all(m in names for m in members):
+            return "{" + ",".join(PREFIX + m for m in members) + "}"
+    if value[:1] == "(" and value[-1:] == ")":
         parts = value[1:-1].split("|")
-        if len(parts) in (2, 3) and all(p in names for p in parts):
-            return "(" + "|".join(PREFIX + p for p in parts) + ")"
+        lifted = [lift(p, names) for p in parts]
+        if len(parts) in (2, 3) and all(a != b for a, b in zip(lifted, parts)):
+            return "(" + "|".join(lifted) + ")"
     return value
 
 
 @pytest.mark.parametrize(
     "argv",
     [
-        *(["cauchy", n] for n in ("i2", "z2", "g2")),
-        *(["decompose", n] for n in ("i2", "z2", "g2")),
-        *(["morita", a, b] for a in ("i2", "z2", "g2") for b in ("i2", "z2", "g2")),
+        *(["cauchy", n] for n in RENAMED),
+        *(["decompose", n] for n in RENAMED),
+        *(["morita", a, b] for a in RENAMED for b in RENAMED),
+        *(["bernoulli", n] for n in RENAMED),
+        *(["bernoulli", n, "--circ"] for n in RENAMED),
+        *(
+            ["expand", n, "--variant", v]
+            for n in RENAMED
+            for v in ("global", "partial", "strict-global", "strict-partial")
+        ),
     ],
     ids="-".join,
 )
 def test_renaming_every_name_renames_the_derived_reports(datadir, tmp_path, argv):
-    command, *inputs = argv
+    command, *rest = argv
     names: set[str] = set()
-    renamed = []
-    for k, name in enumerate(inputs):
+    renamed: dict[str, str] = {}
+    for name in {a for a in rest if a in RENAMED}:
         cat, inverse = load_category(str(datadir / f"{name}.json"))
         names |= {*cat.objects, *cat.morphisms}
-        path = tmp_path / f"renamed{k}.json"
+        path = tmp_path / f"renamed_{name}.json"
         ob, mo = ({n: PREFIX + n for n in group} for group in (cat.objects, cat.morphisms))
         write_renamed(path, cat, inverse, ob, mo)
-        renamed.append(str(path))
+        renamed[name] = str(path)
 
-    code, out = run_quietly(command, *(str(datadir / f"{n}.json") for n in inputs))
-    renamed_code, renamed_out = run_quietly(command, *renamed)
+    code, out = run_quietly(command, *(str(datadir / f"{a}.json") if a in renamed else a for a in rest))
+    renamed_code, renamed_out = run_quietly(command, *(renamed.get(a, a) for a in rest))
     before, after = json.loads(out), json.loads(renamed_out)
     assert renamed_code == code
     assert after["violations"] == before["violations"] == []

@@ -17,7 +17,6 @@ from invcat import (
     Poset,
     SizeCapExceeded,
     UndeclaredName,
-    antichain2_poset,
     build_Iic,
     cauchy_completion,
     generalized_inverses,
@@ -46,16 +45,6 @@ from test_poset_index import orders
 
 FIXTURES = ("t1", "z2", "g2", "i2", "iic_point", "iic_chain2")
 VARIANTS = ("global", "partial", "strict_global", "strict_partial")
-
-
-@pytest.fixture(scope="module")
-def cases(request, expansions) -> dict:
-    """Every fixture, Iic of chain2 and antichain2, the four expansions of I2."""
-    out = {name: request.getfixturevalue(name) for name in FIXTURES}
-    out["iic_antichain2"] = build_Iic(antichain2_poset())
-    for variant in VARIANTS:
-        out[f"sz_i2_{variant}"] = expansions[("i2", variant)].ic
-    return out
 
 
 @pytest.mark.parametrize("name", FIXTURES + ("iic_antichain2",) + tuple(f"sz_i2_{v}" for v in VARIANTS))
@@ -94,11 +83,11 @@ def test_index_matches_brute_filters(cases, name):
 
 
 @pytest.fixture(scope="module")
-def joined(cases) -> dict:
+def joined(cases, completions) -> dict:
     """Every construction that goes through join_category, on every case."""
     out = {}
     for name, ic in cases.items():
-        out[f"cauchy({name})"] = cauchy_completion(ic).ic.cat
+        out[f"cauchy({name})"] = completions[name].ic.cat
         out[f"groupoid({name})"] = restriction_groupoid(ic).cat
         if name.startswith(("iic", "sz")):
             out[name] = ic.cat

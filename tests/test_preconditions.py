@@ -19,6 +19,7 @@ from invcat import (
     Functor,
     NotAFunctor,
     NotComposable,
+    NotIdempotent,
     PartialOrderIso,
     PreconditionFailed,
     UndeclaredName,
@@ -71,6 +72,7 @@ _IDENTITY_Z2 = identity_functor(Z2.cat)
 PRECONDITION = (PreconditionFailed, "PRECONDITION_FAILED")
 NOT_A_FUNCTOR = (NotAFunctor, "NOT_A_FUNCTOR")
 NOT_COMPOSABLE = (NotComposable, "NOT_COMPOSABLE")
+NOT_IDEMPOTENT = (NotIdempotent, "NOT_IDEMPOTENT")
 
 # (label, call, error class, code)
 CASES = [
@@ -84,6 +86,9 @@ CASES = [
     ("lift-wrong-target", lambda: _lift(T1, T1, _T1_INTO_Z2), *PRECONDITION),
     ("lift-image-subset-missing", lambda: _lift(I2, I2, _SPLITS_AN_R_CLASS), *NOT_A_FUNCTOR),
     ("meet-across-objects", lambda: G2.meet_idem("1X", "1Y"), *NOT_COMPOSABLE),
+    ("meet-not-idempotent", lambda: I2.meet_idem("s12", "s21"), *NOT_IDEMPOTENT),
+    # s after 1Y is undefined too: idempotency is checked first
+    ("meet-not-idempotent-across-objects", lambda: G2.meet_idem("s", "1Y"), *NOT_IDEMPOTENT),
     ("act-from-another-object", lambda: build_bernoulli(G2).act("1Y", "{1X,si}"), *NOT_COMPOSABLE),
     ("arrow-name-missing", lambda: szendrei(Z2).arrow_name("{g}", "nope"), UndeclaredName, "UNDECLARED_NAME"),
     ("functors-do-not-chain", lambda: compose_functors(identity_functor(T1.cat), _IDENTITY_Z2), *NOT_A_FUNCTOR),
