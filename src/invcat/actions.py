@@ -7,8 +7,8 @@ Three presentations of the same phenomenon, with converters between them:
                      inner source of s (equals it, in strict mode);
 * ``SymmetryAction`` a functor view: each object gets a fiber of the poset,
                      each morphism an order isomorphism between ideals;
-* ``PartialActionBundle``  the domain bundle D_s together with order
-                     isomorphisms θ_s : D_{s°} -> D_s.
+* ``PartialActionBundle``  order isomorphisms θ_s : D_{s°} -> D_s
+                     between ideals; each D_s is read off the range of θ_s.
 
 Validation never materialises the (much larger) category of partial order
 isomorphisms; functor laws are checked directly on the maps.
@@ -384,23 +384,31 @@ def _symmetry_report(sym: SymmetryAction, scope: set[str] | None) -> ValidationR
 
 @dataclass
 class PartialActionBundle:
-    """Domains D_s (ideals of the poset) plus order isos θ_s : D_{s°} -> D_s."""
+    """Order isos θ_s : D_{s°} -> D_s between ideals of the poset.
+
+    Only the maps are stored: D_s is the range of θ_s, so the domain of
+    θ_s is D_{s°} exactly when θ_{s°} is its inverse, which
+    ``validate_partial`` checks.
+    """
 
     ic: InverseCategory
     poset: Poset
-    domains: dict[str, frozenset[str]]
     maps: dict[str, PartialOrderIso]
     strict: bool = False
 
+    @property
+    def domains(self) -> dict[str, frozenset[str]]:
+        """D_s = ran θ_s, for each morphism s with a map."""
+        return {s: iso.ran for s, iso in self.maps.items()}
+
     def is_global(self) -> bool:
-        return all(
-            self.domains[s] == self.domains[self.ic.ran_idem(s)]
-            for s in self.ic.morphisms
-        )
+        domains = self.domains
+        return all(domains[s] == domains[self.ic.ran_idem(s)] for s in self.ic.morphisms)
 
 
 def symmetry_to_partial(sym: SymmetryAction) -> PartialActionBundle:
-    """Read the domain bundle off a symmetry action: D_s is the range of Θ(s).
+    """Read the bundle off a symmetry action: θ_s is Θ(s), so D_s is the
+    range of Θ(s).
 
     Raises NOT_A_FUNCTOR when the symmetry action fails its functor laws.
     """
@@ -411,19 +419,18 @@ def symmetry_to_partial(sym: SymmetryAction) -> PartialActionBundle:
             rules=report.rules(),
             first=str(report.violations[0]),
         )
-    domains = {s: sym.isos[s].ran for s in sym.ic.morphisms}
-    maps = dict(sym.isos)
-    return PartialActionBundle(sym.ic, sym.poset, domains, maps)
+    return PartialActionBundle(sym.ic, sym.poset, dict(sym.isos))
 
 
 def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
     """Check the axioms of a partial action bundle.
 
-    Non-strict rules: each θ_s is an order isomorphism between the ideals
-    D_{s°} and D_s, with θ_{s°} its inverse; the identity domains cover the
-    poset; θ_e is the identity of D_e; s ≤ t forces D_{s°} ⊆ D_{t°} with
-    θ_t restricting to θ_s; D_s ⊆ D_{ss°}; and for st defined,
-    θ_s(D_{s°} ∩ D_t) = D_s ∩ D_{st} with θ_s∘θ_t = θ_{st} where composable.
+    Non-strict rules: each θ_s is an order isomorphism onto the ideal D_s,
+    with θ_{s°} its inverse, so that it runs from D_{s°}; the identity
+    domains cover the poset; θ_e is the identity of D_e; s ≤ t forces
+    D_{s°} ⊆ D_{t°} with θ_t restricting to θ_s; D_s ⊆ D_{ss°}; and for st
+    defined, θ_s(D_{s°} ∩ D_t) = D_s ∩ D_{st} with θ_s∘θ_t = θ_{st} where
+    composable.  Each D_s is read off the range of θ_s.
 
     Strict mode keeps the same shape but weakens four rules: domains need
     not be ideals, the cover runs over all idempotent domains, comparable
@@ -435,12 +442,12 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
     ic, poset = bundle.ic, bundle.poset
 
     for s in ic.morphisms:
-        if s not in bundle.domains or s not in bundle.maps:
-            add("bundle-total", (s,), "morphism has no domain or map")
+        if s not in bundle.maps:
+            add("bundle-total", (s,), "morphism has no map")
     if full.violations:
         return full
 
-    inv = ic.inv
+    inv, domains = ic.inv, bundle.domains
     lookup = {s: dict(bundle.maps[s].pairs) for s in ic.morphisms}
     for s in ic.morphisms:
         iso = bundle.maps[s]
@@ -449,31 +456,29 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
         except AssertionError as exc:
             add("axiom-i", (s,), f"θ_s is not an order isomorphism: {exc.args[0]!r}")
             continue
-        if iso.dom != bundle.domains[inv(s)] or iso.ran != bundle.domains[s]:
-            add("axiom-i", (s,), "θ_s is not a map D_{s°} -> D_s")
-        if not bundle.strict and not is_ideal(poset, bundle.domains[s]):
+        if not bundle.strict and not is_ideal(poset, domains[s]):
             add("axiom-i", (s,), "D_s is not an ideal")
         if bundle.maps[inv(s)] != iso.inverse():
             add("axiom-i", (s,), "θ_{s°} is not the inverse of θ_s")
 
     if bundle.strict:
-        cover = frozenset().union(*(bundle.domains[e] for e in ic.idempotents()))
+        cover = frozenset().union(*(domains[e] for e in ic.idempotents()))
     else:
         cover = frozenset().union(
-            *(bundle.domains[ic.identity_of(X)] for X in ic.objects)
+            *(domains[ic.identity_of(X)] for X in ic.objects)
         )
     if cover != frozenset(poset.elements):
         add("axiom-ii", (), "identity domains do not cover the poset")
 
     for e in ic.idempotents():
-        if bundle.maps[e] != identity_iso(bundle.domains[e]):
+        if bundle.maps[e] != identity_iso(domains[e]):
             add("axiom-iii", (e,), "θ_e is not the identity of D_e")
 
     for s in ic.morphisms:
         for t in ic.cat.hom(ic.src(s), ic.tgt(s)):
             if s == t or not natural_leq(ic, s, t):
                 continue
-            ds, dt = bundle.domains[inv(s)], bundle.domains[inv(t)]
+            ds, dt = domains[inv(s)], domains[inv(t)]
             if not bundle.strict and not ds <= dt:
                 add("axiom-iv", (s, t), "s ≤ t but D_{s°} is not inside D_{t°}")
             common = ds & dt
@@ -483,23 +488,23 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
                     add("axiom-iv", (s, t, x), "θ_t does not restrict to θ_s")
 
     for s in ic.morphisms:
-        if not bundle.domains[s] <= bundle.domains[ic.ran_idem(s)]:
+        if not domains[s] <= domains[ic.ran_idem(s)]:
             add("axiom-v", (s,), "D_s leaves D_{ss°}")
 
     for (s, t), st in ic.cat.table.items():
         lookup_s, lookup_t, lookup_st = lookup[s], lookup[t], lookup[st]
         # points of D_{s°} outside θ_s are reported under axiom-i
         lhs = frozenset(
-            lookup_s[x] for x in bundle.domains[inv(s)] & bundle.domains[t] if x in lookup_s
+            lookup_s[x] for x in domains[inv(s)] & domains[t] if x in lookup_s
         )
-        rhs = bundle.domains[s] & bundle.domains[st]
+        rhs = domains[s] & domains[st]
         if bundle.strict:
             if not lhs <= rhs:
                 add("axiom-vi", (s, t), "θ_s(D_{s°} ∩ D_t) leaves D_s ∩ D_{st}")
         elif lhs != rhs:
             add("axiom-vi", (s, t), f"θ_s(D_{{s°}} ∩ D_t) = {sorted(lhs)} differs from D_s ∩ D_{{st}} = {sorted(rhs)}")
         back = lookup[inv(t)]
-        for y in sorted(bundle.domains[t] & bundle.domains[inv(s)]):
+        for y in sorted(domains[t] & domains[inv(s)]):
             x = back.get(y)
             if x is None or lookup_t.get(x) != y:
                 continue  # broken iso, reported under axiom-i
@@ -516,45 +521,32 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
 def restrict_to_ideal(bundle: PartialActionBundle, subset: Iterable[str]) -> PartialActionBundle:
     """Cut a *global* bundle down to an ideal Q of its poset.
 
-    The new domains are D'_s = (Q ∩ D_s) ∩ θ_s(Q ∩ D_{s°}); the maps are the
-    corresponding restrictions.  The result is generally partial, no longer
-    global.  Raises NOT_GLOBAL on a non-global input and NOT_IDEAL when Q is
-    not an ideal.
+    The new maps keep the pairs of θ_s with both ends in Q, so the new
+    domains are D'_s = (Q ∩ D_s) ∩ θ_s(Q ∩ D_{s°}).  The result is
+    generally partial, no longer global.  Raises NOT_GLOBAL on a non-global
+    input and NOT_IDEAL when Q is not an ideal.
     """
     q = frozenset(subset)
-    if not bundle.is_global():
-        witness = next(
-            s
-            for s in bundle.ic.morphisms
-            if bundle.domains[s] != bundle.domains[bundle.ic.ran_idem(s)]
-        )
+    ic, poset, domains = bundle.ic, bundle.poset, bundle.domains
+    witness = next((s for s in ic.morphisms if domains[s] != domains[ic.ran_idem(s)]), None)
+    if witness is not None:
         raise NotGlobal(
             f"domain of {witness!r} differs from its idempotent's domain",
             morphism=witness,
         )
-    unknown = q - set(bundle.poset.elements)
+    unknown = q - set(poset.elements)
     if unknown:
         raise NotIdeal(
             f"subset contains non-elements {sorted(unknown)}", extraneous=sorted(unknown)
         )
-    if not is_ideal(bundle.poset, q):
+    if not is_ideal(poset, q):
         raise NotIdeal("subset is not downward closed", subset=sorted(q))
-    ic, poset = bundle.ic, bundle.poset
     sub = Poset(
         tuple(x for x in poset.elements if x in q),
         frozenset((a, b) for a, b in poset.relation if a in q and b in q),
     )
-    domains: dict[str, frozenset[str]] = {}
-    maps: dict[str, PartialOrderIso] = {}
-    for s in ic.morphisms:
-        lookup = dict(bundle.maps[s].pairs)
-        pairs = tuple(
-            sorted(
-                (x, lookup[x])
-                for x in bundle.domains[ic.inv(s)] & q
-                if x in lookup and lookup[x] in q
-            )
-        )
-        maps[s] = PartialOrderIso(pairs)
-        domains[s] = maps[s].ran
-    return PartialActionBundle(ic, sub, domains, maps)
+    maps = {
+        s: PartialOrderIso(tuple(sorted(p for p in bundle.maps[s].pairs if p[0] in q and p[1] in q)))
+        for s in ic.morphisms
+    }
+    return PartialActionBundle(ic, sub, maps)

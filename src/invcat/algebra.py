@@ -57,14 +57,17 @@ def isotropy_group(ic: InverseCategory, e: str) -> GroupTable:
     return GroupTable(elems, table, e, {a: ic.inv(a) for a in elems})
 
 
-def group_iso(g1: GroupTable, g2: GroupTable, cap: int = DEFAULT_ISO_CAP) -> bool:
-    """Exhaustive isomorphism search between two explicit group tables."""
+def group_iso(g1: GroupTable, g2: GroupTable) -> bool:
+    """Exhaustive isomorphism search between two explicit group tables.
+
+    Raises SIZE_CAP_EXCEEDED for a group above ``DEFAULT_ISO_CAP`` elements.
+    """
     for g in (g1, g2):
-        if len(g.elements) > cap:
+        if len(g.elements) > DEFAULT_ISO_CAP:
             raise SizeCapExceeded(
-                f"group of size {len(g.elements)} exceeds isomorphism cap {cap}",
+                f"group of size {len(g.elements)} exceeds isomorphism cap {DEFAULT_ISO_CAP}",
                 size=len(g.elements),
-                cap=cap,
+                cap=DEFAULT_ISO_CAP,
             )
     if len(g1.elements) != len(g2.elements):
         return False
@@ -188,17 +191,15 @@ class MoritaVerdict:
         return self.status == "EQUIVALENT_CERTIFIED"
 
 
-def _distinct_groups(dec: Decomposition, cap: int) -> list[IdempotentClass]:
+def _distinct_groups(dec: Decomposition) -> list[IdempotentClass]:
     out: list[IdempotentClass] = []
     for block in dec.blocks:
-        if not any(group_iso(block.group, other.group, cap) for other in out):
+        if not any(group_iso(block.group, other.group) for other in out):
             out.append(block)
     return out
 
 
-def morita_check(
-    a: InverseCategory, b: InverseCategory, cap: int = DEFAULT_ISO_CAP
-) -> MoritaVerdict:
+def morita_check(a: InverseCategory, b: InverseCategory) -> MoritaVerdict:
     """Certify Morita equivalence of the two convolution algebras.
 
     Both algebras decompose into matrix blocks over their isotropy groups;
@@ -208,15 +209,15 @@ def morita_check(
     certifies equivalence; anything else is INCONCLUSIVE.
     """
     dec_a, dec_b = decompose(a), decompose(b)
-    left = _distinct_groups(dec_a, cap)
-    right = _distinct_groups(dec_b, cap)
+    left = _distinct_groups(dec_a)
+    right = _distinct_groups(dec_b)
     pairing: list[tuple[str, str, int]] = []
     unmatched_left = []
     taken: set[int] = set()
     for cls in left:
         found = None
         for i, other in enumerate(right):
-            if i not in taken and group_iso(cls.group, other.group, cap):
+            if i not in taken and group_iso(cls.group, other.group):
                 found = i
                 break
         if found is None:

@@ -158,21 +158,17 @@ def bernoulli_partial(
     strict: bool = False,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
 ) -> PartialActionBundle:
-    """The partial bundle on the pointed Bernoulli poset: the domains D_s of
-    ``BernoulliPoset.domain`` and θ_s : D_{s°} -> D_s sending A to sA."""
+    """The partial bundle on the pointed Bernoulli poset: θ_s : D_{s°} -> D_s
+    sends A to sA, with D_s from ``BernoulliPoset.domain``."""
     return _bundle(build_bernoulli(ic, pointed=True, max_elements=max_elements), strict)
 
 
 def _bundle(bp: BernoulliPoset, strict: bool) -> PartialActionBundle:
-    """The domains D_s and maps θ_s(A) = sA of the action on either carrier."""
+    """The maps θ_s(A) = sA of the action on either carrier, each from
+    ``BernoulliPoset.domain`` of s° onto that of s."""
     ic = bp.ic
-    domains = {s: bp.domain(s, strict) for s in ic.morphisms}
     maps = {
-        s: PartialOrderIso(
-            tuple(sorted((k, bp.act(s, k)) for k in domains[ic.inv(s)]))
-        )
+        s: PartialOrderIso(tuple(sorted((k, bp.act(s, k)) for k in bp.domain(ic.inv(s), strict))))
         for s in ic.morphisms
     }
-    return PartialActionBundle(
-        ic, bp.poset, {s: frozenset(d) for s, d in domains.items()}, maps, strict=strict
-    )
+    return PartialActionBundle(ic, bp.poset, maps, strict=strict)

@@ -49,20 +49,21 @@ def semidirect_product(
     """Build the semidirect product category of a partial action bundle.
 
     Objects are the poset elements; the arrow (x, s), written ``(x|s)``,
-    exists for every x in D_s and runs from θ_{s°}(x) to x.  The identity of
-    x pairs it with the one identity whose domain holds x, or with the one
-    idempotent whose domain holds x when the bundle is strict.  A fibred
-    action reaches this through ``fibred_to_symmetry`` and
+    exists for every x in D_s and runs from θ_{s°}(x) to x, so the arrows
+    over s are read off the pairs of θ_{s°}.  The identity of x pairs it
+    with the one identity whose domain holds x, or with the one idempotent
+    whose domain holds x when the bundle is strict.  A fibred action
+    reaches this through ``fibred_to_symmetry`` and
     ``symmetry_to_partial``.  The arrows are the triples (θ_{s°}x, s, x)
     of ``join_category``, which composes (x, s)(y, t) = (x, st).  Returns
     the verified inverse category together with the map from arrow names
     back to (element, morphism) pairs.
     """
-    ic, domains = bundle.ic, bundle.domains
+    ic, maps = bundle.ic, bundle.maps
     objects = bundle.poset.elements
     units: dict[str, list[str]] = {}
     for e in ic.idempotents() if bundle.strict else map(ic.identity_of, ic.objects):
-        for x in domains[e]:
+        for x in maps[e].ran:
             units.setdefault(x, []).append(e)
     identities: dict[str, str] = {}
     for x in objects:
@@ -74,11 +75,10 @@ def semidirect_product(
     arrows: dict[str, tuple[str, str]] = {}
     triples: dict[str, tuple[str, str, str]] = {}
     for s in ic.morphisms:
-        back = dict(bundle.maps[ic.inv(s)].pairs)
-        for x in sorted(domains[s]):
+        for x, y in sorted(maps[ic.inv(s)].pairs):
             name = f"({x}|{s})"
             arrows[name] = (x, s)
-            triples[name] = (back[x], s, x)
+            triples[name] = (y, s, x)
     inv = join_category(objects, triples, identities, ic.cat.columns(), lambda _, s, x: f"({x}|{s})")
     return inv, arrows
 
@@ -127,8 +127,8 @@ def szendrei(
     strict = variant in ("strict_global", "strict_partial")
     carrier = build_bernoulli(origin, pointed=pointed, max_elements=max_elements)
     bundle = _bundle(carrier, strict)
-    # one arrow (x|s) per x in D_s
-    check_cap("expansion", sum(map(len, bundle.domains.values())), max_elements)
+    # one arrow (x|s) per pair of θ_s
+    check_cap("expansion", sum(len(iso.pairs) for iso in bundle.maps.values()), max_elements)
     inv, arrows = semidirect_product(bundle)
     return SzCategory(inv, origin, variant, carrier, arrows)
 
@@ -191,6 +191,22 @@ def wedge(sz: SzCategory, a: str, b: str) -> str:
     return pseudo_product(sz, a, b)
 
 
+def _below_inner(sz: SzCategory, arrow: str, idem: str, side: str) -> None:
+    """Raise NOT_IDEMPOTENT unless ``idem`` is idempotent, then
+    PRECONDITION_FAILED unless it sits below the inner ``side`` ("source"
+    or "target") of ``arrow``."""
+    if not sz.ic.is_idempotent(idem):
+        raise NotIdempotent(f"arrow {idem!r} is not idempotent", arrow=idem)
+    inner = sz.ic.dom_idem(arrow) if side == "source" else sz.ic.ran_idem(arrow)
+    if not product_order_leq(sz, idem, inner):
+        raise PreconditionFailed(
+            f"{idem!r} is not below the inner {side} {inner!r} of {arrow!r}",
+            arrow=arrow,
+            idem=idem,
+            inner=inner,
+        )
+
+
 def restriction(sz: SzCategory, arrow: str, idem: str) -> str:
     """The unique arrow below ``arrow`` whose inner source is ``idem``.
 
@@ -198,16 +214,7 @@ def restriction(sz: SzCategory, arrow: str, idem: str) -> str:
     Raises NOT_IDEMPOTENT for a non-idempotent ``idem`` and
     PRECONDITION_FAILED when (E,f) does not sit below the inner source.
     """
-    if not sz.ic.is_idempotent(idem):
-        raise NotIdempotent(f"arrow {idem!r} is not idempotent", arrow=idem)
-    inner = sz.ic.dom_idem(arrow)
-    if not product_order_leq(sz, idem, inner):
-        raise PreconditionFailed(
-            f"{idem!r} is not below the inner source {inner!r} of {arrow!r}",
-            arrow=arrow,
-            idem=idem,
-            inner=inner,
-        )
+    _below_inner(sz, arrow, idem, "source")
     (_, s), (ekey, f) = sz.pair(arrow), sz.pair(idem)
     return sz.arrow_name(sz.push(s, ekey), sz.origin.cat.table[(s, f)])
 
@@ -217,16 +224,7 @@ def corestriction(sz: SzCategory, arrow: str, idem: str) -> str:
 
     For (E,f) below the inner target (A, ss°) the value is (E, fs).
     """
-    if not sz.ic.is_idempotent(idem):
-        raise NotIdempotent(f"arrow {idem!r} is not idempotent", arrow=idem)
-    inner = sz.ic.ran_idem(arrow)
-    if not product_order_leq(sz, idem, inner):
-        raise PreconditionFailed(
-            f"{idem!r} is not below the inner target {inner!r} of {arrow!r}",
-            arrow=arrow,
-            idem=idem,
-            inner=inner,
-        )
+    _below_inner(sz, arrow, idem, "target")
     (_, s), (ekey, f) = sz.pair(arrow), sz.pair(idem)
     return sz.arrow_name(ekey, sz.origin.cat.table[(f, s)])
 

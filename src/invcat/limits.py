@@ -18,14 +18,15 @@ DEFAULT_ISO_CAP = 64
 ENV_MAX_ELEMENTS = "INVCAT_MAX_ELEMENTS"
 
 
-def max_elements_from_env(default: int = DEFAULT_MAX_ELEMENTS) -> int:
-    """Resolve the element cap, honouring the INVCAT_MAX_ELEMENTS override.
+def max_elements_from_env() -> int:
+    """Resolve the element cap: INVCAT_MAX_ELEMENTS when set, else
+    ``DEFAULT_MAX_ELEMENTS``.
 
     Raises PARSE_ERROR when the override is not a positive integer.
     """
     raw = os.environ.get(ENV_MAX_ELEMENTS)
     if raw is None:
-        return default
+        return DEFAULT_MAX_ELEMENTS
     try:
         value = int(raw)
     except ValueError:

@@ -121,14 +121,15 @@ def is_ideal(poset: Poset, subset: Iterable[str]) -> bool:
     return all(not down[pos[b]] & ~bits for b in members if b in pos)
 
 
-def ideals(poset: Poset, max_size: int = DEFAULT_MAX_POSET) -> tuple[frozenset[str], ...]:
-    """All ideals (the empty set included), ordered by size then element indices."""
+def ideals(poset: Poset) -> tuple[frozenset[str], ...]:
+    """All ideals (the empty set included), ordered by size then element
+    indices.  Raises SIZE_CAP_EXCEEDED above ``DEFAULT_MAX_POSET`` elements."""
     n = len(poset.elements)
-    if n > max_size:
+    if n > DEFAULT_MAX_POSET:
         raise SizeCapExceeded(
-            f"poset has {n} elements; ideal enumeration capped at {max_size}",
+            f"poset has {n} elements; ideal enumeration capped at {DEFAULT_MAX_POSET}",
             size=n,
-            cap=max_size,
+            cap=DEFAULT_MAX_POSET,
         )
     # combinations of the elements come in (size, element indices) order
     return tuple(

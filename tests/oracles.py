@@ -17,6 +17,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
+from hypothesis import assume, strategies as st
+
 from invcat.actions import FibredAction, PartialActionBundle, SymmetryAction
 from invcat.algebra import GroupTable
 from invcat.core import FiniteCategory, InverseCategory, join_category
@@ -553,11 +555,12 @@ def brute_partial_violations(bundle: PartialActionBundle) -> list[tuple[str, tup
     out = _FirstWitnesses()
     ic, poset, strict = bundle.ic, bundle.poset, bundle.strict
     for s in ic.morphisms:
-        if s not in bundle.domains or s not in bundle.maps:
-            out.add("bundle-total", (s,), "morphism has no domain or map")
+        if s not in bundle.maps:
+            out.add("bundle-total", (s,), "morphism has no map")
     if out:
         return out
-    inv, domains = ic.inverse, bundle.domains
+    inv = ic.inverse
+    domains = {s: frozenset(b for _, b in bundle.maps[s].pairs) for s in ic.morphisms}
     lookup = {s: dict(bundle.maps[s].pairs) for s in ic.morphisms}
     for s in ic.morphisms:
         iso = bundle.maps[s]
@@ -565,8 +568,6 @@ def brute_partial_violations(bundle: PartialActionBundle) -> list[tuple[str, tup
         if not isinstance(checked, PartialOrderIso):
             out.add("axiom-i", (s,), f"θ_s is not an order isomorphism: {checked!r}")
             continue
-        if iso.dom != domains[inv[s]] or iso.ran != domains[s]:
-            out.add("axiom-i", (s,), "θ_s is not a map D_{s°} -> D_s")
         if not strict and not brute_is_ideal(poset, domains[s]):
             out.add("axiom-i", (s,), "D_s is not an ideal")
         if bundle.maps[inv[s]].pairs != tuple(sorted((b, a) for a, b in iso.pairs)):
@@ -796,6 +797,61 @@ def cyclic_group(n: int) -> InverseCategory:
         {str(i): ("*", "*") for i in range(n)},
         {"*": "0"},
         lambda g, f: str((int(g) + int(f)) % n),
+    )
+
+
+#: largest closure ``partial_injection_categories`` yields
+MOST_ARROWS = 20
+
+
+@st.composite
+def partial_injection_categories(draw) -> InverseCategory:
+    """A random inverse category of partial injections between 2-3 sets of
+    1-3 points: 1-3 drawn injections closed under composition and inversion,
+    with the identities added.  Every finite inverse category embeds in one
+    of these (Wagner-Preston).  An arrow is named by its graph: source
+    object, the images of the source points ("-" where undefined) and the
+    target object, as in ``A0-B``.  Closures above ``MOST_ARROWS`` arrows
+    are rejected."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    objects = "ABC"[: len(sizes)]
+    ends = st.integers(0, len(sizes) - 1)
+
+    @st.composite
+    def injections(draw) -> tuple[int, int, tuple]:
+        x, y = draw(ends), draw(ends)
+        images = draw(st.permutations([*range(sizes[y]), *[None] * sizes[x]]))
+        return x, y, tuple(images[: sizes[x]])
+
+    def inverse(arrow: tuple) -> tuple:
+        x, y, images = arrow
+        return y, x, tuple(images.index(b) if b in images else None for b in range(sizes[y]))
+
+    def compose(g: tuple, f: tuple) -> tuple:
+        """g after f, for f ending where g starts."""
+        return f[0], g[1], tuple(None if b is None else g[2][b] for b in f[2])
+
+    def name(arrow: tuple) -> str:
+        x, y, images = arrow
+        return objects[x] + "".join("-" if b is None else str(b) for b in images) + objects[y]
+
+    drawn = draw(st.lists(injections(), min_size=1, max_size=3))
+    identities = {x: (x, x, tuple(range(n))) for x, n in enumerate(sizes)}
+    arrows = {*identities.values(), *drawn, *map(inverse, drawn)}
+    frontier = set(arrows)
+    while frontier:
+        pairs = itertools.chain(
+            itertools.product(frontier, arrows), itertools.product(arrows, frontier)
+        )
+        frontier = {compose(g, f) for f, g in pairs if f[1] == g[0]} - arrows
+        arrows |= frontier
+        assume(len(arrows) <= MOST_ARROWS)
+    named = {name(a): a for a in sorted(arrows, key=name)}
+    return join_by_product(
+        objects,
+        {n: (objects[x], objects[y]) for n, (x, y, _) in named.items()},
+        {objects[x]: name(unit) for x, unit in identities.items()},
+        lambda g, f: name(compose(named[g], named[f])),
     )
 
 

@@ -88,7 +88,6 @@ def test_points_outside_the_poset_are_a_broken_iso(z2):
     bundle = bernoulli_partial(z2)
     tampered = dataclasses.replace(
         bundle,
-        domains={s: d | {"ghost"} for s, d in bundle.domains.items()},
         maps={
             s: PartialOrderIso(tuple(sorted((*iso.pairs, ("ghost", "ghost")))))
             for s, iso in bundle.maps.items()
@@ -142,7 +141,7 @@ def test_strict_relaxations_are_real(i2):
     # the same data under the non-strict rules genuinely fails: strict domains
     # are not ideals and the cover/agreement/composition rules tighten
     relaxated_off = PartialActionBundle(
-        strict.ic, strict.poset, strict.domains, strict.maps, strict=False
+        strict.ic, strict.poset, strict.maps, strict=False
     )
     verbatim = validate_partial(relaxated_off)
     assert not verbatim.ok

@@ -21,7 +21,15 @@ from invcat import (
     restriction_groupoid,
 )
 
-from oracles import PARTIAL_BIJECTIONS, brute_dimension, group_law_failure, sub_inverse_monoid
+from invcat.limits import DEFAULT_ISO_CAP
+
+from oracles import (
+    PARTIAL_BIJECTIONS,
+    brute_dimension,
+    cyclic_group,
+    group_law_failure,
+    sub_inverse_monoid,
+)
 
 
 def test_group_law_oracle_flags_a_broken_table():
@@ -95,8 +103,9 @@ def test_group_iso_distinguishes_c4_from_klein():
 
 
 def test_group_iso_respects_cap():
+    large = isotropy_group(cyclic_group(DEFAULT_ISO_CAP + 1), "0")
     with pytest.raises(SizeCapExceeded):
-        group_iso(_cyclic4(), _cyclic4(), cap=2)
+        group_iso(large, large)
 
 
 def test_dimension_identity_on_fixtures(t1, z2, g2, i2, iic_point, iic_chain2):

@@ -125,13 +125,17 @@ def test_restriction_values_and_failures(expansions):
     below = "({e,g}|e)"  # below the inner source of arrow
     assert restriction(sz, arrow, below) == "({e,g}|g)"
     assert corestriction(sz, arrow, below) == "({e,g}|g)"
-    with pytest.raises(NotIdempotent):
-        restriction(sz, arrow, arrow)
+    for cut in (restriction, corestriction):
+        with pytest.raises(NotIdempotent):
+            cut(sz, arrow, arrow)
+        # the idempotent is checked before the arrow is looked up
+        with pytest.raises(NotIdempotent):
+            cut(sz, "no-such-arrow", arrow)
     # ({e}|e) is NOT below ({e,g}|e) in the product order: {e} sits above
-    with pytest.raises(PreconditionFailed):
-        restriction(sz, "({e,g}|g)", "({e}|e)")
-    with pytest.raises(PreconditionFailed):
-        corestriction(sz, "({e,g}|g)", "({e}|e)")
+    for cut, side in ((restriction, "source"), (corestriction, "target")):
+        with pytest.raises(PreconditionFailed, match=f"below the inner {side} ") as info:
+            cut(sz, arrow, "({e}|e)")
+        assert info.value.details == {"arrow": arrow, "idem": "({e}|e)", "inner": "({e,g}|e)"}
 
 
 def test_inner_expansions_are_inverse_semigroups(expansions):
@@ -342,13 +346,11 @@ def test_every_element_needs_exactly_one_unit_arrow(g2):
     # x also in the domain of 1Y, with θ_1Y fixing it
     both = dataclasses.replace(
         bundle,
-        domains={**bundle.domains, "1Y": bundle.domains["1Y"] | {x}},
         maps={**bundle.maps, "1Y": PartialOrderIso((*bundle.maps["1Y"].pairs, (x, x)))},
     )
     # x in no identity domain
     neither = dataclasses.replace(
         bundle,
-        domains={**bundle.domains, "1X": bundle.domains["1X"] - {x}},
         maps={
             **bundle.maps,
             "1X": PartialOrderIso(tuple(p for p in bundle.maps["1X"].pairs if p[0] != x)),

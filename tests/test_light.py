@@ -6,7 +6,9 @@ ask their composition laws (and the order tests they imply) of generators
 only once the acting category passes; ``validate_partial`` asks axiom iv of
 the parallel pairs only, walking hom-sets.  Each report must equal the full
 scan in oracles.py, rule for rule and witness for witness.  The count guards keep
-an all-triples walk from coming back unseen.
+an all-triples walk from coming back unseen.  The tampered partial bundles
+also feed ``semidirect_product``, which may refuse them only with a typed
+error.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from invcat import (
     validate_symmetry,
 )
 from invcat.core import associative_generators
+from invcat.errors import ToolkitError
+from invcat.expansion import semidirect_product
 from invcat.poset import PartialOrderIso, antichain_poset
 
 from oracles import (
@@ -185,8 +189,8 @@ def tampered_isos(sym, rng: random.Random):
 
 
 def tampered_bundle(bundle, rng: random.Random):
-    """One seeded change to the domains or the maps of a partial bundle."""
-    domains, maps = dict(bundle.domains), dict(bundle.maps)
+    """One seeded change to the maps of a partial bundle."""
+    maps = dict(bundle.maps)
     s, t = rng.choice(bundle.ic.morphisms), rng.choice(bundle.ic.morphisms)
     pairs = list(maps[s].pairs)
     elements = bundle.poset.elements
@@ -195,14 +199,13 @@ def tampered_bundle(bundle, rng: random.Random):
         i, j = rng.sample(range(len(pairs)), 2)
         (a, b), (c, d) = pairs[i], pairs[j]
         pairs[i], pairs[j] = (a, d), (c, b)
-    elif kind == 1 and pairs:  # drop a pair of θ_s, keeping D_s
+    elif kind == 1 and pairs:  # drop a pair of θ_s
         pairs.pop(rng.randrange(len(pairs)))
-    elif kind == 2:  # add or remove one element of D_s
-        domains[s] = domains[s] ^ {rng.choice(elements)}
-        return dataclasses.replace(bundle, domains=domains)
-    elif kind == 3:  # exchange the domains of two morphisms
-        domains[s], domains[t] = domains[t], domains[s]
-        return dataclasses.replace(bundle, domains=domains)
+    elif kind == 2:  # add or remove one fixed point of θ_s
+        x = rng.choice(elements)
+        pairs = [p for p in pairs if p != (x, x)] if (x, x) in pairs else [*pairs, (x, x)]
+    elif kind == 3:  # cut θ_s to its first pair
+        pairs = pairs[:1]
     elif kind == 4:  # exchange the maps of two morphisms
         maps[s], maps[t] = maps[t], maps[s]
         return dataclasses.replace(bundle, maps=maps)
@@ -314,3 +317,16 @@ def test_partial_reports_match_the_full_scan_when_tampered(bundles, seed):
         for _ in range(3):
             broken = tampered_bundle(bundle, rng)
             assert rows(validate_partial(broken)) == brute_partial_violations(broken)
+
+
+def test_semidirect_product_of_a_tampered_bundle_raises_only_typed_errors(bundles):
+    """Each D_s is read off θ_s, so no tampering of the maps reaches a
+    lookup that the bundle does not back."""
+    rng = random.Random(0)
+    for _ in range(60):
+        for bundle in bundles:
+            broken = tampered_bundle(bundle, rng)
+            try:
+                semidirect_product(broken)
+            except ToolkitError:
+                pass

@@ -48,13 +48,11 @@ def _unit_arrows(extra: bool):
     bundle = bernoulli_partial(G2)
     x = min(bundle.domains["1X"])
     if extra:
-        domains = {**bundle.domains, "1Y": bundle.domains["1Y"] | {x}}
         maps = {**bundle.maps, "1Y": PartialOrderIso((*bundle.maps["1Y"].pairs, (x, x)))}
     else:
-        domains = {**bundle.domains, "1X": bundle.domains["1X"] - {x}}
         kept = tuple(p for p in bundle.maps["1X"].pairs if p[0] != x)
         maps = {**bundle.maps, "1X": PartialOrderIso(kept)}
-    return dataclasses.replace(bundle, domains=domains, maps=maps)
+    return dataclasses.replace(bundle, maps=maps)
 
 
 def _lift(source, target, functor, variants=("global", "global")):
