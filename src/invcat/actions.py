@@ -401,7 +401,18 @@ class PartialActionBundle:
         """D_s = ran θ_s, for each morphism s with a map."""
         return {s: iso.ran for s, iso in self.maps.items()}
 
+    def require_total(self) -> None:
+        """Raise NOT_A_FUNCTOR naming the first morphism, in declaration
+        order, that has no map; ``validate_partial`` reports the same
+        morphism as ``bundle-total``."""
+        missing = next((s for s in self.ic.morphisms if s not in self.maps), None)
+        if missing is not None:
+            raise NotAFunctor(f"morphism {missing!r} has no map", morphism=missing)
+
     def is_global(self) -> bool:
+        """Whether every D_s equals D_{ss°}; NOT_A_FUNCTOR when some
+        morphism has no map."""
+        self.require_total()
         domains = self.domains
         return all(domains[s] == domains[self.ic.ran_idem(s)] for s in self.ic.morphisms)
 
@@ -523,9 +534,11 @@ def restrict_to_ideal(bundle: PartialActionBundle, subset: Iterable[str]) -> Par
 
     The new maps keep the pairs of θ_s with both ends in Q, so the new
     domains are D'_s = (Q ∩ D_s) ∩ θ_s(Q ∩ D_{s°}).  The result is
-    generally partial, no longer global.  Raises NOT_GLOBAL on a non-global
-    input and NOT_IDEAL when Q is not an ideal.
+    generally partial, no longer global.  Raises NOT_A_FUNCTOR when some
+    morphism has no map, NOT_GLOBAL on a non-global input and NOT_IDEAL
+    when Q is not an ideal.
     """
+    bundle.require_total()
     q = frozenset(subset)
     ic, poset, domains = bundle.ic, bundle.poset, bundle.domains
     witness = next((s for s in ic.morphisms if domains[s] != domains[ic.ran_idem(s)]), None)

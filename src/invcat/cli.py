@@ -32,7 +32,7 @@ from .core import (
     FiniteCategory,
     Functor,
     InverseCategory,
-    find_inverse_structure,
+    certified_inverse_structure,
     inclusion_functor,
     validate_category,
 )
@@ -62,7 +62,8 @@ def _sha256(path: str) -> str:
 
 
 def _load_inverse(path: str) -> tuple[InverseCategory, list[str]]:
-    """Load, validate, and find inverses; violations become messages."""
+    """Load and validate; certify a declared inverse map, or search for
+    one when there is none or it fails; violations become messages."""
     cat, declared = load_category(path)
     report = validate_category(cat)
     if not report.ok:
@@ -70,7 +71,7 @@ def _load_inverse(path: str) -> tuple[InverseCategory, list[str]]:
             f"{path} does not describe a valid category",
             violations=[str(v) for v in report.violations],
         )
-    ic = find_inverse_structure(cat)
+    ic = certified_inverse_structure(cat, declared)
     return ic, _declaration_notes(ic, declared)
 
 
@@ -102,7 +103,7 @@ def cmd_validate(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
     violations = [str(v) for v in report.violations]
     if report.ok:
         try:
-            ic = find_inverse_structure(cat)
+            ic = certified_inverse_structure(cat, declared)
         except NotInverseCategory as exc:
             violations.append(str(exc))
         else:

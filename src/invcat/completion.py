@@ -134,6 +134,7 @@ def _split(
         {name: (objects[e], s, objects[f]) for name, (e, s, f) in triples.items()},
         {name: units[e] for e, name in objects.items()},
         ic.cat.columns(),
+        ic.inverse,
         lambda a, s, b: _morphism_name(idem[a], s, idem[b]),
     )
     return completed, objects

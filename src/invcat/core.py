@@ -25,6 +25,16 @@ Conventions used throughout the package:
 * Associativity is decided by Light's test on the generating set of
   ``generators``; the action validators check their composition laws on
   the same generators once the acting category passes.
+* Inverses are certified, not searched for, wherever a map s ↦ s° is
+  known: ``certified_inverse_structure`` accepts it when s·s°·s = s and
+  s°·s·s° = s° for every s and the idempotents at each object commute.
+  In an associative category these make s° the only generalized inverse
+  of s (Lawson, *Inverse Semigroups*, 1998, Thm 1.1.3, whose proof
+  multiplies idempotents at one object only).  ``join_category`` names
+  each arrow's inverse from the base inverse map, and the CLI hands over
+  a spec's declared ``"inverse"``.  When the certificate fails,
+  ``find_inverse_structure`` searches every hom(tgt s, src s), so an
+  error names the same morphism and candidates as a search alone.
 """
 
 from __future__ import annotations
@@ -514,6 +524,10 @@ def find_inverse_structure(cat: FiniteCategory) -> InverseCategory:
     scanning the hom-set hom(tgt s, src s) of each s.  Raises
     NOT_INVERSE_CATEGORY naming the first morphism (in declaration order)
     whose inverse count differs from one.
+
+    This is the path for a category whose inverse map is not known, and
+    the fallback of ``certified_inverse_structure`` when a known map fails
+    its certificate.
     """
     inverse: dict[str, str] = {}
     for s in cat.morphisms:
@@ -529,36 +543,75 @@ def find_inverse_structure(cat: FiniteCategory) -> InverseCategory:
     return InverseCategory(cat, inverse)
 
 
+def certified_inverse_structure(cat: FiniteCategory, inverse: Mapping[str, str] | None) -> InverseCategory:
+    """The inverse structure of an associative category whose inverse map
+    is claimed to be ``inverse``; ``find_inverse_structure`` when there is
+    no claim or the claim fails its certificate.
+
+    The certificate asks s·s°·s = s and s°·s·s° = s° of every morphism s,
+    and ef = fe of all idempotents e, f at each object.  It makes s° the
+    unique generalized inverse of s: if t and t' both are one, then ts,
+    t's are idempotents at the source of s and st, st' at its target, so
+    t = (ts)(t's)t = (t's)(ts)t = t'st = t'(st')(st) = t'(st)(st') = t'
+    (Lawson, *Inverse Semigroups*, 1998, Thm 1.1.3).  The map returned is
+    ``inverse`` read in declaration order, as the search would build it."""
+    if inverse is not None and _certifies(cat, inverse):
+        return InverseCategory(cat, {s: inverse[s] for s in cat.morphisms})
+    return find_inverse_structure(cat)
+
+
+def _certifies(cat: FiniteCategory, inverse: Mapping[str, str]) -> bool:
+    """Whether ``inverse`` passes the certificate of
+    ``certified_inverse_structure`` on ``cat``: the two regularity laws
+    are read a column at a time, with no Python frame per morphism."""
+    get, mors = cat.table.get, list(cat.morphisms)
+    inv = list(map(inverse.get, mors))
+    if list(map(get, zip(mors, map(get, zip(inv, mors))))) != mors:
+        return False
+    if list(map(get, zip(inv, map(get, zip(mors, inv))))) != inv:
+        return False
+    idem = [e for e, ee in zip(mors, map(get, zip(mors, mors))) if e == ee]
+    for es in _buckets(idem, cat.src.__getitem__).values():
+        if any(get((e, f)) != get((f, e)) for e, f in itertools.combinations(es, 2)):
+            return False
+    return True
+
+
 def join_category(
     objects: Iterable[str],
     arrows: Mapping[str, tuple[str, str, str]],
     identities: Mapping[str, str],
     columns: Mapping[str, Mapping[str, str]],
+    inverse: Mapping[str, str],
     name: Callable[[str, str, str], str],
 ) -> InverseCategory:
     """Build and verify the inverse category whose arrows are the distinct
     triples ``arrows`` (name -> (source, base morphism, target), in
     declaration order) over a base category whose table is given by its
-    ``columns`` t -> {s: s∘t}: g = (y, s, z) after f = (x, t, y) is the
-    declared arrow (x, s∘t, z).
+    ``columns`` t -> {s: s∘t} and whose inverse map is ``inverse``:
+    g = (y, s, z) after f = (x, t, y) is the declared arrow (x, s∘t, z).
 
     For each f, one ``dict.update`` reads the arrows starting at y as
     parallel lists, the column of t and the map source -> base
     morphism -> target -> name, so no Python frame runs per pair.  The
     table is thus closed by construction, and its names are not checked
     again.  A composite that is not declared raises UNDECLARED_NAME for
-    ``name(x, s∘t, z)``, the first in table order."""
+    ``name(x, s∘t, z)``, the first in table order.
+
+    The inverse of (x, s, z) is the declared arrow (z, s°, x), looked up
+    in the same map; ``certified_inverse_structure`` checks it, and
+    searches only when an arrow lacks it or the certificate fails."""
     named: dict[str, dict[str, dict[str, str]]] = {}
     for m, (x, s, z) in arrows.items():
         named.setdefault(x, {}).setdefault(s, {})[z] = m
-    left = {
-        y: (gs, [arrows[g][1] for g in gs], [arrows[g][2] for g in gs])
-        for y, gs in _buckets(arrows, lambda m: arrows[m][0]).items()
-    }
     typing = {m: (x, z) for m, (x, _, z) in arrows.items()}
     table: dict[tuple[str, str], str] = {}
     # checks the declarations while the table is empty; it is filled in place
     cat = FiniteCategory._assemble(objects, typing, identities, table)
+    left = {
+        y: (gs, [arrows[g][1] for g in gs], [arrows[g][2] for g in gs])
+        for y, gs in cat._by_src.items()
+    }
     for f, (x, t, y) in arrows.items():
         gs, mids, ends = left.get(y, ((), (), ()))
         row, column = named[x], columns.get(t, {})
@@ -570,7 +623,11 @@ def join_category(
             s, z = next((s, z) for g, s, z in zip(gs, mids, ends) if (g, f) not in table)
             miss = name(x, column.get(s), z)
             raise UndeclaredName(f"composition entry uses undeclared morphism {miss!r}", name=miss) from None
-    return find_inverse_structure(cat)
+    try:
+        claimed = {m: named[z][inverse[s]][x] for m, (x, s, z) in arrows.items()}
+    except KeyError:
+        claimed = None
+    return certified_inverse_structure(cat, claimed)
 
 
 def natural_leq(ic: InverseCategory, s: str, t: str) -> bool:

@@ -262,7 +262,8 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
     morphism per pair U ⊇ dom s, V ⊇ ran s; SIZE_CAP_EXCEEDED is raised in
     the walk over isos once that count passes ``max_elements``.  Morphisms
     are the triples (U, s, V) of ``join_category`` over iso labels,
-    composed once per pair of isos.
+    composed once per pair of isos; (U, s, V)° = (V, s⁻¹, U) is certified
+    there, not searched for.
     """
     ids = ideals(poset)
     object_names = [subset_name(u) for u in ids]
@@ -295,4 +296,5 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
     columns = {  # label of s -> label of t -> label of t∘s
         ls: {lt: compose_partial_isos(t, s).label() for lt, t, _, _ in isos} for ls, s, _, _ in isos
     }
-    return join_category(object_names, arrows, identities, columns, lambda u, s, v: f"{u}->{v}|{s}")
+    inverse = {label: s.inverse().label() for label, s, _, _ in isos}
+    return join_category(object_names, arrows, identities, columns, inverse, lambda u, s, v: f"{u}->{v}|{s}")

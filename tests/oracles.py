@@ -787,6 +787,7 @@ def sub_inverse_monoid(generators: list[tuple]) -> InverseCategory:
         {n: ("*", "*") for n in names},
         {"*": _name(IDENTITY)},
         lambda g, f: _name(_compose(names[g], names[f])),
+        {n: _name(_inverse(p)) for n, p in names.items()},
     )
 
 
@@ -797,6 +798,7 @@ def cyclic_group(n: int) -> InverseCategory:
         {str(i): ("*", "*") for i in range(n)},
         {"*": "0"},
         lambda g, f: str((int(g) + int(f)) % n),
+        {str(i): str(-i % n) for i in range(n)},
     )
 
 
@@ -852,18 +854,21 @@ def partial_injection_categories(draw) -> InverseCategory:
         {n: (objects[x], objects[y]) for n, (x, y, _) in named.items()},
         {objects[x]: name(unit) for x, unit in identities.items()},
         lambda g, f: name(compose(named[g], named[f])),
+        {n: name(inverse(a)) for n, a in named.items()},
     )
 
 
-def join_by_product(objects, typing, identities, product) -> InverseCategory:
+def join_by_product(objects, typing, identities, product, inverse) -> InverseCategory:
     """The category whose arrows are ``typing`` (name -> (source, target))
     and whose composite g∘f is named ``product(g, f)``, built by
     ``join_category``: each arrow m is the triple (source, m, target) over
-    the columns f -> {g: product(g, f)} on the composable pairs, and a
-    composite outside the arrows is named as ``product`` names it."""
+    the columns f -> {g: product(g, f)} on the composable pairs, with the
+    base inverse map ``inverse`` (certified there, so a wrong one is only
+    slower), and a composite outside the arrows is named as ``product``
+    names it."""
     columns = {
         f: {g: product(g, f) for g, (x, _) in typing.items() if x == y}
         for f, (_, y) in typing.items()
     }
     triples = {m: (a, m, b) for m, (a, b) in typing.items()}
-    return join_category(objects, triples, identities, columns, lambda _a, m, _b: m)
+    return join_category(objects, triples, identities, columns, inverse, lambda _a, m, _b: m)

@@ -542,3 +542,44 @@ def test_renaming_every_name_renames_the_derived_reports(datadir, tmp_path, argv
     assert after["violations"] == before["violations"] == []
     assert after["result"] == lift(before["result"], names)
     assert after["result"] != before["result"]
+
+
+@pytest.mark.parametrize(
+    "sub, sup, embedding",
+    [
+        pytest.param(sub, sup, embedding, id=f"{sub}-{sup}")
+        for sub, sup, embedding in (
+            ("t1", "g2", {"objects": {"*": "X"}, "morphisms": {"1": "1X"}}),
+            ("t1", "z2", {"objects": {"*": "*"}, "morphisms": {"1": "e"}}),
+            ("t1", "i2", {"objects": {"*": "*"}, "morphisms": {"1": "id"}}),
+            ("z2", "i2", {"objects": {"*": "*"}, "morphisms": {"e": "id", "g": "swap"}}),
+        )
+    ],
+)
+def test_renaming_every_name_renames_the_enlargement_report(datadir, tmp_path, sub, sup, embedding):
+    """Sub, sup and the embedding file renamed with one prefix: the report
+    differs only in the names, witnesses included."""
+    names: set[str] = set()
+    paths: dict[str, tuple[str, str]] = {}
+    for name in (sub, sup):
+        cat, inverse = load_category(str(datadir / f"{name}.json"))
+        names |= {*cat.objects, *cat.morphisms}
+        path = tmp_path / f"renamed_{name}.json"
+        ob, mo = ({n: PREFIX + n for n in group} for group in (cat.objects, cat.morphisms))
+        write_renamed(path, cat, inverse, ob, mo)
+        paths[name] = (str(datadir / f"{name}.json"), str(path))
+    plain, renamed = tmp_path / "embedding.json", tmp_path / "renamed_embedding.json"
+    plain.write_text(json.dumps(embedding), encoding="utf-8")
+    renamed.write_text(
+        json.dumps({k: {PREFIX + a: PREFIX + b for a, b in v.items()} for k, v in embedding.items()}),
+        encoding="utf-8",
+    )
+
+    code, out = run_quietly("enlargement", paths[sub][0], paths[sup][0], "--embedding", str(plain))
+    renamed_code, renamed_out = run_quietly("enlargement", paths[sub][1], paths[sup][1], "--embedding", str(renamed))
+    before, after = json.loads(out), json.loads(renamed_out)
+    assert renamed_code == code
+    assert after["violations"] == before["violations"] == []
+    assert after["result"] == lift(before["result"], names)
+    if before["result"]["witnesses"]:
+        assert after["result"] != before["result"]

@@ -110,7 +110,7 @@ def _cyclic(n: int, escape: bool = False):
         k = int(g[1:]) + int(f[1:])
         return f"g{k if escape else k % n}"
 
-    return join_by_product(["*"], typing, {"*": "g0"}, product)
+    return join_by_product(["*"], typing, {"*": "g0"}, product, {f"g{k}": f"g{-k % n}" for k in range(n)})
 
 
 def test_join_kernel_builds_a_group():

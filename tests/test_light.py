@@ -23,6 +23,7 @@ import invcat.actions as actions_module
 from invcat import (
     FiniteCategory,
     InverseCategory,
+    PartialActionBundle,
     bernoulli_global,
     bernoulli_partial,
     build_Iic,
@@ -30,6 +31,7 @@ from invcat import (
     conjugation_action,
     fibred_to_symmetry,
     generators,
+    restrict_to_ideal,
     symmetry_to_partial,
     validate_category,
     validate_fibred,
@@ -37,7 +39,7 @@ from invcat import (
     validate_symmetry,
 )
 from invcat.core import associative_generators
-from invcat.errors import ToolkitError
+from invcat.errors import NotAFunctor, ToolkitError
 from invcat.expansion import semidirect_product
 from invcat.poset import PartialOrderIso, antichain_poset
 
@@ -321,12 +323,34 @@ def test_partial_reports_match_the_full_scan_when_tampered(bundles, seed):
 
 def test_semidirect_product_of_a_tampered_bundle_raises_only_typed_errors(bundles):
     """Each D_s is read off θ_s, so no tampering of the maps reaches a
-    lookup that the bundle does not back."""
+    lookup that the bundle does not back; a quarter of the tampered bundles
+    also lose one map, which the shared totality check refuses.  The same
+    holds for ``is_global`` and ``restrict_to_ideal``."""
     rng = random.Random(0)
+    calls = (semidirect_product, PartialActionBundle.is_global, lambda b: restrict_to_ideal(b, b.poset.elements))
     for _ in range(60):
         for bundle in bundles:
             broken = tampered_bundle(bundle, rng)
-            try:
-                semidirect_product(broken)
-            except ToolkitError:
-                pass
+            if rng.randrange(4) == 0:
+                maps = dict(broken.maps)
+                del maps[rng.choice(bundle.ic.morphisms)]
+                broken = dataclasses.replace(broken, maps=maps)
+            for call in calls:
+                try:
+                    call(broken)
+                except ToolkitError:
+                    pass
+
+
+def test_a_bundle_without_a_map_is_refused_with_a_typed_error(g2):
+    bundle = symmetry_to_partial(fibred_to_symmetry(bernoulli_global(g2)))
+    maps = dict(bundle.maps)
+    del maps["s"]
+    broken = dataclasses.replace(bundle, maps=maps)
+    calls = (semidirect_product, PartialActionBundle.is_global, lambda b: restrict_to_ideal(b, b.poset.elements))
+    for call in calls:
+        with pytest.raises(NotAFunctor) as info:
+            call(broken)
+        assert info.value.details == {"morphism": "s"}
+    assert [v.rule for v in validate_partial(broken).violations] == ["bundle-total"]
+    assert validate_partial(broken).violations[0].witness == ("s",)
