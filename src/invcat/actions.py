@@ -27,6 +27,7 @@ from .poset import (
     compose_partial_isos,
     identity_iso,
     is_ideal,
+    order_iso_failure,
 )
 
 
@@ -307,7 +308,7 @@ def validate_symmetry(sym: SymmetryAction) -> ValidationReport:
 
     When the acting category passes Light's test
     (``core.associative_generators``), the order test of
-    ``PartialOrderIso.make`` and the composition law are first asked of the
+    ``order_iso_failure`` and the composition law are first asked of the
     generators g only, Θ(g)∘Θ(t) = Θ(gt) for every t.  That suffices: the s
     passing both are closed under composition, and identities pass them
     once the identity and typing rules hold.  When the first run finds
@@ -346,10 +347,9 @@ def _symmetry_report(sym: SymmetryAction, scope: set[str] | None) -> ValidationR
             add("iso-total", (s,), "morphism has no order isomorphism")
             continue
         if scope is None or s in scope:
-            try:
-                PartialOrderIso.make(poset, iso.pairs)
-            except AssertionError as exc:
-                add("iso-order", (s,), f"not an order isomorphism: {exc.args[0]!r}")
+            failure = order_iso_failure(poset, iso.pairs)
+            if failure is not None:
+                add("iso-order", (s,), f"not an order isomorphism: {failure!r}")
                 continue
         if not (iso.dom <= sym.fibers.get(ic.src(s), frozenset())):
             add("iso-typing", (s,), "domain leaves the source fiber")
@@ -462,10 +462,9 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
     lookup = {s: dict(bundle.maps[s].pairs) for s in ic.morphisms}
     for s in ic.morphisms:
         iso = bundle.maps[s]
-        try:
-            PartialOrderIso.make(poset, iso.pairs)
-        except AssertionError as exc:
-            add("axiom-i", (s,), f"θ_s is not an order isomorphism: {exc.args[0]!r}")
+        failure = order_iso_failure(poset, iso.pairs)
+        if failure is not None:
+            add("axiom-i", (s,), f"θ_s is not an order isomorphism: {failure!r}")
             continue
         if not bundle.strict and not is_ideal(poset, domains[s]):
             add("axiom-i", (s,), "D_s is not an ideal")

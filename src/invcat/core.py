@@ -157,8 +157,6 @@ class FiniteCategory:
         oset, mset = {x: x for x in objs}, set(mors)
         if len(oset) != len(objs):
             raise UndeclaredName("duplicate object declaration", objects=objs)
-        if len(mset) != len(mors):
-            raise UndeclaredName("duplicate morphism declaration", morphisms=mors)
         src, tgt = {}, {}
         for name, (a, b) in morphisms.items():
             if a not in oset:

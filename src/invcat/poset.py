@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import InverseCategory, join_category
-from .errors import SizeCapExceeded
+from .errors import PreconditionFailed, SizeCapExceeded
 from .limits import DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_POSET
 
 
@@ -26,7 +26,7 @@ class Poset:
     (its declaration index) and a down-set bitmask, a Python int whose bit i
     is set when ``elements[i]`` lies below it.  The axioms are checked on
     these masks in O(|relation|) mask operations (a broken one raises
-    AssertionError, also under ``python -O``), and ``is_ideal``,
+    PreconditionFailed), and ``is_ideal``,
     ``ideals``, ``down_set`` and ``PartialOrderIso.make`` read them; ``leq``
     stays a lookup in ``relation``.
     """
@@ -39,25 +39,25 @@ class Poset:
     def __post_init__(self) -> None:
         pos = {x: i for i, x in enumerate(self.elements)}
         if len(pos) != len(self.elements):
-            raise AssertionError("duplicate poset elements")
+            raise PreconditionFailed("duplicate poset elements")
         down = [0] * len(pos)
         up = [0] * len(pos)
         for a, b in self.relation:
             if a not in pos or b not in pos:
-                raise AssertionError("relation references unknown element")
+                raise PreconditionFailed("relation references unknown element")
             down[pos[b]] |= 1 << pos[a]
             up[pos[a]] |= 1 << pos[b]
         for i in range(len(down)):
             if not down[i] >> i & 1:
-                raise AssertionError("relation not reflexive")
+                raise PreconditionFailed("relation not reflexive")
         # pair by pair in relation order, as a scan would: (b, a) related
         # back, or something above b that is not above a
         for a, b in self.relation:
             i, j = pos[a], pos[b]
             if i != j and down[i] >> j & 1:
-                raise AssertionError("relation not antisymmetric")
+                raise PreconditionFailed("relation not antisymmetric")
             if up[j] & ~up[i]:
-                raise AssertionError("relation not transitive")
+                raise PreconditionFailed("relation not transitive")
         object.__setattr__(self, "_pos", pos)
         object.__setattr__(self, "_down", tuple(down))
 
@@ -156,30 +156,11 @@ class PartialOrderIso:
 
     @staticmethod
     def make(poset: Poset, pairs: Iterable[tuple[str, str]]) -> "PartialOrderIso":
-        """Check and build the map; AssertionError names the first failure.
-
-        The order test asks, for each pair (c, f c), that f map
-        down(c) ∩ dom onto down(f c) ∩ ran, one bit per relation pair
-        inside dom.  Only when it fails are the points looked up, so that
-        the assertion names the first point outside the poset, and then the
-        pairwise scan runs, so that it names the first offending pair of
-        pairs in sorted order.
-        """
+        """Check and build the map; PreconditionFailed carries its failure."""
         ordered = tuple(sorted(pairs))
-        dom = [a for a, _ in ordered]
-        ran = [b for _, b in ordered]
-        if len(set(dom)) != len(dom):
-            raise AssertionError("mapping not functional")
-        if len(set(ran)) != len(ran):
-            raise AssertionError("mapping not injective")
-        if _maps_down_sets_onto(poset, ordered):
-            return PartialOrderIso(ordered)
-        for point in itertools.chain.from_iterable(ordered):
-            if point not in poset._pos:
-                raise AssertionError(("point outside the poset", point))
-        for (a, b), (c, d) in itertools.product(ordered, repeat=2):
-            if poset.leq(a, c) != poset.leq(b, d):
-                raise AssertionError(("mapping does not preserve and reflect order", (a, b), (c, d)))
+        failure = order_iso_failure(poset, ordered)
+        if failure is not None:
+            raise PreconditionFailed(f"not an order isomorphism: {failure!r}", failure=failure)
         return PartialOrderIso(ordered)
 
     @property
@@ -201,6 +182,30 @@ class PartialOrderIso:
 
     def label(self) -> str:
         return ",".join(f"{a}:{b}" for a, b in self.pairs)
+
+
+def order_iso_failure(poset: Poset, pairs: Iterable[tuple[str, str]]) -> str | tuple | None:
+    """Why ``pairs`` is not a partial order isomorphism of ``poset`` (not
+    functional, not injective, a point outside the poset, or the first pair
+    of pairs in sorted order on which ≤ is not preserved and reflected), or
+    None.  The order test maps down-sets, one bit per relation pair inside
+    dom; only when it fails are the points looked up and the pairs scanned."""
+    ordered = sorted(pairs)
+    dom = [a for a, _ in ordered]
+    ran = [b for _, b in ordered]
+    if len(set(dom)) != len(dom):
+        return "mapping not functional"
+    if len(set(ran)) != len(ran):
+        return "mapping not injective"
+    if _maps_down_sets_onto(poset, ordered):
+        return None
+    for point in itertools.chain.from_iterable(ordered):
+        if point not in poset._pos:
+            return ("point outside the poset", point)
+    for (a, b), (c, d) in itertools.product(ordered, repeat=2):
+        if poset.leq(a, c) != poset.leq(b, d):
+            return ("mapping does not preserve and reflect order", (a, b), (c, d))
+    return None
 
 
 def _maps_down_sets_onto(poset: Poset, pairs: Sequence[tuple[str, str]]) -> bool:

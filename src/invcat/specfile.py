@@ -14,9 +14,12 @@ The format is JSON with a fixed schema::
 A composition entry means left∘right = result, with ``right`` acting first;
 pairs absent from the list do not compose.  The optional inverse map is
 verified against the computed one, never trusted.  Unknown fields and
-repeated keys anywhere are rejected.  A well-formed spec is checked in bulk,
-column by column; on any doubt the ordered scan runs instead, and it is the
-only place that reports errors, so each message names the first offender.
+repeated keys anywhere are rejected.  ``parse_category`` reads the document
+once, section by section in the order above, and states each schema rule
+once: a list of names, a map to names, or a list of records.  Each section is
+checked at once (the records a column at a time); only when that check
+fails are its items walked in document order, so that the error names the
+first offender.
 
 Every JSON text that invcat writes comes from this module and matches
 ``json.dumps(value, indent=2)`` byte for byte: the CLI's reports from
@@ -189,13 +192,78 @@ def _load_json(text: str, source: str) -> Any:
 def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory, dict[str, str] | None]:
     """Parse a category file; returns the category and the declared inverse
     map, if any.  Syntax errors carry line and column; schema errors name the
-    offending field."""
-    data = _load_json(text, source)
-    return _parse_bulk(data) or _parse_scan(data)
+    first offending field in document order."""
+    data = _want(_load_json(text, source), dict, "top level")
+    _reject_extra(data, _TOP_KEYS, "top level")
+    missing = sorted(_REQUIRED - set(data))
+    if missing:
+        raise ParseError(f"missing required field(s) {missing}", fields=missing)
+    version = data["invcat-spec"]
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ParseError(
+            f"unsupported schema version {version!r}; expected {SCHEMA_VERSION}"
+        )
+    objects = _names(data["objects"], "objects", "object name")
+    morphisms = _record_map(
+        data["morphisms"], "morphisms", "morphism", _MORPHISM_KEYS, 1, "duplicate morphism name {!r}"
+    )
+    identities = _name_map(data["identities"], "identities", "identity of")
+    composition = _record_map(
+        data["composition"], "composition", "composition", _ENTRY_KEYS, 2, "duplicate composition entry for {}"
+    )
+    inverse = None
+    if "inverse" in data:
+        inverse = _name_map(data["inverse"], "inverse", "inverse of")
+    # the table was built here only to be handed over
+    return FiniteCategory._assemble(objects, morphisms, identities, composition), inverse
 
 
 def _all_str(values: Any) -> bool:
     return set(map(type, values)) <= {str}
+
+
+def _names(value: Any, where: str, item: str) -> list[str]:
+    """A list of names, checked at once; on failure each item in order."""
+    if type(value) is not list or not _all_str(value):
+        for x in _want(value, list, where):
+            _want(x, str, item)
+    return value
+
+
+def _name_map(value: Any, where: str, label: str) -> dict[str, str]:
+    """A map to names, checked at once; on failure each value in order."""
+    if type(value) is not dict or not _all_str(value.values()):
+        for k, v in _want(value, dict, where).items():
+            _want(v, str, f"{label} {k}")
+    return value
+
+
+def _record_map(
+    records: Any, where: str, noun: str, keys: tuple[str, ...], width: int, repeat: str
+) -> dict:
+    """A list of records with exactly ``keys``, all names, as a dict from
+    the first ``width`` values to the rest.  The list is checked a column at
+    a time, a repeated key showing as a shorter dict; only when that fails
+    are the records walked in order, to name the first offender."""
+    columns = _columns(records, keys)
+    if columns is not None:
+        found = dict(zip(_zipped(columns[:width]), _zipped(columns[width:])))
+        if len(found) == len(records):
+            return found
+    found = {}
+    for entry in _want(records, list, where):
+        _want(entry, dict, f"{noun} entry")
+        _reject_extra(entry, set(keys), f"{noun} entry {entry}")
+        for key in keys:
+            if key not in entry:
+                raise ParseError(f"{noun} entry {entry} lacks {key!r}")
+            _want(entry[key], str, f"{noun} {key}")
+        row = [entry[key] for key in keys]
+        head = _one(row[:width])
+        if head in found:
+            raise ParseError(repeat.format(head))
+        found[head] = _one(row[width:])
+    return found
 
 
 def _columns(records: Any, keys: tuple[str, ...]) -> list[list[str]] | None:
@@ -212,97 +280,14 @@ def _columns(records: Any, keys: tuple[str, ...]) -> list[list[str]] | None:
     return columns if all(map(_all_str, columns)) else None
 
 
-def _parse_bulk(data: Any) -> tuple[FiniteCategory, dict[str, str] | None] | None:
-    """``_parse_scan`` for a spec that passes every schema rule, checked one
-    column at a time; None on any doubt, leaving the report to the scan.
-    Declared names are still checked by ``FiniteCategory._assemble``.
-    Each rule here restates one of ``_parse_scan``: a rule added to either
-    must be added to both, or a bad spec passes one path."""
-    if type(data) is not dict or not _REQUIRED <= data.keys() <= _TOP_KEYS:
-        return None
-    version, objects, identities = data["invcat-spec"], data["objects"], data["identities"]
-    inverse = data.get("inverse")
-    if (
-        type(version) is not int
-        or version != SCHEMA_VERSION
-        or type(objects) is not list
-        or not _all_str(objects)
-        or type(identities) is not dict
-        or not _all_str(identities.values())
-        or ("inverse" in data and (type(inverse) is not dict or not _all_str(inverse.values())))
-    ):
-        return None
-    arrows = _columns(data["morphisms"], _MORPHISM_KEYS)
-    entries = _columns(data["composition"], _ENTRY_KEYS)
-    if arrows is None or entries is None:
-        return None
-    names, srcs, tgts = arrows
-    lefts, rights, results = entries
-    morphisms = dict(zip(names, zip(srcs, tgts)))
-    composition = dict(zip(zip(lefts, rights), results))
-    if len(morphisms) != len(names) or len(composition) != len(lefts):
-        return None  # a repeated name or pair
-    # the table was built here only to be handed over
-    return FiniteCategory._assemble(objects, morphisms, identities, composition), inverse
+def _zipped(columns: list[list[str]]) -> Any:
+    """One column as it is, or several zipped into tuples."""
+    return columns[0] if len(columns) == 1 else zip(*columns)
 
 
-def _parse_scan(data: Any) -> tuple[FiniteCategory, dict[str, str] | None]:
-    """Every schema rule, entry by entry in document order: the first
-    offender is the one reported.  ``_parse_bulk`` restates each rule for
-    the well-formed case; a rule added here must be added there too."""
-    _want(data, dict, "top level")
-    _reject_extra(data, _TOP_KEYS, "top level")
-    missing = sorted(_REQUIRED - set(data))
-    if missing:
-        raise ParseError(f"missing required field(s) {missing}", fields=missing)
-    version = data["invcat-spec"]
-    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
-        raise ParseError(
-            f"unsupported schema version {version!r}; expected {SCHEMA_VERSION}"
-        )
-
-    objects = _want(data["objects"], list, "objects")
-    for x in objects:
-        _want(x, str, "object name")
-
-    morphisms: dict[str, tuple[str, str]] = {}
-    for entry in _want(data["morphisms"], list, "morphisms"):
-        _want(entry, dict, "morphism entry")
-        _reject_extra(entry, set(_MORPHISM_KEYS), f"morphism entry {entry}")
-        for key in _MORPHISM_KEYS:
-            if key not in entry:
-                raise ParseError(f"morphism entry {entry} lacks {key!r}")
-            _want(entry[key], str, f"morphism {key}")
-        if entry["name"] in morphisms:
-            raise ParseError(f"duplicate morphism name {entry['name']!r}")
-        morphisms[entry["name"]] = (entry["src"], entry["tgt"])
-
-    identities = _want(data["identities"], dict, "identities")
-    for k, v in identities.items():
-        _want(v, str, f"identity of {k}")
-
-    composition: dict[tuple[str, str], str] = {}
-    for entry in _want(data["composition"], list, "composition"):
-        _want(entry, dict, "composition entry")
-        _reject_extra(entry, set(_ENTRY_KEYS), f"composition entry {entry}")
-        for key in _ENTRY_KEYS:
-            if key not in entry:
-                raise ParseError(f"composition entry {entry} lacks {key!r}")
-            _want(entry[key], str, f"composition {key}")
-        pair = (entry["left"], entry["right"])
-        if pair in composition:
-            raise ParseError(f"duplicate composition entry for {pair}")
-        composition[pair] = entry["result"]
-
-    inverse = None
-    if "inverse" in data:
-        inverse = _want(data["inverse"], dict, "inverse")
-        for k, v in inverse.items():
-            _want(v, str, f"inverse of {k}")
-
-    # the table was built here only to be handed over
-    cat = FiniteCategory._assemble(objects, morphisms, identities, composition)
-    return cat, inverse
+def _one(values: list[str]) -> Any:
+    """One value as it is, or several as a tuple."""
+    return values[0] if len(values) == 1 else tuple(values)
 
 
 def load_category(path: str) -> tuple[FiniteCategory, dict[str, str] | None]:

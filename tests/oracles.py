@@ -8,7 +8,8 @@ that Light's test, the generator-only action checks and the hom-set walk of
 ``validate_partial`` replaced, and the group laws and closures that the
 library takes from a validated inverse category, are kept here as their
 references.  The derived categories of the join kernel are rebuilt from
-their definitions, and the last section generates inverse monoids by
+their definitions, the ordered scan of a spec file is the reference for
+``parse_category``, and the last section generates inverse monoids by
 closure for the property tests.
 """
 
@@ -22,7 +23,9 @@ from hypothesis import assume, strategies as st
 from invcat.actions import FibredAction, PartialActionBundle, SymmetryAction
 from invcat.algebra import GroupTable
 from invcat.core import FiniteCategory, InverseCategory, join_category
+from invcat.errors import ParseError
 from invcat.poset import PartialOrderIso, Poset
+from invcat.specfile import SCHEMA_VERSION, _load_json
 
 
 def brute_generalized_inverses(cat: FiniteCategory, s: str) -> list[str]:
@@ -743,6 +746,82 @@ def iic_morphism_data(name: str) -> tuple[str, str, tuple[tuple[str, str], ...]]
         for a, b in (chunk.split(":"),)
     )
     return u, v, pairs
+
+
+# ---------------------------------------------------------------------------
+# spec files
+
+_SPEC_TOP_KEYS = {"invcat-spec", "objects", "morphisms", "identities", "composition", "inverse"}
+_SPEC_REQUIRED = _SPEC_TOP_KEYS - {"inverse"}
+
+
+def _spec_want(value, kind: type, where: str):
+    if not isinstance(value, kind):
+        raise ParseError(f"{where} must be {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _spec_reject_extra(mapping: dict, allowed: set[str], where: str) -> None:
+    extra = sorted(set(mapping) - allowed)
+    if extra:
+        raise ParseError(f"unknown field(s) {extra} in {where}", fields=extra)
+
+
+def brute_parse_spec(text: str) -> tuple[FiniteCategory, dict[str, str] | None]:
+    """``parse_category`` as an ordered scan: every schema rule, entry by
+    entry in document order, so the first offender is the one reported.
+    The JSON layer and the name checks of ``FiniteCategory._assemble`` are
+    the library's own."""
+    data = _load_json(text, "<string>")
+    _spec_want(data, dict, "top level")
+    _spec_reject_extra(data, _SPEC_TOP_KEYS, "top level")
+    missing = sorted(_SPEC_REQUIRED - set(data))
+    if missing:
+        raise ParseError(f"missing required field(s) {missing}", fields=missing)
+    version = data["invcat-spec"]
+    if isinstance(version, bool) or not isinstance(version, int) or version != SCHEMA_VERSION:
+        raise ParseError(f"unsupported schema version {version!r}; expected {SCHEMA_VERSION}")
+
+    objects = _spec_want(data["objects"], list, "objects")
+    for x in objects:
+        _spec_want(x, str, "object name")
+
+    morphisms: dict[str, tuple[str, str]] = {}
+    for entry in _spec_want(data["morphisms"], list, "morphisms"):
+        _spec_want(entry, dict, "morphism entry")
+        _spec_reject_extra(entry, {"name", "src", "tgt"}, f"morphism entry {entry}")
+        for key in ("name", "src", "tgt"):
+            if key not in entry:
+                raise ParseError(f"morphism entry {entry} lacks {key!r}")
+            _spec_want(entry[key], str, f"morphism {key}")
+        if entry["name"] in morphisms:
+            raise ParseError(f"duplicate morphism name {entry['name']!r}")
+        morphisms[entry["name"]] = (entry["src"], entry["tgt"])
+
+    identities = _spec_want(data["identities"], dict, "identities")
+    for k, v in identities.items():
+        _spec_want(v, str, f"identity of {k}")
+
+    composition: dict[tuple[str, str], str] = {}
+    for entry in _spec_want(data["composition"], list, "composition"):
+        _spec_want(entry, dict, "composition entry")
+        _spec_reject_extra(entry, {"left", "right", "result"}, f"composition entry {entry}")
+        for key in ("left", "right", "result"):
+            if key not in entry:
+                raise ParseError(f"composition entry {entry} lacks {key!r}")
+            _spec_want(entry[key], str, f"composition {key}")
+        pair = (entry["left"], entry["right"])
+        if pair in composition:
+            raise ParseError(f"duplicate composition entry for {pair}")
+        composition[pair] = entry["result"]
+
+    inverse = None
+    if "inverse" in data:
+        inverse = _spec_want(data["inverse"], dict, "inverse")
+        for k, v in inverse.items():
+            _spec_want(v, str, f"inverse of {k}")
+
+    return FiniteCategory._assemble(objects, morphisms, identities, composition), inverse
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from invcat import (
     FiniteCategory,
+    ParseError,
     ToolkitError,
     cyclic_group_2,
     dump_category,
@@ -27,7 +28,8 @@ from invcat import (
     two_object_groupoid,
 )
 from invcat.cli import _INPUT_ERROR_CODES, main
-from invcat.specfile import _load_json, _parse_bulk, _parse_scan
+
+from oracles import brute_parse_spec
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +154,7 @@ def test_emit_spec_loads_back_to_an_equal_category(datadir, capsys, tmp_path, na
     origin = find_inverse_structure(load_category(str(datadir / f"{name}.json"))[0])
     want = szendrei(origin, variant.replace("-", "_")).ic
     cat, inverse = load_category(str(out))
-    assert_bulk_path_taken_and_equal_to_the_scan(out.read_text())
+    assert_parsed_as_the_scan_parses(out.read_text())
     assert cat.objects == want.cat.objects
     assert cat.morphisms == want.cat.morphisms
     assert (cat.src, cat.tgt) == (want.cat.src, want.cat.tgt)
@@ -249,6 +251,21 @@ def test_duplicate_json_keys_are_rejected(capsys, tmp_path):
     assert report["error"]["details"] == {"key": "*"}
 
 
+def test_duplicate_object_declarations_are_rejected(capsys, tmp_path):
+    spec = tmp_path / "dup_objects.json"
+    spec.write_text(
+        '{"invcat-spec": 1, "objects": ["*", "*"],'
+        ' "morphisms": [{"name": "1", "src": "*", "tgt": "*"}],'
+        ' "identities": {"*": "1"},'
+        ' "composition": [{"left": "1", "right": "1", "result": "1"}]}'
+    )
+    code, report, err = run(capsys, "validate", str(spec))
+    assert code == 2
+    assert report["error"]["code"] == "UNDECLARED_NAME"
+    assert report["error"]["details"] == {"objects": ["*", "*"]}
+    assert "Traceback" not in err
+
+
 def test_decompose(datadir, capsys):
     code, report, _ = run(capsys, "decompose", str(datadir / "i2.json"))
     assert code == 0
@@ -332,23 +349,54 @@ def parse_outcome(parse, text: str):
         return type(exc), exc.message, exc.details
 
 
-def assert_bulk_agrees_with_the_scan(text: str) -> None:
-    """``parse_category`` (bulk check first) and the ordered scan called
-    directly give the same category and inverse, or the same error."""
-    scan = parse_outcome(lambda t: _parse_scan(_load_json(t, "<string>")), text)
-    assert parse_outcome(parse_category, text) == scan
+def assert_parse_agrees_with_the_scan(text: str) -> None:
+    """``parse_category`` and the ordered scan of ``oracles.brute_parse_spec``
+    give the same category and inverse, or the same error."""
+    assert parse_outcome(parse_category, text) == parse_outcome(brute_parse_spec, text)
 
 
-def assert_bulk_path_taken_and_equal_to_the_scan(text: str) -> None:
-    data = _load_json(text, "<string>")
-    bulk = _parse_bulk(data)
-    assert bulk is not None, "a well-formed spec fell back to the scan"
-    assert bulk == _parse_scan(data)
+def assert_parsed_as_the_scan_parses(text: str) -> None:
+    """A well-formed spec: both readers give the same category and inverse."""
+    assert parse_category(text) == brute_parse_spec(text)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_demo_specs_load_in_bulk_as_the_scan_loads_them(name):
-    assert_bulk_path_taken_and_equal_to_the_scan(SPECS[name])
+    assert_parsed_as_the_scan_parses(SPECS[name])
+
+
+def repeat_then_retype(data: dict) -> None:
+    data["morphisms"][1]["name"] = "emp"  # repeats the first name
+    data["morphisms"][3]["src"] = 5
+
+
+def bad_morphism_and_composition_entry(data: dict) -> None:
+    del data["morphisms"][2]["tgt"]
+    data["composition"][0]["extra"] = "x"
+
+
+def bad_identity_and_composition_entry(data: dict) -> None:
+    data["identities"]["*"] = 1
+    data["composition"][0]["result"] = 7
+
+
+@pytest.mark.parametrize(
+    ("edit", "message"),
+    [
+        (repeat_then_retype, "duplicate morphism name 'emp'"),
+        (bad_morphism_and_composition_entry, "morphism entry {'name': 'id2', 'src': '*'} lacks 'tgt'"),
+        (bad_identity_and_composition_entry, "identity of * must be str, got int"),
+    ],
+)
+def test_a_spec_with_two_faults_names_the_earlier_one(edit, message):
+    """Each spec breaks two rules; the one met first in document order is
+    reported, so a reader that checked every type before any repeat, or
+    read a later section before an earlier one, would fail here."""
+    data = json.loads(SPECS["i2"])
+    edit(data)
+    text = json.dumps(data)
+    assert parse_outcome(parse_category, text) == (ParseError, message, {})
+    assert_parse_agrees_with_the_scan(text)
 
 
 def run_quietly(*argv: str) -> tuple[int, str]:
@@ -375,7 +423,7 @@ def test_truncated_specs_are_parse_errors(tmp_path, name):
     for cut in sorted({*range(0, len(text), max(1, len(text) // 40)), len(text) - 1}):
         path.write_text(text[:cut])
         assert assert_typed_input_error(path)["error"]["code"] == "PARSE_ERROR"
-        assert_bulk_agrees_with_the_scan(text[:cut])
+        assert_parse_agrees_with_the_scan(text[:cut])
 
 
 @settings(max_examples=150, deadline=None)
@@ -388,7 +436,7 @@ def test_mutated_specs_never_escape_as_tracebacks(name, where, replacement):
     text = SPECS[name]
     k = where % len(text)
     mutated = text[:k] + replacement + text[k + 1:]
-    assert_bulk_agrees_with_the_scan(mutated)
+    assert_parse_agrees_with_the_scan(mutated)
     with tempfile.TemporaryDirectory() as tmp:
         path = pathlib.Path(tmp) / "mutated.json"
         path.write_text(mutated)
@@ -426,7 +474,7 @@ def test_specs_with_a_retyped_value_never_escape_as_tracebacks(name, where, repl
         parent[path[-1]] = replacement
     else:
         data = replacement
-    assert_bulk_agrees_with_the_scan(json.dumps(data))
+    assert_parse_agrees_with_the_scan(json.dumps(data))
     with tempfile.TemporaryDirectory() as tmp:
         spec = pathlib.Path(tmp) / "retyped.json"
         spec.write_text(json.dumps(data))

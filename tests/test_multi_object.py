@@ -15,7 +15,10 @@ from hypothesis import given, settings, strategies as st
 from invcat import (
     bernoulli_global,
     bernoulli_partial,
+    certified_inverse_structure,
+    dump_category,
     fibred_to_symmetry,
+    parse_category,
     restrict_to_ideal,
     symmetry_to_partial,
     szendrei,
@@ -55,3 +58,17 @@ def test_expansions_match_their_definitions(ic):
         cat = sz.ic.cat
         typed = {m: (cat.src[m], cat.tgt[m]) for m in cat.morphisms}
         assert (typed, cat.table) == brute_expansion(sz), variant
+
+
+@settings(max_examples=40, deadline=None)
+@given(partial_injection_categories())
+def test_spec_files_round_trip(ic):
+    for want in (ic, *(szendrei(ic, variant).ic for variant in VARIANTS)):
+        cat, inverse = parse_category(dump_category(want.cat, want.inverse))
+        assert cat.objects == want.cat.objects
+        assert cat.morphisms == want.cat.morphisms
+        assert (cat.src, cat.tgt) == (want.cat.src, want.cat.tgt)
+        assert cat.identity == want.cat.identity
+        assert cat.table == want.cat.table
+        assert inverse == want.inverse
+        assert certified_inverse_structure(cat, inverse).inverse == want.inverse

@@ -1,8 +1,8 @@
 """The library has no ``assert`` statement, so ``python -O`` changes nothing.
 
-A caller's broken precondition raises a typed error, and what a validated
-category already proves is not checked again; the poset checks raise
-``AssertionError`` explicitly.
+A caller's broken precondition raises a typed error, the poset and
+order-isomorphism checks among them, and what a validated category already
+proves is not checked again.
 """
 
 from __future__ import annotations

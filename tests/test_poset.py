@@ -12,6 +12,7 @@ import pytest
 from invcat import (
     PartialOrderIso,
     Poset,
+    PreconditionFailed,
     SizeCapExceeded,
     build_Iic,
     chain2_poset,
@@ -42,28 +43,28 @@ def diamond() -> Poset:
 
 
 def test_poset_rejects_broken_relations():
-    with pytest.raises(AssertionError):
+    with pytest.raises(PreconditionFailed, match="antisymmetric"):
         Poset(("a", "b"), frozenset({("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}))
-    with pytest.raises(AssertionError):
+    with pytest.raises(PreconditionFailed, match="reflexive"):
         Poset(("a", "b"), frozenset({("a", "b"), ("b", "b")}))
 
 
 # Run under ``python -O``, where ``assert`` statements are stripped: the
-# poset and order-iso checks must still raise, and the validators built on
-# them must still report.
+# poset and order-iso checks must still raise their typed error, and the
+# validators built on them must still report.
 OPTIMISED_CHECKS = textwrap.dedent(
     """
     import dataclasses
     from invcat import (
-        PartialOrderIso, Poset, bernoulli_global, bernoulli_partial, chain2_poset,
+        PartialOrderIso, Poset, PreconditionFailed, bernoulli_global, bernoulli_partial, chain2_poset,
         cyclic_group_2, fibred_to_symmetry, validate_partial, validate_symmetry,
     )
 
     def rejects(build):
         try:
             build()
-        except AssertionError as exc:
-            return exc.args
+        except PreconditionFailed as exc:
+            return exc.code, exc.details.get("failure", exc.message)
         return None
 
     print(rejects(lambda: Poset(("a", "b"), frozenset({("a", "b"), ("b", "b")}))))
@@ -87,8 +88,8 @@ def test_checks_hold_under_python_O():
         [sys.executable, "-O", "-c", OPTIMISED_CHECKS], capture_output=True, text=True, env=env, check=True
     )
     assert run.stdout.splitlines() == [
-        "('relation not reflexive',)",
-        "(('mapping does not preserve and reflect order', ('a', 'b'), ('b', 'a')),)",
+        "('PRECONDITION_FAILED', 'relation not reflexive')",
+        "('PRECONDITION_FAILED', ('mapping does not preserve and reflect order', ('a', 'b'), ('b', 'a')))",
         "axiom-i ('e',)",
         "iso-order ('e',)",
     ]
@@ -119,13 +120,15 @@ def test_partial_order_iso_validation():
     iso = PartialOrderIso.make(chain, [("a", "b")])
     assert iso.apply("a") == "b"
     assert iso.inverse().apply("b") == "a"
-    with pytest.raises(AssertionError):
+    with pytest.raises(PreconditionFailed):
         PartialOrderIso.make(chain, [("a", "b"), ("b", "a")])  # reverses the order
-    with pytest.raises(AssertionError):
-        PartialOrderIso.make(chain, [("a", "a"), ("b", "a")])  # not injective
-    with pytest.raises(AssertionError) as err:
+    with pytest.raises(PreconditionFailed) as err:
+        PartialOrderIso.make(chain, [("a", "a"), ("b", "a")])
+    assert err.value.details == {"failure": "mapping not injective"}
+    with pytest.raises(PreconditionFailed) as err:
         PartialOrderIso.make(chain, [("b", "b"), ("ghost", "ghost2")])  # points outside
-    assert err.value.args[0] == ("point outside the poset", "ghost")
+    assert err.value.details == {"failure": ("point outside the poset", "ghost")}
+    assert err.value.message == "not an order isomorphism: ('point outside the poset', 'ghost')"
 
 
 def test_compose_partial_isos_takes_largest_domain():

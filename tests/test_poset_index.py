@@ -4,7 +4,7 @@
 ``PartialOrderIso.make`` read the same masks, ``build_bernoulli`` enumerates
 its order directly, and ``validate_inverse_semigroup`` decides associativity
 by Light's test.  Each must agree with the scan in oracles.py: the same
-verdict, the same assertion message and the same witnesses.  The last two
+verdict, the same failure message and the same witnesses.  The last two
 tests count operations, so that an all-pairs scan cannot come back unseen.
 """
 
@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from invcat import (
     PartialOrderIso,
     Poset,
+    PreconditionFailed,
     bernoulli_global,
     bernoulli_partial,
     build_bernoulli,
@@ -65,16 +66,16 @@ def orders(draw, most: int = len(NAMES)) -> tuple[tuple[str, ...], frozenset[tup
 def poset_failure(elements, relation) -> str | None:
     try:
         Poset(elements, relation)
-    except AssertionError as exc:
-        return exc.args[0]
+    except PreconditionFailed as exc:
+        return exc.message
     return None
 
 
 def iso_outcome(poset: Poset, pairs) -> PartialOrderIso | str | tuple:
     try:
         return PartialOrderIso.make(poset, pairs)
-    except AssertionError as exc:
-        return exc.args[0]
+    except PreconditionFailed as exc:
+        return exc.details["failure"]
 
 
 @pytest.mark.parametrize(
