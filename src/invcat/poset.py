@@ -158,7 +158,7 @@ class PartialOrderIso:
     def make(poset: Poset, pairs: Iterable[tuple[str, str]]) -> "PartialOrderIso":
         """Check and build the map; PreconditionFailed carries its failure."""
         ordered = tuple(sorted(pairs))
-        failure = order_iso_failure(poset, ordered)
+        failure = _sorted_iso_failure(poset, ordered)
         if failure is not None:
             raise PreconditionFailed(f"not an order isomorphism: {failure!r}", failure=failure)
         return PartialOrderIso(ordered)
@@ -190,7 +190,11 @@ def order_iso_failure(poset: Poset, pairs: Iterable[tuple[str, str]]) -> str | t
     of pairs in sorted order on which ≤ is not preserved and reflected), or
     None.  The order test maps down-sets, one bit per relation pair inside
     dom; only when it fails are the points looked up and the pairs scanned."""
-    ordered = sorted(pairs)
+    return _sorted_iso_failure(poset, sorted(pairs))
+
+
+def _sorted_iso_failure(poset: Poset, ordered: Sequence[tuple[str, str]]) -> str | tuple | None:
+    """``order_iso_failure`` of pairs already in sorted order."""
     dom = [a for a, _ in ordered]
     ran = [b for _, b in ordered]
     if len(set(dom)) != len(dom):

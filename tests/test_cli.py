@@ -11,6 +11,7 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import invcat.specfile
 from invcat import (
     FiniteCategory,
     ParseError,
@@ -356,8 +357,17 @@ def assert_parse_agrees_with_the_scan(text: str) -> None:
 
 
 def assert_parsed_as_the_scan_parses(text: str) -> None:
-    """A well-formed spec: both readers give the same category and inverse."""
-    assert parse_category(text) == brute_parse_spec(text)
+    """A well-formed spec is read in bulk, never reaching the record walk
+    (the only caller of ``specfile._one``), and both readers give the same
+    category and inverse."""
+
+    def walked(values):
+        pytest.fail(f"a well-formed spec took the record walk at {values}")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(invcat.specfile, "_one", walked)
+        parsed = parse_category(text)
+    assert parsed == brute_parse_spec(text)
 
 
 @pytest.mark.parametrize("name", sorted(SPECS))
