@@ -12,34 +12,26 @@ Conventions used throughout the package:
 * Declaration order of objects and morphisms is the canonical order;
   derived collections are emitted sorted by name.
 * A category is immutable once built and indexes its morphisms by source,
-  by target and by (source, target) once, in declaration order; hom-sets,
-  stars, costars and the inverse search read these buckets.  Every derived
-  category is built by ``join_category`` from triples (source, base
-  morphism, target) over the base table read by columns
-  (``FiniteCategory.columns``, built on first use), composing each arrow
-  only with the arrows starting where it ends, so its cost follows the
-  composable pairs.  It looks every composite up among the declared
-  arrows, so its table is closed by construction; ``FiniteCategory.build``
-  checks all of a table's names at once, as one set, and scans entry by
-  entry only to report the first undeclared one.
+  by target and by (source, target) once, in declaration order.  Every
+  derived category is built by ``join_category`` from triples (source,
+  base morphism, target) over the columns of a base table.  It stores each
+  composite as an arrow number, one row per right arrow, so its cost
+  follows the composable pairs, and names its table only when it is read.
+  Light's test, the generators, the inverse certificate, the idempotents,
+  the columns and the spec writer read the rows (``FiniteCategory.ints``).
 * Associativity is decided by Light's test on the generating set of
   ``generators``; the action validators check their composition laws on
   the same generators once the acting category passes.
 * Inverses are certified, not searched for, wherever a map s ↦ s° is
-  known: ``certified_inverse_structure`` accepts it when s·s°·s = s and
-  s°·s·s° = s° for every s and the idempotents at each object commute.
-  In an associative category these make s° the only generalized inverse
-  of s (Lawson, *Inverse Semigroups*, 1998, Thm 1.1.3, whose proof
-  multiplies idempotents at one object only).  ``join_category`` names
-  each arrow's inverse from the base inverse map, and the CLI hands over
-  a spec's declared ``"inverse"``.  When the certificate fails,
-  ``find_inverse_structure`` searches every hom(tgt s, src s), so an
-  error names the same morphism and candidates as a search alone.
+  known (``certified_inverse_structure``); ``find_inverse_structure``
+  searches only when the certificate fails, so an error names the same
+  morphism and candidates as a search alone.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import getitem
@@ -99,8 +91,8 @@ class FiniteCategory:
 
     ``src``/``tgt`` type every morphism, ``identity`` names the identity of
     each object, and ``table`` holds every defined composite keyed by
-    ``(after, first)``.
-    """
+    ``(after, first)``: the dict given, or for a joined category an
+    ``_Unnamed`` placeholder over the rows of ``ints()``."""
 
     objects: tuple[str, ...]
     morphisms: tuple[str, ...]
@@ -112,6 +104,7 @@ class FiniteCategory:
     _by_tgt: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _by_hom: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _columns: dict[str, dict[str, str]] | None = field(default=None, init=False, repr=False, compare=False)
+    _ints: "_IntTable | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         src, tgt = self.src, self.tgt
@@ -119,12 +112,20 @@ class FiniteCategory:
         self._by_tgt = _buckets(self.morphisms, tgt.__getitem__)
         self._by_hom = _buckets(self.morphisms, lambda m: (src[m], tgt[m]))
 
+    def ints(self) -> "_IntTable":
+        """The table in arrow numbers; read off a given table on first use."""
+        if self._ints is None:
+            self._ints = _IntTable(self)
+        return self._ints
+
     def columns(self) -> dict[str, dict[str, str]]:
         """The table by its first factor, t -> {s: s∘t}, built on first use."""
         if self._columns is None:
-            self._columns = {}
-            for (s, t), st in self.table.items():
-                self._columns.setdefault(t, {})[s] = st
+            mors, by_src = self.morphisms, self._by_src
+            self._columns = {
+                t: dict(zip(by_src.get(self.tgt[t], ()), map(mors.__getitem__, row)))
+                for t, row in zip(mors, self.ints().rows)
+            }
         return self._columns
 
     @staticmethod
@@ -148,7 +149,7 @@ class FiniteCategory:
         objects: Iterable[str],
         morphisms: Mapping[str, tuple[str, str]],
         identities: Mapping[str, str],
-        table: dict[tuple[str, str], str],
+        table: dict[tuple[str, str], str] | None,
     ) -> "FiniteCategory":
         """``build`` storing ``table`` itself: the caller hands the dict
         over and keeps no use of it, so the table is never held twice."""
@@ -171,10 +172,11 @@ class FiniteCategory:
             if m not in mset:
                 raise UndeclaredName(f"identity of {obj!r} is undeclared morphism {m!r}", name=m)
             ident[obj] = m
-        used = set(itertools.chain.from_iterable(table))
-        used.update(table.values())
+        names = {} if table is None else table
+        used = set(itertools.chain.from_iterable(names))
+        used.update(names.values())
         if not used <= mset:
-            for pair, h in table.items():
+            for pair, h in names.items():
                 for name in (*pair, h):
                     if name not in mset:
                         raise UndeclaredName(f"composition entry uses undeclared morphism {name!r}", name=name)
@@ -200,6 +202,39 @@ class FiniteCategory:
 
     def parallel(self, s: str, t: str) -> bool:
         return self.src[s] == self.src[t] and self.tgt[s] == self.tgt[t]
+
+
+class _Unnamed:
+    """The ``table`` of a joined category until its first read, which
+    names the rows (f in declaration order, then each g leaving tgt f) and
+    puts the dict in this placeholder's place.  The category is held
+    weakly, so that no joined category is left in a reference cycle."""
+
+    __slots__ = ("_cat", "_parts", "_named")
+    __hash__ = None
+
+    def __init__(self, cat: FiniteCategory) -> None:
+        self._cat = weakref.ref(cat)
+        self._parts = (cat.morphisms, cat.tgt, cat._by_src, cat.ints().rows)
+        self._named = None
+
+    def named(self) -> dict[tuple[str, str], str]:
+        if self._named is None:
+            mors, tgt, by_src, rows = self._parts
+            self._named = table = {}
+            for f, row in zip(mors, rows):
+                table.update(zip(zip(by_src.get(tgt[f], ()), itertools.repeat(f)), map(mors.__getitem__, row)))
+            if (cat := self._cat()) is not None:
+                cat.table = table
+        return self._named
+
+    def __eq__(self, other: object) -> bool:
+        return self.named() == other
+
+
+# every other read a caller makes of the table is made of the named dict
+for _read in ("__contains__", "__getitem__", "__iter__", "__len__", "get", "items", "keys", "values"):
+    setattr(_Unnamed, _read, lambda self, *args, _read=_read: getattr(self.named(), _read)(*args))
 
 
 def _buckets(items: Iterable, key) -> dict:
@@ -281,29 +316,34 @@ def _table_report(cat: FiniteCategory) -> ValidationReport:
 
 
 class _IntTable:
-    """The composable pairs of a category in integer form, as Light's test
-    and the generator search read them.
+    """A composition table in arrow numbers: the one table of a joined
+    category, or read off a given table, which must then hold exactly the
+    composable pairs (the exactness rules of ``validate_category``).
 
-    Morphism i is ``cat.morphisms[i]``; ``rows[h][slot[f]]`` is the number
-    of h∘f, where f runs over the morphisms ending where h starts, in
-    declaration order, and ``slot[f]`` is the place of f among the
-    morphisms ending where f ends.  Assumes the table holds the composable
-    pairs (the exactness rules of ``validate_category``)."""
+    Morphism i is ``cat.morphisms[i]`` (``num`` numbers the names), and
+    ``rows[f][place[g]]`` is g∘f: row f lists the g∘f for the g leaving
+    tgt f, in source-bucket order, and ``place[g]`` is the place of g among
+    the morphisms leaving src g."""
 
-    def __init__(self, cat: FiniteCategory) -> None:
-        num = {m: i for i, m in enumerate(cat.morphisms)}
-        table, by_tgt = cat.table, cat._by_tgt
+    def __init__(self, cat: FiniteCategory, rows: list[list[int]] | None = None) -> None:
+        self.num = num = {m: i for i, m in enumerate(cat.morphisms)}
         self.src = [cat.src[m] for m in cat.morphisms]
         self.tgt = [cat.tgt[m] for m in cat.morphisms]
-        self.slot = [0] * len(num)
-        for bucket in by_tgt.values():
-            for k, f in enumerate(bucket):
-                self.slot[num[f]] = k
-        self.rows = [
-            [num[table[(h, f)]] for f in by_tgt.get(cat.src[h], ())] for h in cat.morphisms
-        ]
-        self.star = {x: [num[m] for m in bucket] for x, bucket in cat._by_src.items()}
+        self.place = [0] * len(num)
+        for bucket in cat._by_src.values():
+            for k, g in enumerate(bucket):
+                self.place[num[g]] = k
+        if rows is None:
+            table, by_src = cat.table, cat._by_src
+            rows = [[num[table[g, f]] for g in by_src.get(cat.tgt[f], ())] for f in cat.morphisms]
+        self.rows = rows
+        self.costar = {y: [num[m] for m in bucket] for y, bucket in cat._by_tgt.items()}
         self.units = [num[m] for m in cat.identity.values()]
+
+    def idempotents(self) -> list[int]:
+        """The e with e∘e = e, in declaration order."""
+        rows, place, src, tgt = self.rows, self.place, self.src, self.tgt
+        return [e for e, row in enumerate(rows) if src[e] == tgt[e] and row[place[e]] == e]
 
     def generators(self) -> list[int]:
         """Greedy: the morphisms that are seldom composites come first,
@@ -311,7 +351,7 @@ class _IntTable:
         What is reached, starting from the identities, stays closed under
         y ↦ y∘g for the generators g so far, so a morphism not yet reached
         becomes the next generator."""
-        rows, slot, src, tgt = self.rows, self.slot, self.src, self.tgt
+        rows, place, src, tgt = self.rows, self.place, self.src, self.tgt
         produced = Counter(itertools.chain.from_iterable(rows))
         gens: list[int] = []
         into: dict[str, list[int]] = {}  # generators by target
@@ -324,26 +364,26 @@ class _IntTable:
                 continue
             gens.append(x)
             into.setdefault(tgt[x], []).append(x)
-            k = slot[x]
-            frontier = [x, *(rows[y][k] for y in reached_from.get(tgt[x], ()))]
+            row = rows[x]
+            frontier = [x, *(row[place[y]] for y in reached_from.get(tgt[x], ()))]
             while frontier:
                 y = frontier.pop()
                 if y not in reached:
                     reached.add(y)
                     reached_from.setdefault(src[y], []).append(y)
-                    row = rows[y]
-                    frontier.extend(row[slot[g]] for g in into.get(src[y], ()))
+                    k = place[y]
+                    frontier.extend(rows[g][k] for g in into.get(src[y], ()))
         return gens
 
     def associative_at(self, gens: Iterable[int]) -> bool:
         """(h∘g)∘f = h∘(g∘f) for each g of ``gens`` and all h, f composable
-        with it: row h∘g must equal row h read at the places of the g∘f."""
-        rows, slot = self.rows, self.slot
+        with it: row g∘f must equal row f read at the places of the h∘g."""
+        rows, place = self.rows, self.place
         for g in gens:
-            k = slot[g]
-            places = [slot[gf] for gf in rows[g]]
-            for h in self.star.get(self.tgt[g], ()):
-                row = rows[h]
+            k = place[g]
+            places = [place[hg] for hg in rows[g]]
+            for f in self.costar.get(self.src[g], ()):
+                row = rows[f]
                 if rows[row[k]] != [row[j] for j in places]:
                     return False
         return True
@@ -355,7 +395,7 @@ def generators(cat: FiniteCategory) -> tuple[str, ...]:
     are chosen.  One walk over the composable pairs counts how often each
     morphism is a composite; see ``_IntTable.generators``.  Assumes the
     table holds the composable pairs (``validate_category``)."""
-    return tuple(cat.morphisms[g] for g in _IntTable(cat).generators())
+    return tuple(cat.morphisms[g] for g in cat.ints().generators())
 
 
 def _light_test(cat: FiniteCategory) -> tuple[str, ...] | None:
@@ -369,7 +409,7 @@ def _light_test(cat: FiniteCategory) -> tuple[str, ...] | None:
     category associative.  Needs the exactness rules of
     ``validate_category``, and its identity rules when ``cat`` declares
     identities."""
-    ints = _IntTable(cat)
+    ints = cat.ints()
     gens = ints.generators()
     if not ints.associative_at(gens):
         return None
@@ -439,7 +479,7 @@ class InverseCategory:
 
     def idempotents(self) -> tuple[str, ...]:
         if self._idem is None:
-            self._idem = tuple(sorted(m for m in self.morphisms if self.is_idempotent(m)))
+            self._idem = tuple(sorted(map(self.morphisms.__getitem__, self.cat.ints().idempotents())))
         return self._idem
 
     def idempotents_at(self, x: str) -> tuple[str, ...]:
@@ -547,30 +587,34 @@ def certified_inverse_structure(cat: FiniteCategory, inverse: Mapping[str, str] 
     no claim or the claim fails its certificate.
 
     The certificate asks s·s°·s = s and s°·s·s° = s° of every morphism s,
-    and ef = fe of all idempotents e, f at each object.  It makes s° the
-    unique generalized inverse of s: if t and t' both are one, then ts,
-    t's are idempotents at the source of s and st, st' at its target, so
-    t = (ts)(t's)t = (t's)(ts)t = t'st = t'(st')(st) = t'(st)(st') = t'
-    (Lawson, *Inverse Semigroups*, 1998, Thm 1.1.3).  The map returned is
-    ``inverse`` read in declaration order, as the search would build it."""
-    if inverse is not None and _certifies(cat, inverse):
-        return InverseCategory(cat, {s: inverse[s] for s in cat.morphisms})
+    and ef = fe of all idempotents e, f at each object, on the rows of
+    ``cat.ints()``.  It makes s° the unique generalized inverse of s: if t
+    and t' both are one, then ts, t's are idempotents at the source of s
+    and st, st' at its target, so t = (ts)(t's)t = (t's)(ts)t = t'st =
+    t'(st')(st) = t'(st)(st') = t' (Lawson, *Inverse Semigroups*, 1998,
+    Thm 1.1.3).  The map returned is ``inverse`` read in declaration order,
+    as the search would build it."""
+    if inverse is not None:
+        ints = cat.ints()
+        if _certifies(ints, [ints.num.get(inverse.get(m)) for m in cat.morphisms]):
+            return InverseCategory(cat, {s: inverse[s] for s in cat.morphisms})
     return find_inverse_structure(cat)
 
 
-def _certifies(cat: FiniteCategory, inverse: Mapping[str, str]) -> bool:
-    """Whether ``inverse`` passes the certificate of
-    ``certified_inverse_structure`` on ``cat``: the two regularity laws
-    are read a column at a time, with no Python frame per morphism."""
-    get, mors = cat.table.get, list(cat.morphisms)
-    inv = list(map(inverse.get, mors))
-    if list(map(get, zip(mors, map(get, zip(inv, mors))))) != mors:
+def _certifies(ints: _IntTable, inv: list[int | None]) -> bool:
+    """Whether the arrow numbers ``inv`` pass the certificate of
+    ``certified_inverse_structure``, each law read for all s at once."""
+    rows, place, src, tgt = ints.rows, ints.place, ints.src, ints.tgt
+    if None in inv or list(map(src.__getitem__, inv)) != tgt or list(map(tgt.__getitem__, inv)) != src:
         return False
-    if list(map(get, zip(inv, map(get, zip(mors, inv))))) != inv:
+    ts = list(map(getitem, rows, map(place.__getitem__, inv)))  # s°∘s
+    if list(map(getitem, map(rows.__getitem__, ts), place)) != list(range(len(rows))):
         return False
-    idem = [e for e, ee in zip(mors, map(get, zip(mors, mors))) if e == ee]
-    for es in _buckets(idem, cat.src.__getitem__).values():
-        if any(get((e, f)) != get((f, e)) for e, f in itertools.combinations(es, 2)):
+    st = list(map(getitem, map(rows.__getitem__, inv), place))  # s∘s°
+    if list(map(getitem, map(rows.__getitem__, st), map(place.__getitem__, inv))) != inv:
+        return False
+    for es in _buckets(ints.idempotents(), src.__getitem__).values():
+        if any(rows[f][place[e]] != rows[e][place[f]] for e, f in itertools.combinations(es, 2)):
             return False
     return True
 
@@ -589,40 +633,39 @@ def join_category(
     ``columns`` t -> {s: s∘t} and whose inverse map is ``inverse``:
     g = (y, s, z) after f = (x, t, y) is the declared arrow (x, s∘t, z).
 
-    For each f, one ``dict.update`` reads the arrows starting at y as
-    parallel lists, the column of t and the map source -> base
-    morphism -> target -> name, so no Python frame runs per pair.  The
-    table is thus closed by construction, and its names are not checked
-    again.  A composite that is not declared raises UNDECLARED_NAME for
+    Row f of ``ints()`` is one list of arrow numbers, read off the arrows
+    starting at y (as parallel lists), the column of t and the map source
+    -> base morphism -> target -> arrow number, so no Python frame, key or
+    name is made per pair; ``table`` is named only when it is read.  A
+    composite that is not declared raises UNDECLARED_NAME for
     ``name(x, s∘t, z)``, the first in table order.
 
     The inverse of (x, s, z) is the declared arrow (z, s°, x), looked up
     in the same map; ``certified_inverse_structure`` checks it, and
     searches only when an arrow lacks it or the certificate fails."""
-    named: dict[str, dict[str, dict[str, str]]] = {}
-    for m, (x, s, z) in arrows.items():
-        named.setdefault(x, {}).setdefault(s, {})[z] = m
+    named: dict[str, dict[str, dict[str, int]]] = {}
+    for i, (x, s, z) in enumerate(arrows.values()):
+        named.setdefault(x, {}).setdefault(s, {})[z] = i
     typing = {m: (x, z) for m, (x, _, z) in arrows.items()}
-    table: dict[tuple[str, str], str] = {}
-    # checks the declarations while the table is empty; it is filled in place
-    cat = FiniteCategory._assemble(objects, typing, identities, table)
+    cat = FiniteCategory._assemble(objects, typing, identities, None)
     left = {
-        y: (gs, [arrows[g][1] for g in gs], [arrows[g][2] for g in gs])
+        y: ([arrows[g][1] for g in gs], [arrows[g][2] for g in gs])
         for y, gs in cat._by_src.items()
     }
-    for f, (x, t, y) in arrows.items():
-        gs, mids, ends = left.get(y, ((), (), ()))
+    rows: list[list[int]] = []
+    for x, t, y in arrows.values():
+        mids, ends = left.get(y, ((), ()))
         row, column = named[x], columns.get(t, {})
-        composites = map(getitem, map(row.__getitem__, map(column.__getitem__, mids)), ends)
         try:
-            table.update(zip(zip(gs, itertools.repeat(f)), composites))
+            rows.append(list(map(getitem, map(row.__getitem__, map(column.__getitem__, mids)), ends)))
         except KeyError:
-            # the entries before the miss are in: name the first one left out
-            s, z = next((s, z) for g, s, z in zip(gs, mids, ends) if (g, f) not in table)
+            s, z = next((s, z) for s, z in zip(mids, ends) if z not in row.get(column.get(s), ()))
             miss = name(x, column.get(s), z)
             raise UndeclaredName(f"composition entry uses undeclared morphism {miss!r}", name=miss) from None
+    cat._ints = _IntTable(cat, rows)
+    cat.table = _Unnamed(cat)
     try:
-        claimed = {m: named[z][inverse[s]][x] for m, (x, s, z) in arrows.items()}
+        claimed = {m: cat.morphisms[named[z][inverse[s]][x]] for m, (x, s, z) in arrows.items()}
     except KeyError:
         claimed = None
     return certified_inverse_structure(cat, claimed)

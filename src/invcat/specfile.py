@@ -122,9 +122,18 @@ def _records(rows: list[str]) -> str:
 
 
 def _composition_records(cat: FiniteCategory, q: _Quoted) -> list[str]:
-    """The composition records sorted by (left, right)."""
+    """The composition records sorted by (left, right); a joined category
+    is read off its rows, left factor by left factor, without naming it."""
     table = cat.table
-    return [_ENTRY % (q[g], q[f], q[table[g, f]]) for g, f in sorted(table)]
+    if isinstance(table, dict):
+        return [_ENTRY % (q[g], q[f], q[table[g, f]]) for g, f in sorted(table)]
+    ints, names = cat.ints(), [q[m] for m in cat.morphisms]
+    right = {y: [(q[f], ints.rows[ints.num[f]]) for f in sorted(fs)] for y, fs in cat._by_tgt.items()}
+    return [
+        _ENTRY % (q[g], qf, names[row[k]])
+        for g, k in sorted(zip(cat.morphisms, ints.place))
+        for qf, row in right.get(cat.src[g], ())
+    ]
 
 
 def dump_category(cat: FiniteCategory, inverse: dict[str, str] | None = None) -> str:
@@ -203,7 +212,7 @@ def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory,
         raise ParseError(
             f"unsupported schema version {version!r}; expected {SCHEMA_VERSION}"
         )
-    objects = _names(data["objects"], "objects", "object name")
+    objects = _names(data["objects"], "objects", "object name", "duplicate object name {!r}")
     morphisms = _record_map(
         data["morphisms"], "morphisms", "morphism", _MORPHISM_KEYS, 1, "duplicate morphism name {!r}"
     )
@@ -222,11 +231,15 @@ def _all_str(values: Any) -> bool:
     return set(map(type, values)) <= {str}
 
 
-def _names(value: Any, where: str, item: str) -> list[str]:
-    """A list of names, checked at once; on failure each item in order."""
-    if type(value) is not list or not _all_str(value):
+def _names(value: Any, where: str, item: str, repeat: str) -> list[str]:
+    """A list of distinct names, checked at once; on failure each item in
+    order."""
+    if type(value) is not list or not _all_str(value) or len(set(value)) != len(value):
+        seen = set()
         for x in _want(value, list, where):
-            _want(x, str, item)
+            if _want(x, str, item) in seen:
+                raise ParseError(repeat.format(x))
+            seen.add(x)
     return value
 
 

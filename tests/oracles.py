@@ -783,8 +783,10 @@ def brute_parse_spec(text: str) -> tuple[FiniteCategory, dict[str, str] | None]:
         raise ParseError(f"unsupported schema version {version!r}; expected {SCHEMA_VERSION}")
 
     objects = _spec_want(data["objects"], list, "objects")
-    for x in objects:
+    for k, x in enumerate(objects):
         _spec_want(x, str, "object name")
+        if x in objects[:k]:
+            raise ParseError(f"duplicate object name {x!r}")
 
     morphisms: dict[str, tuple[str, str]] = {}
     for entry in _spec_want(data["morphisms"], list, "morphisms"):

@@ -262,8 +262,9 @@ def test_duplicate_object_declarations_are_rejected(capsys, tmp_path):
     )
     code, report, err = run(capsys, "validate", str(spec))
     assert code == 2
-    assert report["error"]["code"] == "UNDECLARED_NAME"
-    assert report["error"]["details"] == {"objects": ["*", "*"]}
+    assert report["error"]["code"] == "PARSE_ERROR"
+    assert report["error"]["message"] == "duplicate object name '*'"
+    assert report["error"]["details"] == {}
     assert "Traceback" not in err
 
 

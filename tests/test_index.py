@@ -39,6 +39,7 @@ from oracles import (
     brute_inverse_map,
     brute_split,
     join_by_product,
+    partial_injection_categories,
     sub_inverse_monoid,
 )
 from test_poset_index import orders
@@ -229,6 +230,17 @@ def test_joined_tables_match_their_definitions_on_sub_inverse_monoids_of_i3(gene
     assert _typed(completed) == brute_split(monoid, brute_completion_triples(monoid))
     groupoid = restriction_groupoid(monoid).cat
     assert _typed(groupoid) == brute_split(monoid, brute_groupoid_triples(monoid))
+
+
+@settings(max_examples=15, deadline=None)
+@given(partial_injection_categories())
+def test_completions_and_groupoids_match_their_definitions_on_partial_injection_categories(ic):
+    """On several objects each object's source bucket numbers its arrows
+    apart, so the rows are read at places that differ from the names'."""
+    completed = cauchy_completion(ic).ic.cat
+    assert _typed(completed) == brute_split(ic, brute_completion_triples(ic))
+    groupoid = restriction_groupoid(ic).cat
+    assert _typed(groupoid) == brute_split(ic, brute_groupoid_triples(ic))
 
 
 @settings(max_examples=12, deadline=None)
