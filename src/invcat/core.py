@@ -11,8 +11,9 @@ Conventions used throughout the package:
 * All identities must be declared explicitly.
 * Declaration order of objects and morphisms is the canonical order;
   derived collections are emitted sorted by name.
-* A category is immutable once built and indexes its morphisms by source,
-  by target and by (source, target) once, in declaration order.  Every
+* A category is immutable once built and indexes its morphisms by source
+  and by target once, and by (source, target) on first use, in
+  declaration order.  Every
   derived category is built by ``join_category`` from triples (source,
   base morphism, target) over the columns of a base table.  It stores each
   composite as an arrow number, one row per right arrow, so its cost
@@ -102,15 +103,13 @@ class FiniteCategory:
     table: dict[tuple[str, str], str]
     _by_src: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _by_tgt: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
-    _by_hom: dict[tuple[str, str], tuple[str, ...]] = field(init=False, repr=False, compare=False)
+    _by_hom: dict[tuple[str, str], tuple[str, ...]] | None = field(default=None, init=False, repr=False, compare=False)
     _columns: dict[str, dict[str, str]] | None = field(default=None, init=False, repr=False, compare=False)
     _ints: "_IntTable | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        src, tgt = self.src, self.tgt
-        self._by_src = _buckets(self.morphisms, src.__getitem__)
-        self._by_tgt = _buckets(self.morphisms, tgt.__getitem__)
-        self._by_hom = _buckets(self.morphisms, lambda m: (src[m], tgt[m]))
+        self._by_src = _buckets(self.morphisms, self.src.__getitem__)
+        self._by_tgt = _buckets(self.morphisms, self.tgt.__getitem__)
 
     def ints(self) -> "_IntTable":
         """The table in arrow numbers; read off a given table on first use."""
@@ -192,6 +191,9 @@ class FiniteCategory:
         return self.tgt[f] == self.src[g]
 
     def hom(self, x: str, y: str) -> tuple[str, ...]:
+        if self._by_hom is None:  # on first use: a join's own path asks for no hom-set
+            src, tgt = self.src, self.tgt
+            self._by_hom = _buckets(self.morphisms, lambda m: (src[m], tgt[m]))
         return self._by_hom.get((x, y), ())
 
     def endo(self, x: str) -> tuple[str, ...]:
@@ -337,7 +339,6 @@ class _IntTable:
             table, by_src = cat.table, cat._by_src
             rows = [[num[table[g, f]] for g in by_src.get(cat.tgt[f], ())] for f in cat.morphisms]
         self.rows = rows
-        self.costar = {y: [num[m] for m in bucket] for y, bucket in cat._by_tgt.items()}
         self.units = [num[m] for m in cat.identity.values()]
 
     def idempotents(self) -> list[int]:
@@ -379,10 +380,11 @@ class _IntTable:
         """(h∘g)∘f = h∘(g∘f) for each g of ``gens`` and all h, f composable
         with it: row g∘f must equal row f read at the places of the h∘g."""
         rows, place = self.rows, self.place
+        costar = _buckets(range(len(rows)), self.tgt.__getitem__)
         for g in gens:
             k = place[g]
             places = [place[hg] for hg in rows[g]]
-            for f in self.costar.get(self.src[g], ()):
+            for f in costar.get(self.src[g], ()):
                 row = rows[f]
                 if rows[row[k]] != [row[j] for j in places]:
                     return False
@@ -547,7 +549,7 @@ def generalized_inverses(cat: FiniteCategory, s: str) -> tuple[str, ...]:
     """All t with s = sts and t = tst; the candidates are the (source,
     target) bucket hom(tgt s, src s)."""
     found = []
-    for t in cat._by_hom.get((cat.tgt[s], cat.src[s]), ()):
+    for t in cat.hom(cat.tgt[s], cat.src[s]):
         ts = cat.table.get((t, s))
         st = cat.table.get((s, t))
         if ts is None or st is None:
