@@ -13,20 +13,30 @@ Conventions used throughout the package:
   derived collections are emitted sorted by name.
 * A category is immutable once built and indexes its morphisms by source
   and by target once, and by (source, target) on first use, in
-  declaration order.  Every
-  derived category is built by ``join_category`` from triples (source,
-  base morphism, target) over the columns of a base table.  It stores each
-  composite as an arrow number, one row per right arrow, so its cost
-  follows the composable pairs, and names its table only when it is read.
-  Light's test, the generators, the inverse certificate, the idempotents,
-  the columns and the spec writer read the rows (``FiniteCategory.ints``).
+  declaration order; hom-sets, stars, costars and the inverse search read
+  these buckets.  Every derived category is built by ``join_category``
+  from triples (source, base morphism, target) over the base table read
+  by columns (``FiniteCategory.columns``, built on first use), composing
+  each arrow only with the arrows starting where it ends, so its cost
+  follows the composable pairs.  It looks every composite up among the
+  declared arrows, so its table is closed by construction, and stores it
+  as an arrow number: one row per right arrow (``FiniteCategory.ints``),
+  named only when the table is read.  ``FiniteCategory.build`` checks all
+  of a table's names at once, as one set, and scans entry by entry only
+  to report the first undeclared one.
 * Associativity is decided by Light's test on the generating set of
   ``generators``; the action validators check their composition laws on
   the same generators once the acting category passes.
 * Inverses are certified, not searched for, wherever a map s ↦ s° is
-  known (``certified_inverse_structure``); ``find_inverse_structure``
-  searches only when the certificate fails, so an error names the same
-  morphism and candidates as a search alone.
+  known: ``certified_inverse_structure`` accepts it when s·s°·s = s and
+  s°·s·s° = s° for every s and the idempotents at each object commute.
+  In an associative category these make s° the only generalized inverse
+  of s (Lawson, *Inverse Semigroups*, 1998, Thm 1.1.3, whose proof
+  multiplies idempotents at one object only).  ``join_category`` names
+  each arrow's inverse from the base inverse map, and the CLI hands over
+  a spec's declared ``"inverse"``.  When the certificate fails,
+  ``find_inverse_structure`` searches every hom(tgt s, src s), so an
+  error names the same morphism and candidates as a search alone.
 """
 
 from __future__ import annotations
@@ -92,8 +102,9 @@ class FiniteCategory:
 
     ``src``/``tgt`` type every morphism, ``identity`` names the identity of
     each object, and ``table`` holds every defined composite keyed by
-    ``(after, first)``: the dict given, or for a joined category an
-    ``_Unnamed`` placeholder over the rows of ``ints()``."""
+    ``(after, first)``: the dict given, or for a joined category, until
+    its first read, an ``_Unnamed`` placeholder over the rows of
+    ``ints()``."""
 
     objects: tuple[str, ...]
     morphisms: tuple[str, ...]
