@@ -224,7 +224,6 @@ class _Unnamed:
     weakly, so that no joined category is left in a reference cycle."""
 
     __slots__ = ("_cat", "_parts", "_named")
-    __hash__ = None
 
     def __init__(self, cat: FiniteCategory) -> None:
         self._cat = weakref.ref(cat)
