@@ -28,6 +28,7 @@ from .poset import (
     identity_iso,
     is_ideal,
     order_iso_failure,
+    poset_from_relation,
 )
 
 
@@ -181,7 +182,7 @@ def _fibred_report(
     checked = ic.morphisms if scope is None else [s for s in ic.morphisms if s in scope]
     # each b of dom θ_s meets only the a ≤ b in dom θ_s; the least
     # offending (a, b) is the one a scan of sorted pairs finds first
-    pos, down, theta = poset._pos, poset._down, action.theta
+    pos, down, theta = poset._pos, poset.down, action.theta
     for s in checked:
         dom_bits = poset._mask(adm[s])
         bad = []
@@ -225,10 +226,8 @@ def natural_order_poset(ic: InverseCategory) -> Poset:
     """All morphisms under the natural partial order: s ≤ t exactly when
     s = t·e for an idempotent e ≤ t°t."""
     table = ic.cat.table
-    relation = frozenset(
-        (table[(t, e)], t) for t in ic.morphisms for e in ic.idempotents_below(ic.dom_idem(t))
-    )
-    return Poset(ic.morphisms, relation)
+    pairs = ((table[(t, e)], t) for t in ic.morphisms for e in ic.idempotents_below(ic.dom_idem(t)))
+    return poset_from_relation(ic.morphisms, pairs)
 
 
 def canonical_self_action(ic: InverseCategory) -> FibredAction:
@@ -254,7 +253,7 @@ def canonical_self_action(ic: InverseCategory) -> FibredAction:
 def conjugation_action(ic: InverseCategory) -> FibredAction:
     """The category acting on its idempotents by e ↦ ses°."""
     idem = ic.idempotents()
-    poset = Poset(idem, frozenset((e, f) for f in idem for e in ic.idempotents_below(f)))
+    poset = poset_from_relation(idem, ((e, f) for f in idem for e in ic.idempotents_below(f)))
     moment = MomentMap({e: ic.src(e) for e in idem}, {e: e for e in idem})
     table = ic.cat.table
     theta = {
@@ -553,9 +552,8 @@ def restrict_to_ideal(bundle: PartialActionBundle, subset: Iterable[str]) -> Par
         )
     if not is_ideal(poset, q):
         raise NotIdeal("subset is not downward closed", subset=sorted(q))
-    sub = Poset(
-        tuple(x for x in poset.elements if x in q),
-        frozenset((a, b) for a, b in poset.relation if a in q and b in q),
+    sub = poset_from_relation(
+        tuple(x for x in poset.elements if x in q), ((a, b) for a, b in poset.relation if a in q and b in q)
     )
     maps = {
         s: PartialOrderIso(tuple(sorted(p for p in bundle.maps[s].pairs if p[0] in q and p[1] in q)))

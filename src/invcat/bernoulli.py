@@ -23,9 +23,9 @@ of a subset is the OR of the images of its bits.
 ``BernoulliPoset.images(c, e)`` tabulates that image for every mask over
 R_e on first use, by a bit recurrence: a mask's image is the image of the
 mask without its highest bit, ORed with the image of that bit.  The action sA,
-the pointed test of D_s, the θ_s of both actions and the pseudo product of
-``expansion`` are then table lookups and one OR; member sets are read only
-for output.
+the pointed test of D_s, the θ_s of both actions, the pseudo product of
+``expansion`` and each pair A ≤ B of the carrier's down-set masks are then
+table lookups and one OR; member sets are read only for output.
 """
 
 from __future__ import annotations
@@ -84,7 +84,8 @@ class BernoulliPoset:
             self._keys[e][mask] = key
             by_idem.setdefault(e, []).append((key, mask))
         self._by_idem = {e: tuple(bucket) for e, bucket in by_idem.items()}
-        relation = []
+        bit = {key: 1 << i for i, key in enumerate(self.elements)}
+        down = dict.fromkeys(self.elements, 0)
         for f, bucket in self._by_idem.items():
             for e in self.ic.idempotents_below(f):
                 keys, image = self._keys[e], self.images(e, f)[1]
@@ -92,13 +93,14 @@ class BernoulliPoset:
                 for bkey, mask in bucket:
                     least = image[mask] | point
                     free = (len(keys) - 1) & ~least
-                    extra = free
+                    extra, below = free, 0
                     while True:
-                        relation.append((keys[least | extra], bkey))
+                        below |= bit[keys[least | extra]]
                         if not extra:
                             break
                         extra = (extra - 1) & free
-        self.poset = Poset(tuple(self.elements), frozenset(relation))
+                    down[bkey] |= below
+        self.poset = Poset(tuple(self.elements), tuple(down.values()))
 
     def signature(self, key: str) -> tuple[str, str]:
         elt = self.elements[key]

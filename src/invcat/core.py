@@ -28,13 +28,13 @@ Conventions used throughout the package:
   ``generators``; the action validators check their composition laws on
   the same generators once the acting category passes.
 * Inverses are certified, not searched for, wherever a map s ↦ s° is
-  known: ``certified_inverse_structure`` accepts it when s·s°·s = s and
-  s°·s·s° = s° for every s and the idempotents at each object commute.
-  In an associative category these make s° the only generalized inverse
-  of s (Lawson, *Inverse Semigroups*, 1998, Thm 1.1.3, whose proof
-  multiplies idempotents at one object only).  ``join_category`` names
-  each arrow's inverse from the base inverse map, and the CLI hands over
-  a spec's declared ``"inverse"``.  When the certificate fails,
+  known: ``certified_inverse_structure`` accepts an involution s ↦ s°
+  with s·s°·s = s when the idempotents at each object commute.  In an
+  associative category these make s° the only generalized inverse of s
+  (Lawson, *Inverse Semigroups*, 1998, Thm 1.1.3, whose proof multiplies
+  idempotents at one object only).  ``join_category`` names each arrow's
+  inverse from the base inverse map, and the CLI hands over a spec's
+  declared ``"inverse"``.  When the certificate fails,
   ``find_inverse_structure`` searches every hom(tgt s, src s), so an
   error names the same morphism and candidates as a search alone.
 """
@@ -598,11 +598,11 @@ def certified_inverse_structure(cat: FiniteCategory, inverse: Mapping[str, str] 
     is claimed to be ``inverse``; ``find_inverse_structure`` when there is
     no claim or the claim fails its certificate.
 
-    The certificate asks s·s°·s = s and s°·s·s° = s° of every morphism s,
-    and ef = fe of all idempotents e, f at each object, on the rows of
-    ``cat.ints()``.  It makes s° the unique generalized inverse of s: if t
-    and t' both are one, then ts, t's are idempotents at the source of s
-    and st, st' at its target, so t = (ts)(t's)t = (t's)(ts)t = t'st =
+    The certificate asks s°° = s and s·s°·s = s (so s°·s·s° = s°) of every
+    morphism s, and ef = fe of all idempotents e, f at each object, on the
+    rows of ``cat.ints()``.  It makes s° the unique generalized inverse of
+    s: if t and t' both are one, then ts, t's are idempotents at the source
+    of s and st, st' at its target, so t = (ts)(t's)t = (t's)(ts)t = t'st =
     t'(st')(st) = t'(st)(st') = t' (Lawson, *Inverse Semigroups*, 1998,
     Thm 1.1.3).  The map returned is ``inverse`` read in declaration order,
     as the search would build it."""
@@ -619,11 +619,10 @@ def _certifies(ints: _IntTable, inv: list[int | None]) -> bool:
     rows, place, src, tgt = ints.rows, ints.place, ints.src, ints.tgt
     if None in inv or list(map(src.__getitem__, inv)) != tgt or list(map(tgt.__getitem__, inv)) != src:
         return False
+    if list(map(inv.__getitem__, inv)) != list(range(len(rows))):  # s°° = s
+        return False
     ts = list(map(getitem, rows, map(place.__getitem__, inv)))  # s°∘s
     if list(map(getitem, map(rows.__getitem__, ts), place)) != list(range(len(rows))):
-        return False
-    st = list(map(getitem, map(rows.__getitem__, inv), place))  # s∘s°
-    if list(map(getitem, map(rows.__getitem__, st), map(place.__getitem__, inv))) != inv:
         return False
     for es in _buckets(ints.idempotents(), src.__getitem__).values():
         if any(rows[f][place[e]] != rows[e][place[f]] for e, f in itertools.combinations(es, 2)):

@@ -1,4 +1,4 @@
-"""Finite posets, their ideals, and partial order isomorphisms.
+"""Finite posets stored as down-set masks, their ideals, and partial order isomorphisms.
 
 The central construction is ``build_Iic``: the inverse category whose objects
 are the ideals of a finite poset and whose morphisms U -> V are the order
@@ -20,59 +20,52 @@ from .limits import DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_POSET
 
 @dataclass(frozen=True)
 class Poset:
-    """A finite poset: elements in declaration order plus the full ≤ relation.
+    """A finite poset: elements in declaration order and their down-sets.
 
-    Construction indexes the poset once: every element gets a bit position
-    (its declaration index) and a down-set bitmask, a Python int whose bit i
-    is set when ``elements[i]`` lies below it.  The axioms are checked on
-    these masks in O(|relation|) mask operations (a broken one raises
-    PreconditionFailed), and ``is_ideal``,
-    ``ideals``, ``down_set`` and ``PartialOrderIso.make`` read them; ``leq``
-    stays a lookup in ``relation``.
+    ``down[i]``, the one stored form of the order, is the down-set bitmask
+    of ``elements[i]``: bit j is set when ``elements[j]`` ≤ ``elements[i]``.
+    Construction checks the axioms on the masks with one AND per pair a < b
+    (a broken one raises PreconditionFailed); ``leq`` is a bit test, and
+    ``relation`` lists the pairs on each read.
     """
 
     elements: tuple[str, ...]
-    relation: frozenset[tuple[str, str]]
+    down: tuple[int, ...]
     _pos: dict[str, int] = field(init=False, repr=False, compare=False)
-    _down: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         pos = {x: i for i, x in enumerate(self.elements)}
-        if len(pos) != len(self.elements):
+        n = len(self.elements)
+        if len(pos) != n:
             raise PreconditionFailed("duplicate poset elements")
-        down = [0] * len(pos)
-        up = [0] * len(pos)
-        for a, b in self.relation:
-            if a not in pos or b not in pos:
-                raise PreconditionFailed("relation references unknown element")
-            down[pos[b]] |= 1 << pos[a]
-            up[pos[a]] |= 1 << pos[b]
-        for i in range(len(down)):
-            if not down[i] >> i & 1:
-                raise PreconditionFailed("relation not reflexive")
-        # pair by pair in relation order, as a scan would: (b, a) related
-        # back, or something above b that is not above a
-        for a, b in self.relation:
-            i, j = pos[a], pos[b]
-            if i != j and down[i] >> j & 1:
-                raise PreconditionFailed("relation not antisymmetric")
-            if up[j] & ~up[i]:
-                raise PreconditionFailed("relation not transitive")
+        down = self.down
+        if len(down) != n:
+            raise PreconditionFailed(f"{len(down)} down-set masks for {n} poset elements")
+        if any(d >> n for d in down):
+            raise PreconditionFailed("relation references unknown element")
+        if any(not d >> i & 1 for i, d in enumerate(down)):
+            raise PreconditionFailed("relation not reflexive")
+        # each a < b, b then a in element order: down(a) ⊆ down(b) - b
+        for i, d in enumerate(down):
+            below = d & ~(1 << i)
+            for j in _bits(below):
+                if down[j] & ~below:
+                    axiom = "antisymmetric" if down[j] >> i & 1 else "transitive"
+                    raise PreconditionFailed(f"relation not {axiom}")
         object.__setattr__(self, "_pos", pos)
-        object.__setattr__(self, "_down", tuple(down))
+
+    @property
+    def relation(self) -> frozenset[tuple[str, str]]:
+        """The pairs (a, b) with a ≤ b, listed from the masks on each read."""
+        return frozenset((self.elements[j], b) for b, d in zip(self.elements, self.down) for j in _bits(d))
 
     def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.relation
-
-    def down_set(self, x: str) -> frozenset[str]:
-        return frozenset(self._below(x, -1))
-
-    def index(self, x: str) -> int:
-        return self._pos[x]
+        i, j = self._pos.get(a), self._pos.get(b)
+        return i is not None and j is not None and self.down[j] >> i & 1 == 1
 
     def _below(self, x: str, within: int) -> Iterator[str]:
         """The elements of the bitmask ``within`` that lie below x."""
-        return (self.elements[i] for i in _bits(self._down[self._pos[x]] & within))
+        return (self.elements[i] for i in _bits(self.down[self._pos[x]] & within))
 
     def _mask(self, subset: Iterable[str]) -> int:
         """The bits of the members of ``subset`` that are elements."""
@@ -94,19 +87,28 @@ def _bits(mask: int) -> Iterator[int]:
 
 def poset_from_function(elements: Sequence[str], leq: Callable[[str, str], bool]) -> Poset:
     """Materialise a poset from a ≤ predicate (checked by Poset itself)."""
-    rel = frozenset(
-        (a, b) for a in elements for b in elements if leq(a, b)
-    )
-    return Poset(tuple(elements), rel)
+    return poset_from_relation(elements, ((a, b) for b in elements for a in elements if leq(a, b)))
+
+
+def poset_from_relation(elements: Sequence[str], pairs: Iterable[tuple[str, str]]) -> Poset:
+    """The poset whose ≤ is the set of ``pairs``, checked as ``Poset`` does."""
+    pos = {x: i for i, x in enumerate(elements)}
+    if len(pos) != len(elements):
+        raise PreconditionFailed("duplicate poset elements")
+    down = [0] * len(pos)
+    for a, b in pairs:
+        if a not in pos or b not in pos:
+            raise PreconditionFailed("relation references unknown element")
+        down[pos[b]] |= 1 << pos[a]
+    return Poset(tuple(elements), tuple(down))
 
 
 def chain_poset(names: Sequence[str]) -> Poset:
-    order = {x: i for i, x in enumerate(names)}
-    return poset_from_function(names, lambda a, b: order[a] <= order[b])
+    return poset_from_relation(names, itertools.combinations_with_replacement(names, 2))
 
 
 def antichain_poset(names: Sequence[str]) -> Poset:
-    return poset_from_function(names, lambda a, b: a == b)
+    return poset_from_relation(names, zip(names, names))
 
 
 def is_ideal(poset: Poset, subset: Iterable[str]) -> bool:
@@ -117,7 +119,7 @@ def is_ideal(poset: Poset, subset: Iterable[str]) -> bool:
     """
     members = tuple(subset)
     bits = poset._mask(members)
-    down, pos = poset._down, poset._pos
+    down, pos = poset.down, poset._pos
     return all(not down[pos[b]] & ~bits for b in members if b in pos)
 
 
@@ -215,7 +217,7 @@ def _sorted_iso_failure(poset: Poset, ordered: Sequence[tuple[str, str]]) -> str
 def _maps_down_sets_onto(poset: Poset, pairs: Sequence[tuple[str, str]]) -> bool:
     """Whether the bijection ``pairs`` sends down(c) ∩ dom onto
     down(f c) ∩ ran for every c in dom, i.e. preserves and reflects ≤."""
-    pos, down = poset._pos, poset._down
+    pos, down = poset._pos, poset.down
     if not all(a in pos and b in pos for a, b in pairs):
         return False
     image = {pos[a]: 1 << pos[b] for a, b in pairs}  # bit position -> image bit

@@ -312,8 +312,10 @@ def brute_dimension(cat: FiniteCategory, inv: dict[str, str]) -> int:
 def brute_poset_axiom_failure(
     elements: tuple[str, ...], relation: frozenset[tuple[str, str]]
 ) -> str | None:
-    """The first broken poset axiom, scanning relation pairs against every
-    element in the relation's own iteration order, or None."""
+    """The first broken poset axiom, or None: a repeated element, a pair
+    naming a non-element, a missing (a, a), then, for b in element order
+    and each a < b in element order, b ≤ a (antisymmetry) or some c ≤ a
+    with c ≰ b (transitivity)."""
     eset = set(elements)
     if len(eset) != len(elements):
         return "duplicate poset elements"
@@ -323,11 +325,13 @@ def brute_poset_axiom_failure(
     for a in elements:
         if (a, a) not in relation:
             return "relation not reflexive"
-    for a, b in relation:
-        if a != b and (b, a) in relation:
-            return "relation not antisymmetric"
-        for c in elements:
-            if (b, c) in relation and (a, c) not in relation:
+    for b in elements:
+        for a in elements:
+            if a == b or (a, b) not in relation:
+                continue
+            if (b, a) in relation:
+                return "relation not antisymmetric"
+            if any((c, a) in relation and (c, b) not in relation for c in elements):
                 return "relation not transitive"
     return None
 

@@ -2,7 +2,7 @@
 
 Every derived category names its inverses from its construction, and
 ``core.certified_inverse_structure`` accepts them on the certificate
-s·s°·s = s, s°·s·s° = s° and commuting idempotents at each object; the
+s°° = s, s·s°·s = s and commuting idempotents at each object; the
 search of ``find_inverse_structure`` runs only when the certificate fails.
 The tests check that the certified map is the searched one, that the
 constructions never search, and that a wrong claim (a tampered spec
@@ -169,7 +169,7 @@ def test_the_left_zero_band_fails_the_certificate_as_the_search_does():
     with pytest.raises(NotInverseCategory) as searched:
         find_inverse_structure(band)
     assert searched.value.details == {"morphism": "a", "count": 2, "candidates": ("a", "b")}
-    claim = {m: m for m in band.morphisms}  # passes both regularity laws
+    claim = {m: m for m in band.morphisms}  # an involution with s·s°·s = s
     with pytest.raises(NotInverseCategory) as certified:
         certified_inverse_structure(band, claim)
     assert str(certified.value) == str(searched.value)
@@ -177,6 +177,17 @@ def test_the_left_zero_band_fails_the_certificate_as_the_search_does():
     with pytest.raises(NotInverseCategory) as joined:
         join_by_product(["*"], typing, {"*": "1"}, lambda g, f: band.table[(g, f)], claim)
     assert str(joined.value) == str(searched.value)
+
+
+def test_a_claim_that_is_no_involution_gives_the_searched_map(i2):
+    # emp° = id passes s·s°·s = s for every s and does not touch the
+    # idempotents, but id° = id, so emp°° = id is not emp
+    claim = {**i2.inverse, "emp": "id"}
+    table = i2.cat.table
+    assert all(table[(table[(s, claim[s])], s)] == s for s in i2.morphisms)
+    with counted_searches() as calls:
+        certified = certified_inverse_structure(i2.cat, claim)
+    assert calls[0] > 0 and certified.inverse == i2.inverse
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -14,13 +14,13 @@ from hypothesis import given, settings, strategies as st
 
 from invcat import (
     FiniteCategory,
-    Poset,
     SizeCapExceeded,
     UndeclaredName,
     build_Iic,
     cauchy_completion,
     generalized_inverses,
     idempotents_at,
+    poset_from_relation,
     restriction_groupoid,
     szendrei,
     validate_category,
@@ -246,5 +246,5 @@ def test_completions_and_groupoids_match_their_definitions_on_partial_injection_
 @settings(max_examples=12, deadline=None)
 @given(orders(most=4))
 def test_build_iic_matches_its_definition_on_random_posets(order):
-    poset = Poset(*order)
+    poset = poset_from_relation(*order)
     assert _typed(build_Iic(poset).cat) == brute_iic(poset)

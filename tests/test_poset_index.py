@@ -1,14 +1,21 @@
 """The indexed order checks against the pairwise scans they replace.
 
-``Poset`` checks its axioms on down-set bitmasks, ``is_ideal`` and
+``Poset`` stores its order as down-set bitmasks and checks its axioms on
+them, ``poset_from_relation`` builds those masks from pairs, ``is_ideal`` and
 ``PartialOrderIso.make`` read the same masks, ``build_bernoulli`` enumerates
 its order directly, and ``validate_inverse_semigroup`` decides associativity
 by Light's test.  Each must agree with the scan in oracles.py: the same
-verdict, the same failure message and the same witnesses.  The last two
-tests count operations, so that an all-pairs scan cannot come back unseen.
+verdict, the same failure message and the same witnesses.  The last three
+tests count operations, so that an all-pairs scan, or a construction that
+lists the order's pairs, cannot come back unseen.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +30,7 @@ from invcat import (
     fibred_to_symmetry,
     inner_expansion,
     is_ideal,
+    poset_from_relation,
     symmetry_to_partial,
     szendrei,
     validate_fibred,
@@ -31,6 +39,7 @@ from invcat import (
     validate_symmetry,
 )
 
+from invcat.expansion import VARIANTS
 from oracles import (
     CountingTable,
     PARTIAL_BIJECTIONS,
@@ -65,7 +74,7 @@ def orders(draw, most: int = len(NAMES)) -> tuple[tuple[str, ...], frozenset[tup
 
 def poset_failure(elements, relation) -> str | None:
     try:
-        Poset(elements, relation)
+        poset_from_relation(elements, relation)
     except PreconditionFailed as exc:
         return exc.message
     return None
@@ -87,6 +96,10 @@ def iso_outcome(poset: Poset, pairs) -> PartialOrderIso | str | tuple:
         ("ab", {("a", "a"), ("b", "b"), ("a", "b"), ("b", "a")}, "relation not antisymmetric"),
         ("abc", {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c")}, "relation not transitive"),
         ("abc", {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("a", "c")}, None),
+        # both broken: the pair (c, b), met at b, comes before (b, c), met at c
+        ("abc", {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("c", "b")}, "relation not antisymmetric"),
+        # both broken: (c, a) is met first, and b ≤ c but not b ≤ a
+        ("abc", {("a", "a"), ("b", "b"), ("c", "c"), ("c", "a"), ("b", "c"), ("c", "b")}, "relation not transitive"),
     ],
 )
 def test_each_poset_axiom_has_its_message(elements, relation, message):
@@ -94,12 +107,39 @@ def test_each_poset_axiom_has_its_message(elements, relation, message):
     assert brute_poset_axiom_failure(tuple(elements), frozenset(relation)) == message
 
 
-@pytest.mark.parametrize("extra", [{(0, 1), (0, 2), (2, 0)}, {(0, 1), (1, 2), (2, 1)}])
+@pytest.mark.parametrize("extra", [{(0, 1), (0, 2), (2, 0)}, {(0, 1), (1, 2), (2, 1)}, {(2, 0), (1, 2), (2, 1)}])
 def test_poset_reports_the_axiom_the_scan_meets_first(extra):
-    # both antisymmetry and transitivity fail; which one is reported depends
-    # on the order of the relation, fixed here by integer names
+    # both antisymmetry and transitivity fail; the pair a < b met first, b in
+    # element order and then a, decides which one is reported
     relation = frozenset(extra | {(i, i) for i in range(3)})
     assert poset_failure((0, 1, 2), relation) == brute_poset_axiom_failure((0, 1, 2), relation)
+
+
+# b ≤ c ≤ b breaks antisymmetry, and b ≤ c with a ≤ b but not a ≤ c breaks
+# transitivity; the scan meets (c, b) first
+SEEDED_FAILURE = textwrap.dedent(
+    """
+    from invcat import PreconditionFailed, poset_from_relation
+
+    pairs = {("a", "a"), ("b", "b"), ("c", "c"), ("a", "b"), ("b", "c"), ("c", "b")}
+    try:
+        poset_from_relation(("a", "b", "c"), frozenset(pairs))
+    except PreconditionFailed as exc:
+        print(exc.message)
+    """
+)
+
+
+def test_poset_errors_do_not_depend_on_the_hash_seed():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    messages = set()
+    for seed in range(10):
+        env = {**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": str(seed)}
+        run = subprocess.run(
+            [sys.executable, "-c", SEEDED_FAILURE], capture_output=True, text=True, env=env, check=True
+        )
+        messages.add(run.stdout)
+    assert messages == {"relation not antisymmetric\n"}
 
 
 @settings(max_examples=200, deadline=None)
@@ -117,18 +157,28 @@ def test_poset_axioms_match_the_scan_on_tampered_orders(order, data):
 @settings(max_examples=100, deadline=None)
 @given(orders(), st.data())
 def test_is_ideal_and_down_sets_match_the_scan(order, data):
-    poset = Poset(*order)
+    poset = poset_from_relation(*order)
     subset = data.draw(st.sets(st.sampled_from(poset.elements + ("z",))))
     assert is_ideal(poset, subset) == brute_is_ideal(poset, subset)
-    for x in poset.elements:
-        assert poset.down_set(x) == {a for a in poset.elements if poset.leq(a, x)}
-        assert poset.elements[poset.index(x)] == x
+    for x, mask in zip(poset.elements, poset.down):
+        assert mask == sum(1 << i for i, a in enumerate(poset.elements) if poset.leq(a, x))
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders())
+def test_the_masks_are_the_relation(order):
+    elements, relation = order
+    poset = poset_from_relation(elements, relation)
+    assert poset.relation == relation
+    assert Poset(poset.elements, poset.down) == poset
+    points = elements + ("z",)
+    assert all(poset.leq(a, b) == ((a, b) in relation) for a in points for b in points)
 
 
 @settings(max_examples=200, deadline=None)
 @given(orders(), st.data())
 def test_order_iso_make_matches_the_scan(order, data):
-    poset = Poset(*order)
+    poset = poset_from_relation(*order)
     if data.draw(st.booleans()):
         # a bijection between random subsets of equal size
         k = data.draw(st.integers(0, len(poset.elements)))
@@ -234,3 +284,23 @@ def test_bernoulli_round_trip_calls_leq_at_most_once_per_relation_pair(monkeypat
     assert validate_partial(symmetry_to_partial(symmetry)).ok
     assert validate_partial(bernoulli_partial(i3)).ok
     assert calls <= len(fibred.poset.relation) == 6039
+
+
+def test_constructions_never_list_the_order_pairs(monkeypatch, g2):
+    reads = 0
+    listed = Poset.relation.fget
+
+    def counting(self):
+        nonlocal reads
+        reads += 1
+        return listed(self)
+
+    monkeypatch.setattr(Poset, "relation", property(counting))
+    for ic in (sub_inverse_monoid(list(PARTIAL_BIJECTIONS)), g2):
+        for variant in VARIANTS:
+            szendrei(ic, variant)
+        for pointed in (False, True):
+            build_bernoulli(ic, pointed=pointed)
+        bernoulli_partial(ic)
+    assert reads == 0
+    assert build_bernoulli(g2).poset.relation and reads == 1

@@ -21,6 +21,7 @@ from invcat import (
     NotComposable,
     NotIdempotent,
     PartialOrderIso,
+    Poset,
     PreconditionFailed,
     UndeclaredName,
     bernoulli_partial,
@@ -90,6 +91,9 @@ CASES = [
     ("act-from-another-object", lambda: build_bernoulli(G2).act("1Y", "{1X,si}"), *NOT_COMPOSABLE),
     ("arrow-name-missing", lambda: szendrei(Z2).arrow_name("{g}", "nope"), UndeclaredName, "UNDECLARED_NAME"),
     ("functors-do-not-chain", lambda: compose_functors(identity_functor(T1.cat), _IDENTITY_Z2), *NOT_A_FUNCTOR),
+    ("poset-masks-too-few", lambda: Poset(("a", "b"), (0b01,)), *PRECONDITION),
+    ("poset-masks-too-many", lambda: Poset(("a",), (0b1, 0b1)), *PRECONDITION),
+    ("poset-mask-beyond-the-last-element", lambda: Poset(("a", "b"), (0b001, 0b110)), *PRECONDITION),
 ]
 
 
