@@ -11,11 +11,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Sequence
+from functools import cached_property, partial, reduce
+from operator import eq, itemgetter, or_
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .core import InverseCategory, join_category
 from .errors import PreconditionFailed, SizeCapExceeded
 from .limits import DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_POSET
+
+
+class _Hasse(NamedTuple):
+    """The element bits and lower covers of a poset, keyed by element name."""
+
+    bit: dict[str, int]  # x -> 1 << position of x
+    covers: dict[str, tuple[str, ...]]  # x -> its lower covers, in element order
+    cover_bits: dict[str, int]  # x -> the mask of its lower covers
 
 
 @dataclass(frozen=True)
@@ -24,9 +34,11 @@ class Poset:
 
     ``down[i]``, the one stored form of the order, is the down-set bitmask
     of ``elements[i]``: bit j is set when ``elements[j]`` ≤ ``elements[i]``.
-    Construction checks the axioms on the masks with one AND per pair a < b
-    (a broken one raises PreconditionFailed); ``leq`` is a bit test, and
-    ``relation`` lists the pairs on each read.
+    Both are stored as tuples, whatever sequences are given.  Construction
+    checks the axioms on the masks with one AND per pair a < b (a broken one
+    raises PreconditionFailed); ``leq`` is a bit test, and ``relation``
+    lists the pairs on each read.  The lower covers (the Hasse diagram) are
+    derived on first use, by the order tests that walk them.
     """
 
     elements: tuple[str, ...]
@@ -34,6 +46,8 @@ class Poset:
     _pos: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "elements", tuple(self.elements))
+        object.__setattr__(self, "down", tuple(self.down))
         pos = {x: i for i, x in enumerate(self.elements)}
         n = len(self.elements)
         if len(pos) != n:
@@ -53,6 +67,28 @@ class Poset:
                     axiom = "antisymmetric" if down[j] >> i & 1 else "transitive"
                     raise PreconditionFailed(f"relation not {axiom}")
         object.__setattr__(self, "_pos", pos)
+
+    @cached_property
+    def _hasse(self) -> _Hasse:
+        """Element bits and lower covers by name, derived once on first use.
+
+        The covers of x are the maximal elements of down(x) - x: take the
+        highest remaining bit j, drop down(j) from what remains, and drop
+        from the picks so far those below j."""
+        elements, down = self.elements, self.down
+        cover_masks = []
+        for i, d in enumerate(down):
+            rest, top = d & ~(1 << i), 0
+            while rest:
+                j = rest.bit_length() - 1
+                top = top & ~down[j] | 1 << j
+                rest &= ~down[j]
+            cover_masks.append(top)
+        return _Hasse(
+            {x: 1 << i for i, x in enumerate(elements)},
+            {x: tuple(elements[j] for j in _bits(c)) for x, c in zip(elements, cover_masks)},
+            dict(zip(elements, cover_masks)),
+        )
 
     @property
     def relation(self) -> frozenset[tuple[str, str]]:
@@ -114,13 +150,12 @@ def antichain_poset(names: Sequence[str]) -> Poset:
 def is_ideal(poset: Poset, subset: Iterable[str]) -> bool:
     """Downward closure test; ideals here may be empty.
 
-    Members that are not elements of the poset are ignored.  Costs one mask
-    test per member: the down-set of each member must lie in the subset.
+    Members that are not elements of the poset are ignored.  The union of
+    the members' down-sets must be the subset's own mask.
     """
-    members = tuple(subset)
-    bits = poset._mask(members)
-    down, pos = poset.down, poset._pos
-    return all(not down[pos[b]] & ~bits for b in members if b in pos)
+    at = list(map(poset._pos.__getitem__, filter(poset._pos.__contains__, subset)))
+    bits = reduce(or_, map((1).__lshift__, at), 0)
+    return reduce(or_, map(poset.down.__getitem__, at), bits) == bits
 
 
 def ideals(poset: Poset) -> tuple[frozenset[str], ...]:
@@ -167,11 +202,11 @@ class PartialOrderIso:
 
     @property
     def dom(self) -> frozenset[str]:
-        return frozenset(a for a, _ in self.pairs)
+        return frozenset(map(itemgetter(0), self.pairs))
 
     @property
     def ran(self) -> frozenset[str]:
-        return frozenset(b for _, b in self.pairs)
+        return frozenset(map(itemgetter(1), self.pairs))
 
     def apply(self, x: str) -> str:
         for a, b in self.pairs:
@@ -190,20 +225,20 @@ def order_iso_failure(poset: Poset, pairs: Iterable[tuple[str, str]]) -> str | t
     """Why ``pairs`` is not a partial order isomorphism of ``poset`` (not
     functional, not injective, a point outside the poset, or the first pair
     of pairs in sorted order on which ≤ is not preserved and reflected), or
-    None.  The order test maps down-sets, one bit per relation pair inside
-    dom; only when it fails are the points looked up and the pairs scanned."""
+    None.  The order test is ``_maps_order_onto``; only when it fails are
+    the points looked up and the pairs scanned."""
     return _sorted_iso_failure(poset, sorted(pairs))
 
 
 def _sorted_iso_failure(poset: Poset, ordered: Sequence[tuple[str, str]]) -> str | tuple | None:
     """``order_iso_failure`` of pairs already in sorted order."""
-    dom = [a for a, _ in ordered]
-    ran = [b for _, b in ordered]
+    dom = list(map(itemgetter(0), ordered))
+    ran = list(map(itemgetter(1), ordered))
     if len(set(dom)) != len(dom):
         return "mapping not functional"
     if len(set(ran)) != len(ran):
         return "mapping not injective"
-    if _maps_down_sets_onto(poset, ordered):
+    if _maps_order_onto(poset, dom, ran):
         return None
     for point in itertools.chain.from_iterable(ordered):
         if point not in poset._pos:
@@ -214,16 +249,37 @@ def _sorted_iso_failure(poset: Poset, ordered: Sequence[tuple[str, str]]) -> str
     return None
 
 
-def _maps_down_sets_onto(poset: Poset, pairs: Sequence[tuple[str, str]]) -> bool:
-    """Whether the bijection ``pairs`` sends down(c) ∩ dom onto
-    down(f c) ∩ ran for every c in dom, i.e. preserves and reflects ≤."""
-    pos, down = poset._pos, poset.down
-    if not all(a in pos and b in pos for a, b in pairs):
+def _maps_order_onto(poset: Poset, dom: list[str], ran: list[str]) -> bool:
+    """Whether the bijection dom[i] -> ran[i] of elements preserves and
+    reflects ≤.
+
+    An identity map passes untested.  When dom and ran are both ideals, the
+    lower covers of each point must map onto those of its image: the
+    covers of an ideal are covers of the poset, and ≤ is their transitive
+    closure, so this costs one lookup per cover inside dom.  Other sides
+    take ``_maps_down_sets_onto``."""
+    hasse = poset._hasse
+    bit = hasse.bit
+    if not all(map(bit.__contains__, itertools.chain(dom, ran))):
         return False
-    image = {pos[a]: 1 << pos[b] for a, b in pairs}  # bit position -> image bit
-    dom_bits = poset._mask(a for a, _ in pairs)
-    ran_bits = poset._mask(b for _, b in pairs)
-    for c, d in pairs:
+    if dom == ran:
+        return True
+    if not (is_ideal(poset, dom) and is_ideal(poset, ran)):
+        return _maps_down_sets_onto(poset, dom, ran)
+    image = dict(zip(dom, map(bit.__getitem__, ran)))  # a -> bit of its image
+    mapped = map(sum, map(partial(map, image.__getitem__), map(hasse.covers.__getitem__, dom)))
+    return all(map(eq, mapped, map(hasse.cover_bits.__getitem__, ran)))
+
+
+def _maps_down_sets_onto(poset: Poset, dom: list[str], ran: list[str]) -> bool:
+    """Whether the bijection dom[i] -> ran[i] of elements sends
+    down(c) ∩ dom onto down(f c) ∩ ran for every c in dom, one bit per
+    relation pair inside dom."""
+    pos, down = poset._pos, poset.down
+    image = {pos[a]: 1 << pos[b] for a, b in zip(dom, ran)}  # bit position -> image bit
+    dom_bits = poset._mask(dom)
+    ran_bits = poset._mask(ran)
+    for c, d in zip(dom, ran):
         mapped = 0
         for i in _bits(down[pos[c]] & dom_bits):
             mapped |= image[i]
@@ -233,7 +289,8 @@ def _maps_down_sets_onto(poset: Poset, pairs: Sequence[tuple[str, str]]) -> bool
 
 
 def identity_iso(subset: Iterable[str]) -> PartialOrderIso:
-    return PartialOrderIso(tuple(sorted((x, x) for x in subset)))
+    points = sorted(subset)
+    return PartialOrderIso(tuple(zip(points, points)))
 
 
 def compose_partial_isos(t: PartialOrderIso, s: PartialOrderIso) -> PartialOrderIso:
@@ -246,16 +303,63 @@ def compose_partial_isos(t: PartialOrderIso, s: PartialOrderIso) -> PartialOrder
 
 
 def order_isos_between(poset: Poset, dom: frozenset[str], ran: frozenset[str]) -> list[PartialOrderIso]:
-    """Every order isomorphism from dom onto ran (empty when sizes differ)."""
+    """Every order isomorphism from dom onto ran (empty when sizes differ),
+    ordered by the images of sorted dom, read as words over sorted ran.
+
+    The map is extended one point of sorted dom at a time, trying the
+    points of sorted ran in order; a branch is cut as soon as the candidate
+    image does not relate to the images so far as the point relates to the
+    points so far.  Candidates are first refined to those with as many
+    points below and above them in ran as the point has in dom.  This is
+    the refinement-and-backtrack search of Ullmann, "An algorithm for
+    subgraph isomorphism", J. ACM 23 (1976), on down-set masks."""
     if len(dom) != len(ran):
         return []
-    dom_sorted = sorted(dom)
-    found = []
-    for image in itertools.permutations(sorted(ran)):
-        pairs = tuple(zip(dom_sorted, image))
-        if _maps_down_sets_onto(poset, pairs):
-            found.append(PartialOrderIso(tuple(sorted(pairs))))
+    left, right = sorted(dom), sorted(ran)
+    if not all(map(poset._pos.__contains__, itertools.chain(left, right))):
+        return []
+    below_l, above_l = _index_masks(poset, left)
+    below_r, above_r = _index_masks(poset, right)
+    shapes = list(zip(map(int.bit_count, below_r), map(int.bit_count, above_r)))
+    candidates = [
+        [q for q, shape in enumerate(shapes) if shape == want]
+        for want in zip(map(int.bit_count, below_l), map(int.bit_count, above_l))
+    ]
+    found: list[PartialOrderIso] = []
+    image: list[int] = []  # index into right of each point of left mapped so far
+
+    def extend(k: int, used: int) -> None:
+        if k == len(left):
+            found.append(PartialOrderIso(tuple(zip(left, map(right.__getitem__, image)))))
+            return
+        earlier = (1 << k) - 1
+        want_below = sum(1 << image[j] for j in _bits(below_l[k] & earlier))
+        want_above = sum(1 << image[j] for j in _bits(above_l[k] & earlier))
+        for q in candidates[k]:
+            if not used >> q & 1 and _fits(below_r[q] & used, above_r[q] & used, want_below, want_above):
+                image.append(q)
+                extend(k + 1, used | 1 << q)
+                image.pop()
+
+    extend(0, 0)
     return found
+
+
+def _index_masks(poset: Poset, points: list[str]) -> tuple[list[int], list[int]]:
+    """For each points[i], the indices j with points[j] ≤ points[i] and
+    those with points[i] ≤ points[j], as bitmasks over the indices."""
+    pos, down = poset._pos, poset.down
+    at = [pos[x] for x in points]
+    below = [sum(1 << j for j, p in enumerate(at) if down[i] >> p & 1) for i in at]
+    above = [sum(1 << j for j, b in enumerate(below) if b >> i & 1) for i in range(len(at))]
+    return below, above
+
+
+def _fits(below: int, above: int, want_below: int, want_above: int) -> bool:
+    """One candidate test of ``order_isos_between``: the mapped points below
+    and above the candidate image are the images of those below and above
+    the point."""
+    return below == want_below and above == want_above
 
 
 # ---------------------------------------------------------------------------

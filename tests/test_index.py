@@ -160,17 +160,17 @@ def test_build_iic_composes_each_pair_of_isos_once(monkeypatch):
 
 def test_build_iic_refuses_during_the_iso_walk(monkeypatch):
     """Antichain 6 has 64 ideals, so its empty iso alone gives 64² morphisms:
-    a cap of 100 is passed at the first iso test, not after all 13,327.
+    a cap of 100 is passed after the first iso search, not after all 4,096.
     Antichain 3 has 286 morphisms, the count the walk must reach exactly."""
     calls = 0
-    test = poset_module._maps_down_sets_onto
+    search = poset_module.order_isos_between
 
     def counting(*args):
         nonlocal calls
         calls += 1
-        return test(*args)
+        return search(*args)
 
-    monkeypatch.setattr(poset_module, "_maps_down_sets_onto", counting)
+    monkeypatch.setattr(poset_module, "order_isos_between", counting)
     with pytest.raises(SizeCapExceeded) as info:
         build_Iic(antichain_poset("abcdef"), max_elements=100)
     assert calls == 1

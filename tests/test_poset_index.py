@@ -2,12 +2,15 @@
 
 ``Poset`` stores its order as down-set bitmasks and checks its axioms on
 them, ``poset_from_relation`` builds those masks from pairs, ``is_ideal`` and
-``PartialOrderIso.make`` read the same masks, ``build_bernoulli`` enumerates
-its order directly, and ``validate_inverse_semigroup`` decides associativity
-by Light's test.  Each must agree with the scan in oracles.py: the same
-verdict, the same failure message and the same witnesses.  The last three
-tests count operations, so that an all-pairs scan, or a construction that
-lists the order's pairs, cannot come back unseen.
+``PartialOrderIso.make`` read the same masks (and the lower covers, between
+ideals), ``order_isos_between`` extends a map point by point,
+``build_bernoulli`` enumerates its order directly, and
+``validate_inverse_semigroup`` decides associativity by Light's test.  Each
+must agree with the scan or the search in oracles.py: the same verdict, the
+same failure message, the same witnesses and the same isos in the same
+order.  The last tests count operations, so that an all-pairs scan, a
+permutation search, or a construction or validation that lists the order's
+pairs, cannot come back unseen.
 """
 
 from __future__ import annotations
@@ -27,7 +30,9 @@ from invcat import (
     bernoulli_global,
     bernoulli_partial,
     build_bernoulli,
+    chain_poset,
     fibred_to_symmetry,
+    ideals,
     inner_expansion,
     is_ideal,
     poset_from_relation,
@@ -39,7 +44,9 @@ from invcat import (
     validate_symmetry,
 )
 
+from invcat import poset as poset_module
 from invcat.expansion import VARIANTS
+from invcat.poset import order_isos_between
 from oracles import (
     CountingTable,
     PARTIAL_BIJECTIONS,
@@ -47,6 +54,7 @@ from oracles import (
     brute_inverse_semigroup_violations,
     brute_is_ideal,
     brute_order_iso,
+    brute_order_isos,
     brute_poset_axiom_failure,
     cyclic_group,
     sub_inverse_monoid,
@@ -171,6 +179,9 @@ def test_the_masks_are_the_relation(order):
     poset = poset_from_relation(elements, relation)
     assert poset.relation == relation
     assert Poset(poset.elements, poset.down) == poset
+    # sequences given as lists are stored as tuples
+    listed = Poset(list(poset.elements), list(poset.down))
+    assert listed == poset and hash(listed) == hash(poset)
     points = elements + ("z",)
     assert all(poset.leq(a, b) == ((a, b) in relation) for a in points for b in points)
 
@@ -189,6 +200,40 @@ def test_order_iso_make_matches_the_scan(order, data):
         pool = st.sampled_from(poset.elements + ("z",))
         pairs = data.draw(st.lists(st.tuples(pool, pool), max_size=4))
     assert iso_outcome(poset, pairs) == brute_order_iso(poset, pairs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(orders(), st.data())
+def test_order_iso_make_between_ideals_matches_the_scan(order, data):
+    # both sides ideals: the order test walks lower covers; the elements are
+    # declared in any order, not only along a linear extension
+    poset = poset_from_relation(data.draw(st.permutations(order[0])), order[1])
+    every = ideals(poset)
+    dom = data.draw(st.sampled_from(every))
+    ran = data.draw(st.sampled_from([v for v in every if len(v) == len(dom)]))
+    pairs = list(zip(sorted(dom), data.draw(st.permutations(sorted(ran)))))
+    assert iso_outcome(poset, pairs) == brute_order_iso(poset, pairs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders(), st.data())
+def test_lower_covers_match_the_definition(order, data):
+    poset = poset_from_relation(data.draw(st.permutations(order[0])), order[1])
+    covers = poset._hasse.covers
+    for b in poset.elements:
+        below = [a for a in poset.elements if a != b and poset.leq(a, b)]
+        assert covers[b] == tuple(a for a in below if not any(poset.leq(a, c) for c in below if c != a)), b
+
+
+@settings(max_examples=60, deadline=None)
+@given(orders(most=6))
+def test_order_isos_between_matches_the_permutation_search(order):
+    poset = poset_from_relation(*order)
+    every = ideals(poset)
+    for u in every:
+        for v in every:
+            found = [dict(iso.pairs) for iso in order_isos_between(poset, u, v)]
+            assert found == brute_order_isos(tuple(u), tuple(v), poset.leq), (u, v)
 
 
 def test_bernoulli_order_matches_the_pairwise_predicate(request):
@@ -304,3 +349,48 @@ def test_constructions_never_list_the_order_pairs(monkeypatch, g2):
         bernoulli_partial(ic)
     assert reads == 0
     assert build_bernoulli(g2).poset.relation and reads == 1
+
+
+def test_clean_action_validation_neither_lists_the_order_nor_scans_pairs(monkeypatch):
+    """The ideal-to-ideal order tests walk covers: no ``relation`` read, no
+    down-set walk and no pairwise scan (whose ≤ tests go through ``leq``)."""
+    i3 = sub_inverse_monoid(list(PARTIAL_BIJECTIONS))
+    fibred = bernoulli_global(i3)
+    partial = bernoulli_partial(i3)
+    counts = {"relation": 0, "leq": 0, "down-set walk": 0}
+
+    def counting(key, fn):
+        def wrapped(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(Poset, "relation", property(counting("relation", Poset.relation.fget)))
+    monkeypatch.setattr(Poset, "leq", counting("leq", Poset.leq))
+    walk = counting("down-set walk", poset_module._maps_down_sets_onto)
+    monkeypatch.setattr(poset_module, "_maps_down_sets_onto", walk)
+    assert validate_fibred(fibred).ok
+    symmetry = fibred_to_symmetry(fibred)
+    assert validate_symmetry(symmetry).ok
+    assert validate_partial(symmetry_to_partial(symmetry)).ok
+    assert validate_partial(partial).ok
+    assert counts == {"relation": 0, "leq": 0, "down-set walk": 0}
+
+
+def test_order_isos_of_the_8_chain_take_at_most_64_candidate_tests(monkeypatch):
+    """A permutation search would test 8! maps to find the one iso."""
+    chain = chain_poset("abcdefgh")
+    tests = 0
+    fits = poset_module._fits
+
+    def counting(*args):
+        nonlocal tests
+        tests += 1
+        return fits(*args)
+
+    monkeypatch.setattr(poset_module, "_fits", counting)
+    everything = frozenset(chain.elements)
+    isos = order_isos_between(chain, everything, everything)
+    assert [iso.pairs for iso in isos] == [tuple(zip("abcdefgh", "abcdefgh"))]
+    assert 0 < tests <= 8**2
