@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, repeat
-from operator import and_, or_
+from operator import and_
 from typing import Iterable
 
 from .core import InverseCategory, ValidationReport, associative_generators
@@ -33,10 +33,10 @@ from .poset import (
     PartialOrderIso,
     Poset,
     _bits,
+    _sorted_iso_failure,
     compose_partial_isos,
     identity_iso,
     is_ideal,
-    order_iso_failure,
     poset_from_relation,
 )
 
@@ -157,8 +157,7 @@ def _fibred_report(
     for x, e in zip(elements, idem):
         at.setdefault(e, []).append(x)
     under = {f: list(compress(elements, map(es.__contains__, idem))) for f, es in lower.items()}
-    hasse = poset._hasse
-    outside = {f: ~sum(map(hasse.bit.__getitem__, xs)) for f, xs in under.items()}
+    outside = {f: ~poset._mask(xs) for f, xs in under.items()}
     # a ≤ b needs e(a) ≤ e(b): down(b) must lie under e(b), one AND per b
     monotone = not any(map(and_, poset.down, map(outside.__getitem__, idem)))
     if not monotone:
@@ -206,16 +205,16 @@ def _fibred_report(
             break
 
     checked = ic.morphisms if scope is None else [s for s in ic.morphisms if s in scope]
+    pos, down, covers = poset._pos, poset.down, poset._covers
     # θ_s maps each lower cover of b under θ_s(b), when dom θ_s is an ideal
     # (moments monotone) and θ_s is an injection into the poset; the least
     # offending (a, b) is the one a scan of sorted pairs finds first
     for s in checked:
         xs, ys = adm[s], images[s]
         if monotone and not action.strict and elt_set.issuperset(ys) and len(set(ys)) == len(ys):
-            image = dict(zip(xs, map(hasse.bit.__getitem__, ys)))
-            mapped = map(sum, map(partial(map, image.__getitem__), map(hasse.covers.__getitem__, xs)))
-            downs = list(map(poset.down.__getitem__, map(poset._pos.__getitem__, ys)))
-            if list(map(or_, mapped, downs)) == downs:
+            image = {pos[x]: 1 << pos[y] for x, y in zip(xs, ys)}  # bit position -> image bit
+            mapped = (sum(map(image.__getitem__, covers[pos[x]])) for x in xs)
+            if not any(map(and_, mapped, (~down[pos[y]] for y in ys))):
                 continue
         bad = _monotone_failures(action, s, adm[s], elt_set)
         if bad:
@@ -431,14 +430,14 @@ def _symmetry_report(sym: SymmetryAction, scope: set[str] | None) -> ValidationR
         if iso is None:
             add("iso-total", (s,), "morphism has no order isomorphism")
             continue
+        dom, ran = iso.dom, iso.ran
         if scope is None or s in scope:
             if ic.inv(s) not in ordered or iso != inverses[ic.inv(s)]:
-                failure = order_iso_failure(poset, iso.pairs)
+                failure = _sorted_iso_failure(poset, sorted(iso.pairs), ideal(dom) and ideal(ran))
                 if failure is not None:
                     add("iso-order", (s,), f"not an order isomorphism: {failure!r}")
                     continue
             ordered.add(s)
-        dom, ran = iso.dom, iso.ran
         if not (dom <= sym.fibers.get(ic.src(s), frozenset())):
             add("iso-typing", (s,), "domain leaves the source fiber")
         if not (ran <= sym.fibers.get(ic.tgt(s), frozenset())):
@@ -561,7 +560,7 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
     for s in ic.morphisms:
         iso = maps[s]
         if inv(s) not in sound:
-            failure = order_iso_failure(poset, iso.pairs)
+            failure = _sorted_iso_failure(poset, sorted(iso.pairs), ideal(iso.dom) and ideal(domains[s]))
             if failure is not None:
                 add("axiom-i", (s,), f"θ_s is not an order isomorphism: {failure!r}")
                 break

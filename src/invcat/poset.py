@@ -11,21 +11,12 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
-from operator import eq, itemgetter, or_
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import InverseCategory, join_category
 from .errors import PreconditionFailed, SizeCapExceeded
 from .limits import DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_POSET
-
-
-class _Hasse(NamedTuple):
-    """The element bits and lower covers of a poset, keyed by element name."""
-
-    bit: dict[str, int]  # x -> 1 << position of x
-    covers: dict[str, tuple[str, ...]]  # x -> its lower covers, in element order
-    cover_bits: dict[str, int]  # x -> the mask of its lower covers
 
 
 @dataclass(frozen=True)
@@ -37,8 +28,9 @@ class Poset:
     Both are stored as tuples, whatever sequences are given.  Construction
     checks the axioms on the masks with one AND per pair a < b (a broken one
     raises PreconditionFailed); ``leq`` is a bit test, and ``relation``
-    lists the pairs on each read.  The lower covers (the Hasse diagram) are
-    derived on first use, by the order tests that walk them.
+    lists the pairs on each read.  ``_covers``, the positions of the lower
+    covers (the Hasse diagram) parallel to ``down``, is derived on first
+    use, by the order tests that walk it.
     """
 
     elements: tuple[str, ...]
@@ -69,26 +61,23 @@ class Poset:
         object.__setattr__(self, "_pos", pos)
 
     @cached_property
-    def _hasse(self) -> _Hasse:
-        """Element bits and lower covers by name, derived once on first use.
+    def _covers(self) -> tuple[tuple[int, ...], ...]:
+        """The positions of the lower covers of each element, lowest first,
+        derived once on first use.
 
         The covers of x are the maximal elements of down(x) - x: take the
         highest remaining bit j, drop down(j) from what remains, and drop
         from the picks so far those below j."""
-        elements, down = self.elements, self.down
-        cover_masks = []
+        down = self.down
+        covers = []
         for i, d in enumerate(down):
             rest, top = d & ~(1 << i), 0
             while rest:
                 j = rest.bit_length() - 1
                 top = top & ~down[j] | 1 << j
                 rest &= ~down[j]
-            cover_masks.append(top)
-        return _Hasse(
-            {x: 1 << i for i, x in enumerate(elements)},
-            {x: tuple(elements[j] for j in _bits(c)) for x, c in zip(elements, cover_masks)},
-            dict(zip(elements, cover_masks)),
-        )
+            covers.append(tuple(_bits(top)))
+        return tuple(covers)
 
     @property
     def relation(self) -> frozenset[tuple[str, str]]:
@@ -150,12 +139,13 @@ def antichain_poset(names: Sequence[str]) -> Poset:
 def is_ideal(poset: Poset, subset: Iterable[str]) -> bool:
     """Downward closure test; ideals here may be empty.
 
-    Members that are not elements of the poset are ignored.  The union of
-    the members' down-sets must be the subset's own mask.
+    Members that are not elements of the poset are ignored.  Costs one mask
+    test per member: the down-set of each member must lie in the subset.
     """
-    at = list(map(poset._pos.__getitem__, filter(poset._pos.__contains__, subset)))
-    bits = reduce(or_, map((1).__lshift__, at), 0)
-    return reduce(or_, map(poset.down.__getitem__, at), bits) == bits
+    members = tuple(subset)
+    bits = poset._mask(members)
+    down, pos = poset.down, poset._pos
+    return all(not down[pos[b]] & ~bits for b in members if b in pos)
 
 
 def ideals(poset: Poset) -> tuple[frozenset[str], ...]:
@@ -202,11 +192,11 @@ class PartialOrderIso:
 
     @property
     def dom(self) -> frozenset[str]:
-        return frozenset(map(itemgetter(0), self.pairs))
+        return frozenset(a for a, _ in self.pairs)
 
     @property
     def ran(self) -> frozenset[str]:
-        return frozenset(map(itemgetter(1), self.pairs))
+        return frozenset(b for _, b in self.pairs)
 
     def apply(self, x: str) -> str:
         for a, b in self.pairs:
@@ -230,15 +220,19 @@ def order_iso_failure(poset: Poset, pairs: Iterable[tuple[str, str]]) -> str | t
     return _sorted_iso_failure(poset, sorted(pairs))
 
 
-def _sorted_iso_failure(poset: Poset, ordered: Sequence[tuple[str, str]]) -> str | tuple | None:
-    """``order_iso_failure`` of pairs already in sorted order."""
-    dom = list(map(itemgetter(0), ordered))
-    ran = list(map(itemgetter(1), ordered))
+def _sorted_iso_failure(
+    poset: Poset, ordered: Sequence[tuple[str, str]], between_ideals: bool | None = None
+) -> str | tuple | None:
+    """``order_iso_failure`` of pairs already in sorted order.  A caller that
+    has already decided whether both sides are ideals passes
+    ``between_ideals``; None decides it here."""
+    dom = [a for a, _ in ordered]
+    ran = [b for _, b in ordered]
     if len(set(dom)) != len(dom):
         return "mapping not functional"
     if len(set(ran)) != len(ran):
         return "mapping not injective"
-    if _maps_order_onto(poset, dom, ran):
+    if _maps_order_onto(poset, dom, ran, between_ideals):
         return None
     for point in itertools.chain.from_iterable(ordered):
         if point not in poset._pos:
@@ -249,7 +243,7 @@ def _sorted_iso_failure(poset: Poset, ordered: Sequence[tuple[str, str]]) -> str
     return None
 
 
-def _maps_order_onto(poset: Poset, dom: list[str], ran: list[str]) -> bool:
+def _maps_order_onto(poset: Poset, dom: list[str], ran: list[str], between_ideals: bool | None) -> bool:
     """Whether the bijection dom[i] -> ran[i] of elements preserves and
     reflects ≤.
 
@@ -258,17 +252,21 @@ def _maps_order_onto(poset: Poset, dom: list[str], ran: list[str]) -> bool:
     covers of an ideal are covers of the poset, and ≤ is their transitive
     closure, so this costs one lookup per cover inside dom.  Other sides
     take ``_maps_down_sets_onto``."""
-    hasse = poset._hasse
-    bit = hasse.bit
-    if not all(map(bit.__contains__, itertools.chain(dom, ran))):
+    pos = poset._pos
+    if not all(a in pos and b in pos for a, b in zip(dom, ran)):
         return False
     if dom == ran:
         return True
-    if not (is_ideal(poset, dom) and is_ideal(poset, ran)):
+    if between_ideals is None:
+        between_ideals = is_ideal(poset, dom) and is_ideal(poset, ran)
+    if not between_ideals:
         return _maps_down_sets_onto(poset, dom, ran)
-    image = dict(zip(dom, map(bit.__getitem__, ran)))  # a -> bit of its image
-    mapped = map(sum, map(partial(map, image.__getitem__), map(hasse.covers.__getitem__, dom)))
-    return all(map(eq, mapped, map(hasse.cover_bits.__getitem__, ran)))
+    covers = poset._covers
+    image = {pos[a]: 1 << pos[b] for a, b in zip(dom, ran)}  # bit position -> image bit
+    return all(
+        sum(map(image.__getitem__, covers[pos[c]])) == sum(map((1).__lshift__, covers[pos[d]]))
+        for c, d in zip(dom, ran)
+    )
 
 
 def _maps_down_sets_onto(poset: Poset, dom: list[str], ran: list[str]) -> bool:
@@ -289,8 +287,7 @@ def _maps_down_sets_onto(poset: Poset, dom: list[str], ran: list[str]) -> bool:
 
 
 def identity_iso(subset: Iterable[str]) -> PartialOrderIso:
-    points = sorted(subset)
-    return PartialOrderIso(tuple(zip(points, points)))
+    return PartialOrderIso(tuple(sorted((x, x) for x in subset)))
 
 
 def compose_partial_isos(t: PartialOrderIso, s: PartialOrderIso) -> PartialOrderIso:
@@ -312,12 +309,17 @@ def order_isos_between(poset: Poset, dom: frozenset[str], ran: frozenset[str]) -
     points so far.  Candidates are first refined to those with as many
     points below and above them in ran as the point has in dom.  This is
     the refinement-and-backtrack search of Ullmann, "An algorithm for
-    subgraph isomorphism", J. ACM 23 (1976), on down-set masks."""
+    subgraph isomorphism", J. ACM 23 (1976), on down-set masks.  Between
+    two antichains, where it cuts nothing, the permutations are listed
+    directly."""
     if len(dom) != len(ran):
         return []
     left, right = sorted(dom), sorted(ran)
     if not all(map(poset._pos.__contains__, itertools.chain(left, right))):
         return []
+    if _is_antichain(poset, left) and _is_antichain(poset, right):
+        # every bijection is an iso, met in the search's order
+        return [PartialOrderIso(tuple(zip(left, image))) for image in itertools.permutations(right)]
     below_l, above_l = _index_masks(poset, left)
     below_r, above_r = _index_masks(poset, right)
     shapes = list(zip(map(int.bit_count, below_r), map(int.bit_count, above_r)))
@@ -343,6 +345,14 @@ def order_isos_between(poset: Poset, dom: frozenset[str], ran: frozenset[str]) -
 
     extend(0, 0)
     return found
+
+
+def _is_antichain(poset: Poset, points: list[str]) -> bool:
+    """Whether no two of ``points`` (elements) are comparable: each
+    down-set meets them in its own point alone, so the masks sum to theirs."""
+    pos, down = poset._pos, poset.down
+    bits = poset._mask(points)
+    return sum(down[pos[x]] & bits for x in points) == bits
 
 
 def _index_masks(poset: Poset, points: list[str]) -> tuple[list[int], list[int]]:

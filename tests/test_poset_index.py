@@ -15,6 +15,7 @@ pairs, cannot come back unseen.
 
 from __future__ import annotations
 
+import itertools
 import os
 import subprocess
 import sys
@@ -46,7 +47,7 @@ from invcat import (
 
 from invcat import poset as poset_module
 from invcat.expansion import VARIANTS
-from invcat.poset import order_isos_between
+from invcat.poset import antichain_poset, order_isos_between
 from oracles import (
     CountingTable,
     PARTIAL_BIJECTIONS,
@@ -219,10 +220,10 @@ def test_order_iso_make_between_ideals_matches_the_scan(order, data):
 @given(orders(), st.data())
 def test_lower_covers_match_the_definition(order, data):
     poset = poset_from_relation(data.draw(st.permutations(order[0])), order[1])
-    covers = poset._hasse.covers
-    for b in poset.elements:
+    for b, at in zip(poset.elements, poset._covers):
         below = [a for a in poset.elements if a != b and poset.leq(a, b)]
-        assert covers[b] == tuple(a for a in below if not any(poset.leq(a, c) for c in below if c != a)), b
+        covers = [a for a in below if not any(poset.leq(a, c) for c in below if c != a)]
+        assert at == tuple(map(poset._pos.__getitem__, covers)), b
 
 
 @settings(max_examples=60, deadline=None)
@@ -353,11 +354,13 @@ def test_constructions_never_list_the_order_pairs(monkeypatch, g2):
 
 def test_clean_action_validation_neither_lists_the_order_nor_scans_pairs(monkeypatch):
     """The ideal-to-ideal order tests walk covers: no ``relation`` read, no
-    down-set walk and no pairwise scan (whose ≤ tests go through ``leq``)."""
+    down-set walk and no pairwise scan (whose ≤ tests go through ``leq``).
+    The validators decide once whether both sides are ideals, so the order
+    test makes no ideal test of its own."""
     i3 = sub_inverse_monoid(list(PARTIAL_BIJECTIONS))
     fibred = bernoulli_global(i3)
     partial = bernoulli_partial(i3)
-    counts = {"relation": 0, "leq": 0, "down-set walk": 0}
+    counts = {"relation": 0, "leq": 0, "down-set walk": 0, "ideal test": 0}
 
     def counting(key, fn):
         def wrapped(*args):
@@ -370,12 +373,13 @@ def test_clean_action_validation_neither_lists_the_order_nor_scans_pairs(monkeyp
     monkeypatch.setattr(Poset, "leq", counting("leq", Poset.leq))
     walk = counting("down-set walk", poset_module._maps_down_sets_onto)
     monkeypatch.setattr(poset_module, "_maps_down_sets_onto", walk)
+    monkeypatch.setattr(poset_module, "is_ideal", counting("ideal test", poset_module.is_ideal))
     assert validate_fibred(fibred).ok
     symmetry = fibred_to_symmetry(fibred)
     assert validate_symmetry(symmetry).ok
     assert validate_partial(symmetry_to_partial(symmetry)).ok
     assert validate_partial(partial).ok
-    assert counts == {"relation": 0, "leq": 0, "down-set walk": 0}
+    assert counts == {"relation": 0, "leq": 0, "down-set walk": 0, "ideal test": 0}
 
 
 def test_order_isos_of_the_8_chain_take_at_most_64_candidate_tests(monkeypatch):
@@ -394,3 +398,13 @@ def test_order_isos_of_the_8_chain_take_at_most_64_candidate_tests(monkeypatch):
     isos = order_isos_between(chain, everything, everything)
     assert [iso.pairs for iso in isos] == [tuple(zip("abcdefgh", "abcdefgh"))]
     assert 0 < tests <= 8**2
+
+
+def test_order_isos_between_antichains_are_listed_untested(monkeypatch):
+    """Between two antichains every bijection is an iso: the 4! of them
+    come in the search's order, with no candidate test."""
+    antichain = antichain_poset("abcd")
+    monkeypatch.setattr(poset_module, "_fits", None)
+    everything = frozenset(antichain.elements)
+    isos = order_isos_between(antichain, everything, everything)
+    assert [tuple(b for _, b in iso.pairs) for iso in isos] == list(itertools.permutations("abcd"))
