@@ -31,11 +31,12 @@ table lookups and one OR; member sets are read only for output.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .actions import FibredAction, MomentMap, PartialActionBundle
 from .core import InverseCategory
-from .errors import NotComposable
+from .errors import NotComposable, ParseError
 from .limits import DEFAULT_MAX_ELEMENTS, check_cap
 from .poset import PartialOrderIso, Poset, subset_name
 
@@ -197,6 +198,13 @@ def build_bernoulli(
                 elt = PCElement(frozenset(sub), ic.src(e), e)
                 elements[elt.key] = elt
                 codes[elt.key] = (e, sum(map(bit.__getitem__, sub)))
+    if len(elements) != total:
+        names = Counter(
+            subset_name(sub) for e, r in members.items() for k in range(1, len(r) + 1)
+            for sub in itertools.combinations(r, k) if not pointed or e in sub
+        )
+        shared = min(key for key, n in names.items() if n > 1)
+        raise ParseError(f"morphism names make two Bernoulli subsets share the name {shared!r}", key=shared)
     return BernoulliPoset(ic, pointed, elements, members, codes)
 
 

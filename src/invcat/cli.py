@@ -43,7 +43,7 @@ from .errors import (
     UndeclaredName,
 )
 from .expansion import inner_expansion, szendrei
-from .limits import check_cap, max_elements_from_env
+from .limits import check_cap, resolve_max_elements
 from .specfile import _load_json, load_category, save_category, to_json
 
 _INPUT_ERROR_CODES = {
@@ -298,7 +298,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--max-elements",
-            type=int,
             help="size cap for derived structures (env INVCAT_MAX_ELEMENTS)",
         )
 
@@ -358,8 +357,7 @@ def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     args = _build_parser().parse_args(argv)
     try:
-        if args.max_elements is None:
-            args.max_elements = max_elements_from_env()
+        args.max_elements = resolve_max_elements(args.max_elements)
         inputs, result, violations, code = args.func(args)
     except OSError as exc:
         _emit(

@@ -123,9 +123,9 @@ def _split(
     ic: InverseCategory, triples: dict[str, tuple[str, str, str]]
 ) -> tuple[InverseCategory, dict[str, str]]:
     """Join the triples (e, s, f), keyed by name, as the arrows
-    ((src s, e), s, (tgt s, f)) of ``join_category`` over the columns of
-    ``ic``, so (f, t, g)(e, s, f) = (e, ts, g); the identity of (X, e) is
-    (e, e, e).  Returns the category and its object names by idempotent."""
+    ((src s, e), s, (tgt s, f)) of ``join_category`` over ``ic``, so
+    (f, t, g)(e, s, f) = (e, ts, g); the identity of (X, e) is (e, e, e).
+    Returns the category and its object names by idempotent."""
     objects = {e: _object_name(ic.src(e), e) for e in ic.idempotents()}
     idem = {name: e for e, name in objects.items()}
     units = {e: name for name, (e, s, f) in triples.items() if e == s == f}
@@ -133,8 +133,7 @@ def _split(
         objects.values(),
         {name: (objects[e], s, objects[f]) for name, (e, s, f) in triples.items()},
         {name: units[e] for e, name in objects.items()},
-        ic.cat.columns(),
-        ic.inverse,
+        ic,
         lambda a, s, b: _morphism_name(idem[a], s, idem[b]),
     )
     return completed, objects

@@ -15,15 +15,15 @@ Conventions used throughout the package:
   and by target once, and by (source, target) on first use, in
   declaration order; hom-sets, stars, costars and the inverse search read
   these buckets.  Every derived category is built by ``join_category``
-  from triples (source, base morphism, target) over the base table read
-  by columns (``FiniteCategory.columns``, built on first use), composing
+  from triples (source, base morphism, target) over a base inverse
+  category, read in its arrow numbers (``FiniteCategory.ints``), composing
   each arrow only with the arrows starting where it ends, so its cost
   follows the composable pairs.  It looks every composite up among the
   declared arrows, so its table is closed by construction, and stores it
-  as an arrow number: one row per right arrow (``FiniteCategory.ints``),
-  named only when the table is read.  ``FiniteCategory.build`` checks all
-  of a table's names at once, as one set, and scans entry by entry only
-  to report the first undeclared one.
+  as arrow numbers, one row per right arrow; its name-keyed ``table`` is
+  made on first read.  ``FiniteCategory.build`` checks all of a table's
+  names at once, as one set, and scans entry by entry only to report the
+  first undeclared one.
 * Associativity is decided by Light's test on the generating set of
   ``generators``; the action validators check their composition laws on
   the same generators once the acting category passes.
@@ -42,7 +42,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import itertools
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from operator import getitem
@@ -96,15 +95,15 @@ class ValidationReport:
 # finite categories
 
 
-@dataclass
+@dataclass(slots=True)
 class FiniteCategory:
     """A finite category presented by explicit tables.
 
     ``src``/``tgt`` type every morphism, ``identity`` names the identity of
     each object, and ``table`` holds every defined composite keyed by
-    ``(after, first)``: the dict given, or for a joined category, until
-    its first read, an ``_Unnamed`` placeholder over the rows of
-    ``ints()``."""
+    ``(after, first)``.  A joined category is given no table: it holds the
+    rows of ``ints()`` and is a ``_Joined`` until its first read of
+    ``table``."""
 
     objects: tuple[str, ...]
     morphisms: tuple[str, ...]
@@ -115,10 +114,12 @@ class FiniteCategory:
     _by_src: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _by_tgt: dict[str, tuple[str, ...]] = field(init=False, repr=False, compare=False)
     _by_hom: dict[tuple[str, str], tuple[str, ...]] | None = field(default=None, init=False, repr=False, compare=False)
-    _columns: dict[str, dict[str, str]] | None = field(default=None, init=False, repr=False, compare=False)
     _ints: "_IntTable | None" = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.table is None:
+            del self.table
+            self.__class__ = _Joined
         self._by_src = _buckets(self.morphisms, self.src.__getitem__)
         self._by_tgt = _buckets(self.morphisms, self.tgt.__getitem__)
 
@@ -127,16 +128,6 @@ class FiniteCategory:
         if self._ints is None:
             self._ints = _IntTable(self)
         return self._ints
-
-    def columns(self) -> dict[str, dict[str, str]]:
-        """The table by its first factor, t -> {s: s∘t}, built on first use."""
-        if self._columns is None:
-            mors, by_src = self.morphisms, self._by_src
-            self._columns = {
-                t: dict(zip(by_src.get(self.tgt[t], ()), map(mors.__getitem__, row)))
-                for t, row in zip(mors, self.ints().rows)
-            }
-        return self._columns
 
     @staticmethod
     def build(
@@ -161,8 +152,8 @@ class FiniteCategory:
         identities: Mapping[str, str],
         table: dict[tuple[str, str], str] | None,
     ) -> "FiniteCategory":
-        """``build`` storing ``table`` itself: the caller hands the dict
-        over and keeps no use of it, so the table is never held twice."""
+        """``build`` storing ``table`` itself (None for a joined category):
+        the caller hands it over and keeps no use of it, so it is never held twice."""
         objs = tuple(objects)
         mors = tuple(morphisms)
         oset, mset = {x: x for x in objs}, set(mors)
@@ -217,36 +208,28 @@ class FiniteCategory:
         return self.src[s] == self.src[t] and self.tgt[s] == self.tgt[t]
 
 
-class _Unnamed:
-    """The ``table`` of a joined category until its first read, which
-    names the rows (f in declaration order, then each g leaving tgt f) and
-    puts the dict in this placeholder's place.  The category is held
-    weakly, so that no joined category is left in a reference cycle."""
+class _Joined(FiniteCategory):
+    """A joined category before its table is read: the first read names the
+    rows of ``ints()`` (f in declaration order, then each g leaving tgt f)
+    into a plain dict and makes it a ``FiniteCategory``.  On that class, a
+    ``__getattr__`` or a class attribute ``table`` would keep the
+    interpreter from specialising every category's reads of ``table``."""
 
-    __slots__ = ("_cat", "_parts", "_named")
+    __slots__ = ()
 
-    def __init__(self, cat: FiniteCategory) -> None:
-        self._cat = weakref.ref(cat)
-        self._parts = (cat.morphisms, cat.tgt, cat._by_src, cat.ints().rows)
-        self._named = None
-
-    def named(self) -> dict[tuple[str, str], str]:
-        if self._named is None:
-            mors, tgt, by_src, rows = self._parts
-            self._named = table = {}
-            for f, row in zip(mors, rows):
-                table.update(zip(zip(by_src.get(tgt[f], ()), itertools.repeat(f)), map(mors.__getitem__, row)))
-            if (cat := self._cat()) is not None:
-                cat.table = table
-        return self._named
+    def __getattr__(self, name: str) -> dict[tuple[str, str], str]:
+        if name != "table":  # only the unset table slot gets here
+            raise AttributeError(name)
+        mors, tgt, by_src = self.morphisms, self.tgt, self._by_src
+        table = {}
+        for f, row in zip(mors, self.ints().rows):
+            table.update(zip(zip(by_src.get(tgt[f], ()), itertools.repeat(f)), map(mors.__getitem__, row)))
+        self.__class__ = FiniteCategory
+        self.table = table
+        return table
 
     def __eq__(self, other: object) -> bool:
-        return self.named() == other
-
-
-# every other read a caller makes of the table is made of the named dict
-for _read in ("__contains__", "__getitem__", "__iter__", "__len__", "get", "items", "keys", "values"):
-    setattr(_Unnamed, _read, lambda self, *args, _read=_read: getattr(self.named(), _read)(*args))
+        return self.table is not None and self == other  # compared once named
 
 
 def _buckets(items: Iterable, key) -> dict:
@@ -634,49 +617,58 @@ def join_category(
     objects: Iterable[str],
     arrows: Mapping[str, tuple[str, str, str]],
     identities: Mapping[str, str],
-    columns: Mapping[str, Mapping[str, str]],
-    inverse: Mapping[str, str],
+    base: InverseCategory,
     name: Callable[[str, str, str], str],
 ) -> InverseCategory:
     """Build and verify the inverse category whose arrows are the distinct
     triples ``arrows`` (name -> (source, base morphism, target), in
-    declaration order) over a base category whose table is given by its
-    ``columns`` t -> {s: s∘t} and whose inverse map is ``inverse``:
-    g = (y, s, z) after f = (x, t, y) is the declared arrow (x, s∘t, z).
+    declaration order) over the inverse category ``base``: g = (y, s, z)
+    after f = (x, t, y) is the declared arrow (x, s∘t, z).
 
     Row f of ``ints()`` is one list of arrow numbers, read off the arrows
-    starting at y (as parallel lists), the column of t and the map source
-    -> base morphism -> target -> arrow number, so no Python frame, key or
-    name is made per pair; ``table`` is named only when it is read.  A
-    composite that is not declared raises UNDECLARED_NAME for
-    ``name(x, s∘t, z)``, the first in table order.
+    starting at y (as parallel lists of base places and targets), row t of
+    ``base.cat.ints()`` and the map source -> base number -> target ->
+    arrow number, so no Python frame, key or name is made per pair;
+    ``table`` is named only when it is read.  Each y must lie over one
+    base object: the base arrows leaving y start where those entering y
+    end, one test per arrow, else NOT_COMPOSABLE.  A composite that is not
+    declared raises UNDECLARED_NAME for ``name(x, s∘t, z)``.  Either error
+    is raised for the first pair in table order.
 
     The inverse of (x, s, z) is the declared arrow (z, s°, x), looked up
     in the same map; ``certified_inverse_structure`` checks it, and
     searches only when an arrow lacks it or the certificate fails."""
-    named: dict[str, dict[str, dict[str, int]]] = {}
+    over, mors = base.cat.ints(), base.cat.morphisms
+    named: dict[str, dict[int, dict[str, int]]] = {}
     for i, (x, s, z) in enumerate(arrows.values()):
-        named.setdefault(x, {}).setdefault(s, {})[z] = i
-    typing = {m: (x, z) for m, (x, _, z) in arrows.items()}
-    cat = FiniteCategory._assemble(objects, typing, identities, None)
-    left = {
-        y: ([arrows[g][1] for g in gs], [arrows[g][2] for g in gs])
-        for y, gs in cat._by_src.items()
-    }
+        named.setdefault(x, {}).setdefault(over.num[s], {})[z] = i
+    cat = FiniteCategory._assemble(objects, {m: (x, z) for m, (x, _, z) in arrows.items()}, identities, None)
+    left = {}  # y -> (the one base object the arrows leaving y start at, their base places, their targets)
+    for y, gs in cat._by_src.items():
+        ss = [over.num[arrows[g][1]] for g in gs]
+        start = set(map(over.src.__getitem__, ss))
+        left[y] = (start.pop() if len(start) == 1 else None, [over.place[s] for s in ss], [arrows[g][2] for g in gs])
     rows: list[list[int]] = []
     for x, t, y in arrows.values():
-        mids, ends = left.get(y, ((), ()))
-        row, column = named[x], columns.get(t, {})
-        try:
-            rows.append(list(map(getitem, map(row.__getitem__, map(column.__getitem__, mids)), ends)))
-        except KeyError:
-            s, z = next((s, z) for s, z in zip(mids, ends) if z not in row.get(column.get(s), ()))
-            miss = name(x, column.get(s), z)
-            raise UndeclaredName(f"composition entry uses undeclared morphism {miss!r}", name=miss) from None
+        t = over.num[t]
+        start, places, ends = left.get(y) or (over.tgt[t], (), ())
+        row, column = named[x], over.rows[t]
+        if start == over.tgt[t]:
+            try:
+                rows.append(list(map(getitem, map(row.__getitem__, map(column.__getitem__, places)), ends)))
+                continue
+            except KeyError:
+                pass
+        for _, s, z in map(arrows.__getitem__, cat._by_src[y]):  # the first (y, s, z) with no composite
+            s = over.num[s]
+            if over.src[s] != over.tgt[t]:
+                raise NotComposable("base morphisms do not compose", left=mors[s], right=mors[t])
+            if z not in row.get(column[over.place[s]], ()):
+                miss = name(x, mors[column[over.place[s]]], z)
+                raise UndeclaredName(f"composition entry uses undeclared morphism {miss!r}", name=miss)
     cat._ints = _IntTable(cat, rows)
-    cat.table = _Unnamed(cat)
     try:
-        claimed = {m: cat.morphisms[named[z][inverse[s]][x]] for m, (x, s, z) in arrows.items()}
+        claimed = {m: cat.morphisms[named[z][over.num[base.inverse[s]]][x]] for m, (x, s, z) in arrows.items()}
     except KeyError:
         claimed = None
     return certified_inverse_structure(cat, claimed)

@@ -81,7 +81,7 @@ def semidirect_product(
             name = f"({x}|{s})"
             arrows[name] = (x, s)
             triples[name] = (y, s, x)
-    inv = join_category(objects, triples, identities, ic.cat.columns(), ic.inverse, lambda _, s, x: f"({x}|{s})")
+    inv = join_category(objects, triples, identities, ic, lambda _, s, x: f"({x}|{s})")
     return inv, arrows
 
 

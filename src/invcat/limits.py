@@ -18,25 +18,24 @@ DEFAULT_ISO_CAP = 64
 ENV_MAX_ELEMENTS = "INVCAT_MAX_ELEMENTS"
 
 
-def max_elements_from_env() -> int:
-    """Resolve the element cap: INVCAT_MAX_ELEMENTS when set, else
-    ``DEFAULT_MAX_ELEMENTS``.
+def resolve_max_elements(flag: str | None = None) -> int:
+    """Resolve the element cap: the ``--max-elements`` value when given,
+    else INVCAT_MAX_ELEMENTS when set, else ``DEFAULT_MAX_ELEMENTS``.
 
-    Raises PARSE_ERROR when the override is not a positive integer.
+    Raises PARSE_ERROR when the value used is not a positive integer.
     """
-    raw = os.environ.get(ENV_MAX_ELEMENTS)
-    if raw is None:
-        return DEFAULT_MAX_ELEMENTS
+    if flag is not None:
+        raw, source, what = flag, "flag", "--max-elements"
+    else:
+        raw, source, what = os.environ.get(ENV_MAX_ELEMENTS), "variable", ENV_MAX_ELEMENTS
+        if raw is None:
+            return DEFAULT_MAX_ELEMENTS
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value <= 0:
-        raise ParseError(
-            f"{ENV_MAX_ELEMENTS} must be a positive integer, got {raw!r}",
-            variable=ENV_MAX_ELEMENTS,
-            value=raw,
-        )
+        raise ParseError(f"{what} must be a positive integer, got {raw!r}", value=raw, **{source: what})
     return value
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .core import InverseCategory, join_category
+from .core import FiniteCategory, InverseCategory, _IntTable, join_category
 from .errors import PreconditionFailed, SizeCapExceeded
 from .limits import DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_POSET
 
@@ -386,9 +386,9 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
     the identity of U is the total identity on U.  Each iso s gives a
     morphism per pair U ⊇ dom s, V ⊇ ran s; SIZE_CAP_EXCEEDED is raised in
     the walk over isos once that count passes ``max_elements``.  Morphisms
-    are the triples (U, s, V) of ``join_category`` over iso labels,
-    composed once per pair of isos; (U, s, V)° = (V, s⁻¹, U) is certified
-    there, not searched for.
+    are the triples (U, s, V) of ``join_category`` over the one-object
+    inverse monoid of the isos, composed once per pair of isos into iso
+    numbers; (U, s, V)° = (V, s⁻¹, U) is certified there, not searched for.
     """
     ids = ideals(poset)
     object_names = [subset_name(u) for u in ids]
@@ -418,8 +418,10 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
         uname: f"{uname}->{uname}|{identity_iso(u).label()}"
         for uname, u in zip(object_names, ids)
     }
-    columns = {  # label of s -> label of t -> label of t∘s
-        ls: {lt: compose_partial_isos(t, s).label() for lt, t, _, _ in isos} for ls, s, _, _ in isos
-    }
-    inverse = {label: s.inverse().label() for label, s, _, _ in isos}
-    return join_category(object_names, arrows, identities, columns, inverse, lambda u, s, v: f"{u}->{v}|{s}")
+    # the isos as the arrows of a one-object inverse monoid, composed into iso numbers
+    number = {s: i for i, (_, s, _, _) in enumerate(isos)}
+    unit = identity_iso(poset.elements).label()
+    cat = FiniteCategory._assemble(("*",), {label: ("*", "*") for label, *_ in isos}, {"*": unit}, None)
+    cat._ints = _IntTable(cat, [[number[compose_partial_isos(t, s)] for _, t, _, _ in isos] for _, s, _, _ in isos])
+    monoid = InverseCategory(cat, {label: isos[number[s.inverse()]][0] for label, s, _, _ in isos})
+    return join_category(object_names, arrows, identities, monoid, lambda u, s, v: f"{u}->{v}|{s}")

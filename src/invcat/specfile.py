@@ -37,7 +37,7 @@ import json
 from operator import itemgetter
 from typing import Any
 
-from .core import FiniteCategory
+from .core import FiniteCategory, _Joined
 from .errors import ParseError
 
 SCHEMA_VERSION = 1
@@ -124,9 +124,8 @@ def _records(rows: list[str]) -> str:
 def _composition_records(cat: FiniteCategory, q: _Quoted) -> list[str]:
     """The composition records sorted by (left, right); a joined category
     is read off its rows, left factor by left factor, without naming it."""
-    table = cat.table
-    if isinstance(table, dict):
-        return [_ENTRY % (q[g], q[f], q[table[g, f]]) for g, f in sorted(table)]
+    if not isinstance(cat, _Joined):
+        return [_ENTRY % (q[g], q[f], q[cat.table[g, f]]) for g, f in sorted(cat.table)]
     ints, names = cat.ints(), [q[m] for m in cat.morphisms]
     right = {y: [(q[f], ints.rows[ints.num[f]]) for f in sorted(fs)] for y, fs in cat._by_tgt.items()}
     return [

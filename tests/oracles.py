@@ -947,13 +947,13 @@ def join_by_product(objects, typing, identities, product, inverse) -> InverseCat
     """The category whose arrows are ``typing`` (name -> (source, target))
     and whose composite g∘f is named ``product(g, f)``, built by
     ``join_category``: each arrow m is the triple (source, m, target) over
-    the columns f -> {g: product(g, f)} on the composable pairs, with the
-    base inverse map ``inverse`` (certified there, so a wrong one is only
-    slower), and a composite outside the arrows is named as ``product``
-    names it."""
-    columns = {
-        f: {g: product(g, f) for g, (x, _) in typing.items() if x == y}
-        for f, (_, y) in typing.items()
-    }
+    the base category of ``typing`` with that table on the composable
+    pairs and the base inverse map ``inverse`` (certified there, so a wrong
+    one is only slower).  A composite outside the arrows is a base arrow
+    between two fresh objects, so that the join names it as ``product``
+    does."""
+    table = {(g, f): product(g, f) for f, (_, y) in typing.items() for g, (x, _) in typing.items() if x == y}
+    outside = {h: (0, 1) for h in table.values() if h not in typing}  # no object is named by an int
+    base = FiniteCategory.build([*objects, 0, 1], {**typing, **outside}, identities, table)
     triples = {m: (a, m, b) for m, (a, b) in typing.items()}
-    return join_category(objects, triples, identities, columns, inverse, lambda _a, m, _b: m)
+    return join_category(objects, triples, identities, InverseCategory(base, inverse), lambda _a, m, _b: m)

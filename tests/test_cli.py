@@ -334,6 +334,43 @@ def test_bad_max_elements_env_is_a_parse_error(datadir, capsys, monkeypatch):
         assert report["error"]["code"] == "PARSE_ERROR"
         assert report["error"]["details"] == {"value": raw, "variable": "INVCAT_MAX_ELEMENTS"}
         assert "Traceback" not in err
+    monkeypatch.delenv("INVCAT_MAX_ELEMENTS")
+    for raw in ("abc", "1.5", "0", "-3"):
+        for command in ("validate", "expand"):
+            code, report, err = run(capsys, command, str(datadir / "i2.json"), "--max-elements", raw)
+            assert code == 2
+            assert report["command"] == command
+            assert report["error"]["code"] == "PARSE_ERROR"
+            assert report["error"]["details"] == {"value": raw, "flag": "--max-elements"}
+            assert "Traceback" not in err
+
+
+def test_subsets_sharing_a_name_are_an_input_error(capsys, tmp_path):
+    """With 1_P named "a" and 1_Q named "a,b", R_a = {a, b} and R_{a,b} =
+    {a,b; p}, so the subsets {a, b} and {"a,b"} are both named {a,b}."""
+    spec = tmp_path / "shared_name.json"
+    cat = FiniteCategory.build(
+        ("P", "Q"),
+        {"a": ("P", "P"), "a,b": ("Q", "Q"), "p": ("P", "Q"), "b": ("Q", "P")},
+        {"P": "a", "Q": "a,b"},
+        {
+            ("a", "a"): "a",
+            ("a,b", "a,b"): "a,b",
+            ("p", "a"): "p",
+            ("a,b", "p"): "p",
+            ("b", "a,b"): "b",
+            ("a", "b"): "b",
+            ("b", "p"): "a",
+            ("p", "b"): "a,b",
+        },
+    )
+    save_category(str(spec), cat, {"a": "a", "a,b": "a,b", "p": "b", "b": "p"})
+    for argv in (["bernoulli"], ["bernoulli", "--circ"], ["expand"], ["expand", "--variant", "strict-partial"]):
+        code, report, err = run(capsys, argv[0], str(spec), *argv[1:])
+        assert code == 2
+        assert report["error"]["code"] == "PARSE_ERROR"
+        assert report["error"]["details"] == {"key": "{a,b}"}
+        assert "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,16 @@ per right arrow f.  The name-keyed ``cat.table`` is built from the rows the
 first time it is read.  These tests pin that the named table lists the
 pairs of ``oracles._join_pairs`` in the same order, that a composite outside
 the arrows is reported for the first miss in that order, that the spec
-writer reads the rows to the same bytes as the named table gives, and that
-the constructions and ``expand --emit-spec`` never build the names.
+writer reads the rows to the same bytes as the named table gives, that
+the constructions and ``expand --emit-spec`` never build the names, and
+that the join reads a composite off the base rows only for base arrows
+that compose.
 """
 
 from __future__ import annotations
+
+import dataclasses
+import itertools
 
 from hypothesis import assume, given, settings, strategies as st
 
@@ -17,16 +22,21 @@ import invcat.cli as cli
 import invcat.core as core
 from invcat import (
     FiniteCategory,
+    ToolkitError,
     UndeclaredName,
+    bernoulli_global,
+    bernoulli_partial,
     build_Iic,
     cauchy_completion,
     dump_category,
+    fibred_to_symmetry,
     restriction_groupoid,
     save_category,
+    symmetry_to_partial,
     szendrei,
 )
-from invcat.expansion import VARIANTS
-from invcat.poset import antichain_poset, chain_poset
+from invcat.expansion import VARIANTS, semidirect_product
+from invcat.poset import PartialOrderIso, antichain_poset, chain_poset
 
 from oracles import _join_pairs, join_by_product, partial_injection_categories
 
@@ -53,7 +63,7 @@ def typing(cat: FiniteCategory) -> dict[str, tuple[str, str]]:
 
 
 def unnamed(cat: FiniteCategory) -> bool:
-    return not isinstance(cat.table, dict)
+    return isinstance(cat, core._Joined)
 
 
 def assert_rows_match_the_named_table(ic) -> None:
@@ -65,7 +75,7 @@ def assert_rows_match_the_named_table(ic) -> None:
     assert unnamed(cat)
     table = cat.table
     assert list(table) == _join_pairs(typing(cat))
-    assert cat.table is table.named() and isinstance(cat.table, dict)
+    assert not unnamed(cat) and cat.table is table and isinstance(table, dict)
     rebuilt = FiniteCategory.build(cat.objects, typing(cat), cat.identity, cat.table)
     assert text == dump_category(rebuilt, ic.inverse)
     assert [cat.morphisms[h] for row in cat.ints().rows for h in row] == list(cat.table.values())
@@ -113,12 +123,21 @@ def test_an_undeclared_composite_is_the_first_miss_in_table_order(ic, rng):
         raise AssertionError("the dropped composite was not reported")
 
 
+def test_an_unnamed_join_equals_its_named_twin(i2):
+    """Comparing names the table first, from either side."""
+    one, two, named = (szendrei(i2, "global").ic.cat for _ in range(3))
+    len(named.table)
+    assert unnamed(one) and unnamed(two) and not unnamed(named)
+    assert one == named and named == two
+    assert not unnamed(one) and not unnamed(two)
+
+
 def test_constructions_and_emit_spec_never_name_their_table(i2, tmp_path, monkeypatch, capsys):
     spec = tmp_path / "i2.json"
     save_category(str(spec), i2.cat, i2.inverse)
     named = []
-    name = core._Unnamed.named
-    monkeypatch.setattr(core._Unnamed, "named", lambda self: named.append(self) or name(self))
+    name = core._Joined.__getattr__
+    monkeypatch.setattr(core._Joined, "__getattr__", lambda cat, attr: named.append(attr) or name(cat, attr))
     built = joined(i2)
     built["build_Iic"] = build_Iic(antichain_poset("abc"))
     for variant in ("global", "strict-partial"):
@@ -130,3 +149,32 @@ def test_constructions_and_emit_spec_never_name_their_table(i2, tmp_path, monkey
     # a name-keyed read builds the names once
     len(built["build_Iic"].cat.table)
     assert len(named) == 1 and not unnamed(built["build_Iic"].cat)
+
+
+def single_pair_tamperings(bundle):
+    """The bundle with one pair of the carrier added to or removed from
+    one map θ_s, for every s and every pair."""
+    for s in bundle.ic.morphisms:
+        pairs = set(bundle.maps[s].pairs)
+        for pair in itertools.product(bundle.poset.elements, repeat=2):
+            tampered = PartialOrderIso(tuple(sorted(pairs ^ {pair})))
+            yield dataclasses.replace(bundle, maps={**bundle.maps, s: tampered})
+
+
+def test_a_tampered_bundle_is_refused_or_composes_over_its_base(g2):
+    """The join reads s∘t off the base rows, so a pair of arrows whose base
+    factors do not compose must be refused, not read off the wrong row:
+    every semidirect product built from a tampered bundle of g2 has each
+    composite (x|s)∘(y|t) over s∘t.  Of the 208 cases, 25 are built."""
+    bundles = (bernoulli_partial(g2), symmetry_to_partial(fibred_to_symmetry(bernoulli_global(g2))))
+    cases = built = 0
+    for broken in itertools.chain.from_iterable(map(single_pair_tamperings, bundles)):
+        cases += 1
+        try:
+            ic, arrows = semidirect_product(broken)
+        except ToolkitError:
+            continue
+        built += 1
+        for (g, f), h in ic.cat.table.items():
+            assert arrows[h][1] == g2.compose(arrows[g][1], arrows[f][1])
+    assert (cases, built) == (208, 25)
