@@ -16,7 +16,8 @@ first decided by a kernel whose steps are C-level lookups: set differences,
 lists of ``dict.get`` compared whole, one mask AND per element, or a walk
 of the lower covers (order tests between ideals).  The ordered scan of a
 rule runs only for a map or pair whose kernel says no, and only to name the
-first witness, so every report is the one the scans alone would give.
+first witness, so every report is the one the scans alone would give; the
+fibred composition law reads its witness off its own two lists.
 """
 
 from __future__ import annotations
@@ -101,8 +102,9 @@ def validate_fibred(action: FibredAction) -> ValidationReport:
     with ``min`` for the witness; θ_s is monotone when it maps the lower
     covers of each b under θ_s(b), which suffices because dom θ_s is an
     ideal once moments are monotone; the composition law compares, per
-    pair (s, t), the lists θ_s(θ_t x) and θ_st(x) along dom θ_t, once θ is
-    defined on exactly the admissible pairs with element values.
+    pair (s, t), the lists θ_s(θ_t x) and θ_st(x) along dom θ_t, with one
+    sentinel for a pair that is not admissible, and its witness is the
+    first x where they differ.
 
     A non-strict action whose acting category passes Light's test
     (``core.associative_generators``) is first checked with monotonicity
@@ -184,7 +186,6 @@ def _fibred_report(
     # θ_s(x) per admissible x, in the order of adm[s], as a list and a map
     images = {s: list(map(theta.get, zip(repeat(s), xs))) for s, xs in adm.items()}
     maps = {s: dict(zip(adm[s], ys)) for s, ys in images.items()}
-    exact = not missing and not strays  # every admissible pair has an element image
 
     units = list(map(theta.get, zip(idem, elements)))  # (e(x), x) is admissible
     if units != list(elements):
@@ -221,18 +222,22 @@ def _fibred_report(
             add("axiom-ii-monotone", (s, *min(bad)), "θ_s does not preserve the order")
             break
 
-    # θ_s∘θ_t against θ_st along θ_t's pairs: with θ defined on exactly the
-    # admissible pairs, a None on either side means undefined
+    # θ_s∘θ_t against θ_st along dom θ_t, a pair that is not admissible
+    # read as ``undefined`` on either side; the first x where they differ
+    undefined = object()
     for t in ic.morphisms:
         for s in ic.cat._by_src.get(ic.tgt(t), ()):
             st = ic.compose(s, t)
             if st is None or (scope is not None and s not in scope):
                 continue
-            if exact and list(map(maps[s].get, images[t])) == list(map(maps[st].get, adm[t])):
-                continue
-            witness = _fibred_composition_failure(action, admissible, s, t, st, adm[t])
-            if witness is not None:
-                add("axiom-iii", *witness)
+            lhs = list(map(maps[s].get, images[t], repeat(undefined)))
+            rhs = list(map(maps[st].get, adm[t], repeat(undefined)))
+            if lhs != rhs:
+                i = next(i for i, (y, z) in enumerate(zip(lhs, rhs)) if y != z)
+                via, direct = (
+                    f"{None if v is undefined else v!r} (defined={v is not undefined})" for v in (lhs[i], rhs[i])
+                )
+                add("axiom-iii", (s, t, adm[t][i]), f"θ_s∘θ_t gives {via} but θ_st gives {direct}")
                 return full
     return full
 
@@ -273,27 +278,6 @@ def _monotone_failures(action: FibredAction, s: str, xs: list[str], elt_set: set
             if a != b and ya in elt_set and not down[pos[yb]] >> pos[ya] & 1:
                 bad.append((a, b))
     return bad
-
-
-def _fibred_composition_failure(
-    action: FibredAction, admissible: set[tuple[str, str]], s: str, t: str, st: str, xs: list[str]
-) -> tuple[tuple[str, str, str], str] | None:
-    """The first x of ``xs`` (dom θ_t) at which θ_s∘θ_t and θ_st differ in
-    definedness or value, with the message."""
-    theta = action.theta
-    for x in xs:
-        y = theta.get((t, x))
-        defined_lhs = y is not None and (s, y) in admissible
-        defined_rhs = (st, x) in admissible
-        lhs = theta.get((s, y)) if defined_lhs else None
-        rhs = theta.get((st, x)) if defined_rhs else None
-        if defined_lhs != defined_rhs or (defined_lhs and lhs != rhs):
-            return (
-                (s, t, x),
-                f"θ_s∘θ_t gives {lhs!r} (defined={defined_lhs}) but "
-                f"θ_st gives {rhs!r} (defined={defined_rhs})",
-            )
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +356,7 @@ def fibred_to_symmetry(action: FibredAction) -> SymmetryAction:
     for (m, x), y in action.theta.items():
         if m in graphs:
             graphs[m].append((x, y))
-    isos = {s: PartialOrderIso(tuple(sorted(graph))) for s, graph in graphs.items()}
+    isos = {s: PartialOrderIso(graph) for s, graph in graphs.items()}
     return SymmetryAction(ic, poset, fibers, isos)
 
 
@@ -422,7 +406,6 @@ def _symmetry_report(sym: SymmetryAction, scope: set[str] | None) -> ValidationR
     if sorted(covered) != sorted(poset.elements):
         add("fiber-partition", (), "fibers do not partition the poset")
 
-    inverses = {s: sym.isos[s].inverse() for s in ic.morphisms if s in sym.isos}
     ordered: set[str] = set()  # the s whose Θ(s) passed the order test
     ideal = lru_cache(maxsize=None)(partial(is_ideal, poset))  # domains repeat
     for s in ic.morphisms:
@@ -432,8 +415,8 @@ def _symmetry_report(sym: SymmetryAction, scope: set[str] | None) -> ValidationR
             continue
         dom, ran = iso.dom, iso.ran
         if scope is None or s in scope:
-            if ic.inv(s) not in ordered or iso != inverses[ic.inv(s)]:
-                failure = _sorted_iso_failure(poset, sorted(iso.pairs), ideal(dom) and ideal(ran))
+            if ic.inv(s) not in ordered or iso != sym.isos[ic.inv(s)].inverse():
+                failure = _sorted_iso_failure(poset, iso.pairs, ideal(dom) and ideal(ran))
                 if failure is not None:
                     add("iso-order", (s,), f"not an order isomorphism: {failure!r}")
                     continue
@@ -460,7 +443,7 @@ def _symmetry_report(sym: SymmetryAction, scope: set[str] | None) -> ValidationR
         if compose_partial_isos(sym.isos[s], sym.isos[t]) != sym.isos[st]:
             add("functor-composition", (s, t), "Θ(s)∘Θ(t) differs from Θ(st)")
     for s in ic.morphisms:
-        if sym.isos[ic.inv(s)] != inverses[s]:
+        if sym.isos[ic.inv(s)] != sym.isos[s].inverse():
             add("functor-inverse", (s,), "Θ(s°) differs from Θ(s)⁻¹")
     return full
 
@@ -553,14 +536,13 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
         return full
 
     inv, maps, domains = ic.inv, bundle.maps, bundle.domains
-    lookup = {s: dict(maps[s].pairs) for s in ic.morphisms}
     # the s whose θ_s passed axiom i; θ_{s°} = θ_s⁻¹ then needs no order test
     sound: set[str] = set()
     ideal = lru_cache(maxsize=None)(partial(is_ideal, poset))  # domains repeat
     for s in ic.morphisms:
         iso = maps[s]
         if inv(s) not in sound:
-            failure = _sorted_iso_failure(poset, sorted(iso.pairs), ideal(iso.dom) and ideal(domains[s]))
+            failure = _sorted_iso_failure(poset, iso.pairs, ideal(iso.dom) and ideal(domains[s]))
             if failure is not None:
                 add("axiom-i", (s,), f"θ_s is not an order isomorphism: {failure!r}")
                 break
@@ -585,7 +567,7 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
         if maps[e] != identity_iso(domains[e]):
             add("axiom-iii", (e,), "θ_e is not the identity of D_e")
 
-    witness = _restriction_failure(bundle, domains, lookup)
+    witness = _restriction_failure(bundle)
     if witness is not None:
         add("axiom-iv", *witness)
 
@@ -599,34 +581,32 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
     for (s, t), st in ic.cat.table.items():
         if not strict and s in sound and t in sound and st in sound:
             common = domains[t] & domains[inv(s)]
-            via = list(map(lookup[s].__getitem__, common))
-            direct = list(map(lookup[st].get, map(lookup[inv(t)].__getitem__, common)))
+            via = list(map(maps[s].point_map.__getitem__, common))
+            direct = list(map(maps[st].point_map.get, map(maps[inv(t)].point_map.__getitem__, common)))
             if via == direct and len(common) == len(domains[s] & domains[st]):
                 continue
-        witness = _partial_composition_failure(bundle, domains, lookup, s, t, st)
+        witness = _partial_composition_failure(bundle, s, t, st)
         if witness is not None:
             add("axiom-vi", *witness)
             break
     return full
 
 
-def _restriction_failure(
-    bundle: PartialActionBundle, domains: dict[str, frozenset[str]], lookup: dict[str, dict[str, str]]
-) -> tuple[tuple, str] | None:
+def _restriction_failure(bundle: PartialActionBundle) -> tuple[tuple, str] | None:
     """The first parallel s < t, in morphism and then hom order, that breaks
     axiom iv, with its witness and message."""
-    ic = bundle.ic
+    ic, maps = bundle.ic, bundle.maps
     composite = ic.cat.table.get
     for s in ic.morphisms:
         e = ic.ran_idem(s)
         for t in ic.cat.hom(ic.src(s), ic.tgt(s)):
             if s == t or composite((e, t)) != s:  # s ≤ t iff s = ss°·t
                 continue
-            ds, dt = domains[ic.inv(s)], domains[ic.inv(t)]
+            ds, dt = maps[ic.inv(s)].ran, maps[ic.inv(t)].ran
             if not bundle.strict and not ds <= dt:
                 return (s, t), "s ≤ t but D_{s°} is not inside D_{t°}"
             common = ds & dt
-            lookup_t, lookup_s = lookup[t], lookup[s]
+            lookup_t, lookup_s = maps[t].point_map, maps[s].point_map
             if list(map(lookup_t.get, common)) != list(map(lookup_s.get, common)):
                 x = min(x for x in common if lookup_t.get(x) != lookup_s.get(x))
                 return (s, t, x), "θ_t does not restrict to θ_s"
@@ -634,27 +614,23 @@ def _restriction_failure(
 
 
 def _partial_composition_failure(
-    bundle: PartialActionBundle,
-    domains: dict[str, frozenset[str]],
-    lookup: dict[str, dict[str, str]],
-    s: str,
-    t: str,
-    st: str,
+    bundle: PartialActionBundle, s: str, t: str, st: str
 ) -> tuple[tuple, str] | None:
     """Axiom vi at the composable pair (s, t): its witness and message, or
     None."""
-    inv = bundle.ic.inv
-    lookup_s, lookup_t, lookup_st = lookup[s], lookup[t], lookup[st]
+    inv, maps = bundle.ic.inv, bundle.maps
+    lookup_s, lookup_t, lookup_st = maps[s].point_map, maps[t].point_map, maps[st].point_map
+    common = maps[inv(s)].ran & maps[t].ran  # D_{s°} ∩ D_t
     # points of D_{s°} outside θ_s are reported under axiom-i
-    lhs = frozenset(lookup_s[x] for x in domains[inv(s)] & domains[t] if x in lookup_s)
-    rhs = domains[s] & domains[st]
+    lhs = frozenset(lookup_s[x] for x in common if x in lookup_s)
+    rhs = maps[s].ran & maps[st].ran
     if bundle.strict:
         if not lhs <= rhs:
             return (s, t), "θ_s(D_{s°} ∩ D_t) leaves D_s ∩ D_{st}"
     elif lhs != rhs:
         return (s, t), f"θ_s(D_{{s°}} ∩ D_t) = {sorted(lhs)} differs from D_s ∩ D_{{st}} = {sorted(rhs)}"
-    back = lookup[inv(t)]
-    for y in sorted(domains[t] & domains[inv(s)]):
+    back = maps[inv(t)].point_map
+    for y in sorted(common):
         x = back.get(y)
         if x is None or lookup_t.get(x) != y:
             continue  # broken iso, reported under axiom-i
@@ -701,7 +677,7 @@ def restrict_to_ideal(bundle: PartialActionBundle, subset: Iterable[str]) -> Par
         tuple(sum(map(moved.__getitem__, _bits(poset.down[i]))) for i in keep),
     )
     maps = {
-        s: PartialOrderIso(tuple(sorted(p for p in bundle.maps[s].pairs if p[0] in q and p[1] in q)))
+        s: PartialOrderIso(p for p in bundle.maps[s].pairs if p[0] in q and p[1] in q)
         for s in ic.morphisms
     }
     return PartialActionBundle(ic, sub, maps)

@@ -239,5 +239,5 @@ def _bundle(bp: BernoulliPoset, strict: bool) -> PartialActionBundle:
     ``BernoulliPoset.graph``: from ``BernoulliPoset.domain`` of s° onto
     that of s."""
     ic = bp.ic
-    maps = {s: PartialOrderIso(tuple(sorted(bp.graph(s, strict)))) for s in ic.morphisms}
+    maps = {s: PartialOrderIso(bp.graph(s, strict)) for s in ic.morphisms}
     return PartialActionBundle(ic, bp.poset, maps, strict=strict)

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import os
 import sys
 import time
 
@@ -83,7 +84,7 @@ def _declaration_notes(ic: InverseCategory, declared: dict[str, str] | None) -> 
 
 
 def _emit(report: dict, started: float) -> None:
-    print(to_json(report))
+    print(to_json(report), flush=True)
     print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
 
 
@@ -356,41 +357,33 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     started = time.perf_counter()
     args = _build_parser().parse_args(argv)
+    report, code = _run(args)
+    try:
+        _emit(report, started)
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so that the flush
+        # at exit is silent, and keep the command's exit code
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
+
+
+def _run(args: argparse.Namespace) -> tuple[dict, int]:
+    """The report of one command and its exit code."""
     try:
         args.max_elements = resolve_max_elements(args.max_elements)
         inputs, result, violations, code = args.func(args)
     except OSError as exc:
-        _emit(
-            {
-                "command": args.command,
-                "error": {"code": "IO_ERROR", "message": str(exc)},
-            },
-            started,
-        )
-        return 2
+        return {"command": args.command, "error": {"code": "IO_ERROR", "message": str(exc)}}, 2
     except ToolkitError as exc:
-        _emit(
-            {
-                "command": args.command,
-                "error": {
-                    "code": exc.code,
-                    "message": exc.message,
-                    "details": {k: v for k, v in sorted(exc.details.items())},
-                },
-            },
-            started,
-        )
-        return 2 if exc.code in _INPUT_ERROR_CODES else 1
-    _emit(
-        {
-            "command": args.command,
-            "inputs": inputs,
-            "result": result,
-            "violations": violations,
-        },
-        started,
-    )
-    return code
+        error = {
+            "code": exc.code,
+            "message": exc.message,
+            "details": {k: v for k, v in sorted(exc.details.items())},
+        }
+        return {"command": args.command, "error": error}, 2 if exc.code in _INPUT_ERROR_CODES else 1
+    return {"command": args.command, "inputs": inputs, "result": result, "violations": violations}, code
 
 
 if __name__ == "__main__":

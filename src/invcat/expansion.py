@@ -77,7 +77,7 @@ def semidirect_product(
     arrows: dict[str, tuple[str, str]] = {}
     triples: dict[str, tuple[str, str, str]] = {}
     for s in ic.morphisms:
-        for x, y in sorted(maps[ic.inv(s)].pairs):
+        for x, y in maps[ic.inv(s)].pairs:
             name = f"({x}|{s})"
             arrows[name] = (x, s)
             triples[name] = (y, s, x)

@@ -177,35 +177,45 @@ def subset_name(subset: Iterable[str]) -> str:
 
 @dataclass(frozen=True)
 class PartialOrderIso:
-    """A bijection between two subsets of one poset, preserving ≤ both ways."""
+    """A bijection between two subsets of one poset, preserving ≤ both ways.
+
+    A partial bijection is its set of pairs, so ``pairs`` is stored sorted,
+    as a tuple, whatever iterable is given: equal maps are equal isos with
+    equal hashes.  ``dom``, ``ran`` and ``point_map`` (each point to its
+    image) are derived once, on first use.
+    """
 
     pairs: tuple[tuple[str, str], ...]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
 
     @staticmethod
     def make(poset: Poset, pairs: Iterable[tuple[str, str]]) -> "PartialOrderIso":
         """Check and build the map; PreconditionFailed carries its failure."""
-        ordered = tuple(sorted(pairs))
-        failure = _sorted_iso_failure(poset, ordered)
+        iso = PartialOrderIso(pairs)
+        failure = _sorted_iso_failure(poset, iso.pairs)
         if failure is not None:
             raise PreconditionFailed(f"not an order isomorphism: {failure!r}", failure=failure)
-        return PartialOrderIso(ordered)
+        return iso
 
-    @property
+    @cached_property
     def dom(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.pairs)
 
-    @property
+    @cached_property
     def ran(self) -> frozenset[str]:
         return frozenset(b for _, b in self.pairs)
 
+    @cached_property
+    def point_map(self) -> dict[str, str]:
+        return dict(self.pairs)
+
     def apply(self, x: str) -> str:
-        for a, b in self.pairs:
-            if a == x:
-                return b
-        raise KeyError(x)
+        return self.point_map[x]
 
     def inverse(self) -> "PartialOrderIso":
-        return PartialOrderIso(tuple(sorted((b, a) for a, b in self.pairs)))
+        return PartialOrderIso((b, a) for a, b in self.pairs)
 
     def label(self) -> str:
         return ",".join(f"{a}:{b}" for a, b in self.pairs)
@@ -287,16 +297,13 @@ def _maps_down_sets_onto(poset: Poset, dom: list[str], ran: list[str]) -> bool:
 
 
 def identity_iso(subset: Iterable[str]) -> PartialOrderIso:
-    return PartialOrderIso(tuple(sorted((x, x) for x in subset)))
+    return PartialOrderIso((x, x) for x in subset)
 
 
 def compose_partial_isos(t: PartialOrderIso, s: PartialOrderIso) -> PartialOrderIso:
     """t after s, on the largest domain where the chain is defined."""
-    lookup = dict(t.pairs)
-    pairs = tuple(
-        sorted((a, lookup[b]) for a, b in s.pairs if b in lookup)
-    )
-    return PartialOrderIso(pairs)
+    after = t.point_map
+    return PartialOrderIso((a, after[b]) for a, b in s.pairs if b in after)
 
 
 def order_isos_between(poset: Poset, dom: frozenset[str], ran: frozenset[str]) -> list[PartialOrderIso]:
@@ -319,7 +326,7 @@ def order_isos_between(poset: Poset, dom: frozenset[str], ran: frozenset[str]) -
         return []
     if _is_antichain(poset, left) and _is_antichain(poset, right):
         # every bijection is an iso, met in the search's order
-        return [PartialOrderIso(tuple(zip(left, image))) for image in itertools.permutations(right)]
+        return [PartialOrderIso(zip(left, image)) for image in itertools.permutations(right)]
     below_l, above_l = _index_masks(poset, left)
     below_r, above_r = _index_masks(poset, right)
     shapes = list(zip(map(int.bit_count, below_r), map(int.bit_count, above_r)))
@@ -332,7 +339,7 @@ def order_isos_between(poset: Poset, dom: frozenset[str], ran: frozenset[str]) -
 
     def extend(k: int, used: int) -> None:
         if k == len(left):
-            found.append(PartialOrderIso(tuple(zip(left, map(right.__getitem__, image)))))
+            found.append(PartialOrderIso(zip(left, map(right.__getitem__, image))))
             return
         earlier = (1 << k) - 1
         want_below = sum(1 << image[j] for j in _bits(below_l[k] & earlier))

@@ -5,7 +5,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import pytest
@@ -323,6 +326,34 @@ def test_max_elements_caps_the_predicted_size(datadir, capsys, argv, size):
     assert "Traceback" not in err
     code, report, _ = run(capsys, *args, "--max-elements", str(size))
     assert code in (0, 1) and "error" not in report
+
+
+def closed_pipe_run(argv: list[str], **env: str) -> subprocess.CompletedProcess:
+    """``python -m invcat`` with its stdout a pipe whose reader has already
+    closed it, so the first write of the report fails."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "invcat", *argv],
+            stdout=write,
+            stderr=subprocess.PIPE,
+            text=True,
+            cwd=root,
+            env={**os.environ, "PYTHONPATH": str(root / "src"), **env},
+            timeout=60,
+        )
+    finally:
+        os.close(write)
+
+
+def test_a_closed_stdout_keeps_the_exit_code_without_a_traceback():
+    argv = ["validate", "demos/data/i2.json"]
+    for env, want in (({}, 0), ({"INVCAT_MAX_ELEMENTS": "abc"}, 2)):
+        run = closed_pipe_run(argv, **env)
+        assert run.returncode == want, run.stderr
+        assert "Traceback" not in run.stderr and "BrokenPipeError" not in run.stderr
 
 
 def test_bad_max_elements_env_is_a_parse_error(datadir, capsys, monkeypatch):

@@ -19,9 +19,11 @@ from invcat import (
     dump_category,
     fibred_to_symmetry,
     parse_category,
+    projection,
     restrict_to_ideal,
     symmetry_to_partial,
     szendrei,
+    validate_functor,
     validate_partial,
 )
 from invcat.bernoulli import build_bernoulli
@@ -58,6 +60,15 @@ def test_expansions_match_their_definitions(ic):
         cat = sz.ic.cat
         typed = {m: (cat.src[m], cat.tgt[m]) for m in cat.morphisms}
         assert (typed, cat.table) == brute_expansion(sz), variant
+
+
+@settings(max_examples=30, deadline=None)
+@given(partial_injection_categories())
+def test_projection_is_a_functor(ic):
+    # a strict identity (x, iρ(x)) projects to an idempotent, not an identity
+    for variant in VARIANTS:
+        rules = set(validate_functor(projection(szendrei(ic, variant))).rules())
+        assert rules <= ({"functor-identity"} if variant.startswith("strict") else set()), variant
 
 
 @settings(max_examples=40, deadline=None)
