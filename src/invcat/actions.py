@@ -12,12 +12,13 @@ Three presentations of the same phenomenon, with converters between them:
 
 Validation never materialises the (much larger) category of partial order
 isomorphisms; functor laws are checked directly on the maps.  Each rule is
-first decided by a kernel whose steps are C-level lookups: set differences,
-lists of ``dict.get`` compared whole, one mask AND per element, or a walk
-of the lower covers (order tests between ideals).  The ordered scan of a
-rule runs only for a map or pair whose kernel says no, and only to name the
-first witness, so every report is the one the scans alone would give; the
-fibred composition law reads its witness off its own two lists.
+first decided by a kernel whose steps are C-level lookups: set differences
+or lists of ``dict.get`` compared whole; order questions are asked of
+``poset``, which answers them on its masks and lower covers.  The ordered
+scan of a rule runs only for a map or pair whose kernel says no, and only
+to name the first witness, so every report is the one the scans alone
+would give; the fibred composition law reads its witness off its own two
+lists.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import compress, repeat
-from operator import and_
 from typing import Iterable
 
 from .core import InverseCategory, ValidationReport, associative_generators
@@ -33,12 +33,13 @@ from .errors import NotAFunctor, NotGlobal, NotIdeal
 from .poset import (
     PartialOrderIso,
     Poset,
-    _bits,
-    _sorted_iso_failure,
-    compose_partial_isos,
     identity_iso,
     is_ideal,
+    label_monotone_failure,
+    monotone_failure,
+    order_iso_failure,
     poset_from_relation,
+    subposet,
 )
 
 
@@ -96,12 +97,10 @@ def validate_fibred(action: FibredAction) -> ValidationReport:
     each θ_s, and the composition law in Kleene form (both sides defined
     together and then equal).  One witness per rule.
 
-    The kernels: moments are monotone when each down-set mask lies inside
-    the mask of the elements whose idempotent is below that of its top
-    (one AND per element); the domain and image rules are set differences
-    with ``min`` for the witness; θ_s is monotone when it maps the lower
-    covers of each b under θ_s(b), which suffices because dom θ_s is an
-    ideal once moments are monotone; the composition law compares, per
+    The kernels: the monotonicity of moments and of each θ_s is asked of
+    ``poset`` (dom θ_s is an ideal once moments are monotone); the domain
+    and image rules are set differences with ``min`` for the witness; the
+    composition law compares, per
     pair (s, t), the lists θ_s(θ_t x) and θ_st(x) along dom θ_t, with one
     sentinel for a pair that is not admissible, and its witness is the
     first x where they differ.
@@ -159,16 +158,10 @@ def _fibred_report(
     for x, e in zip(elements, idem):
         at.setdefault(e, []).append(x)
     under = {f: list(compress(elements, map(es.__contains__, idem))) for f, es in lower.items()}
-    outside = {f: ~poset._mask(xs) for f, xs in under.items()}
-    # a ≤ b needs e(a) ≤ e(b): down(b) must lie under e(b), one AND per b
-    monotone = not any(map(and_, poset.down, map(outside.__getitem__, idem)))
+    bad = label_monotone_failure(poset, idem_of, lower)  # a ≤ b needs e(a) ≤ e(b)
+    monotone = bad is None
     if not monotone:
-        bad = (
-            (elements[j], b)
-            for b, d, e in zip(elements, poset.down, idem)
-            for j in _bits(d & outside[e])
-        )
-        add("moment-monotone", min(bad), "moment does not preserve the order")
+        add("moment-monotone", bad, "moment does not preserve the order")
 
     adm = {s: at.get(ic.dom_idem(s), []) if action.strict else under[ic.dom_idem(s)] for s in ic.morphisms}
     admissible: set[tuple[str, str]] = set()
@@ -206,20 +199,11 @@ def _fibred_report(
             break
 
     checked = ic.morphisms if scope is None else [s for s in ic.morphisms if s in scope]
-    pos, down, covers = poset._pos, poset.down, poset._covers
-    # θ_s maps each lower cover of b under θ_s(b), when dom θ_s is an ideal
-    # (moments monotone) and θ_s is an injection into the poset; the least
-    # offending (a, b) is the one a scan of sorted pairs finds first
+    # dom θ_s is an ideal once moments are monotone, unless the action is strict
     for s in checked:
-        xs, ys = adm[s], images[s]
-        if monotone and not action.strict and elt_set.issuperset(ys) and len(set(ys)) == len(ys):
-            image = {pos[x]: 1 << pos[y] for x, y in zip(xs, ys)}  # bit position -> image bit
-            mapped = (sum(map(image.__getitem__, covers[pos[x]])) for x in xs)
-            if not any(map(and_, mapped, (~down[pos[y]] for y in ys))):
-                continue
-        bad = _monotone_failures(action, s, adm[s], elt_set)
-        if bad:
-            add("axiom-ii-monotone", (s, *min(bad)), "θ_s does not preserve the order")
+        bad = monotone_failure(poset, adm[s], images[s], monotone and not action.strict)
+        if bad is not None:
+            add("axiom-ii-monotone", (s, *bad), "θ_s does not preserve the order")
             break
 
     # θ_s∘θ_t against θ_st along dom θ_t, a pair that is not admissible
@@ -261,23 +245,6 @@ def _image_moment_failure(
         if moment.idem[x] == ic.dom_idem(s) and moment.idem[y] != ran:
             return (s, x), "image idempotent must equal ss° when x sits at s°s"
     return None
-
-
-def _monotone_failures(action: FibredAction, s: str, xs: list[str], elt_set: set[str]) -> list[tuple[str, str]]:
-    """The pairs a < b of ``xs`` (dom θ_s) whose images are elements out of order."""
-    poset, theta = action.poset, action.theta
-    pos, down = poset._pos, poset.down
-    dom_bits = poset._mask(xs)
-    bad = []
-    for b in xs:
-        yb = theta.get((s, b))
-        if yb not in elt_set:
-            continue
-        for a in poset._below(b, dom_bits):
-            ya = theta.get((s, a))
-            if a != b and ya in elt_set and not down[pos[yb]] >> pos[ya] & 1:
-                bad.append((a, b))
-    return bad
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +383,7 @@ def _symmetry_report(sym: SymmetryAction, scope: set[str] | None) -> ValidationR
         dom, ran = iso.dom, iso.ran
         if scope is None or s in scope:
             if ic.inv(s) not in ordered or iso != sym.isos[ic.inv(s)].inverse():
-                failure = _sorted_iso_failure(poset, iso.pairs, ideal(dom) and ideal(ran))
+                failure = order_iso_failure(poset, iso.pairs, ideal(dom) and ideal(ran))
                 if failure is not None:
                     add("iso-order", (s,), f"not an order isomorphism: {failure!r}")
                     continue
@@ -440,12 +407,21 @@ def _symmetry_report(sym: SymmetryAction, scope: set[str] | None) -> ValidationR
         gens = [g for g in ic.morphisms if g in scope]
         pairs = [((g, t), table[(g, t)]) for g in gens for t in ic.costar(ic.src(g))]
     for (s, t), st in pairs:
-        if compose_partial_isos(sym.isos[s], sym.isos[t]) != sym.isos[st]:
+        if not _composes_to(sym.isos[s], sym.isos[t], sym.isos[st]):
             add("functor-composition", (s, t), "Θ(s)∘Θ(t) differs from Θ(st)")
     for s in ic.morphisms:
         if sym.isos[ic.inv(s)] != sym.isos[s].inverse():
             add("functor-inverse", (s,), "Θ(s°) differs from Θ(s)⁻¹")
     return full
+
+
+def _composes_to(s: PartialOrderIso, t: PartialOrderIso, st: PartialOrderIso) -> bool:
+    """Whether s∘t = st, for s and t functional: along the pairs (a, b) of
+    t, s(b) and st(a) are defined together and equal, and st has no other
+    pair."""
+    via = list(map(s.point_map.get, t.point_map.values()))
+    direct = list(map(st.point_map.get, t.point_map))
+    return via == direct and len(st.pairs) == len(via) - via.count(None)
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +518,7 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
     for s in ic.morphisms:
         iso = maps[s]
         if inv(s) not in sound:
-            failure = _sorted_iso_failure(poset, iso.pairs, ideal(iso.dom) and ideal(domains[s]))
+            failure = order_iso_failure(poset, iso.pairs, ideal(iso.dom) and ideal(domains[s]))
             if failure is not None:
                 add("axiom-i", (s,), f"θ_s is not an order isomorphism: {failure!r}")
                 break
@@ -669,15 +645,8 @@ def restrict_to_ideal(bundle: PartialActionBundle, subset: Iterable[str]) -> Par
         )
     if not is_ideal(poset, q):
         raise NotIdeal("subset is not downward closed", subset=sorted(q))
-    # Q's down-set masks, each bit moved to the position of its element in Q
-    keep = [i for i, x in enumerate(poset.elements) if x in q]
-    moved = {i: 1 << k for k, i in enumerate(keep)}
-    sub = Poset(
-        tuple(poset.elements[i] for i in keep),
-        tuple(sum(map(moved.__getitem__, _bits(poset.down[i]))) for i in keep),
-    )
     maps = {
         s: PartialOrderIso(p for p in bundle.maps[s].pairs if p[0] in q and p[1] in q)
         for s in ic.morphisms
     }
-    return PartialActionBundle(ic, sub, maps)
+    return PartialActionBundle(ic, subposet(poset, q), maps)

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 from .actions import FibredAction, MomentMap, PartialActionBundle
 from .core import InverseCategory
-from .errors import NotComposable, ParseError
+from .errors import NotComposable, ParseError, UndeclaredName
 from .limits import DEFAULT_MAX_ELEMENTS, check_cap
 from .poset import PartialOrderIso, Poset, subset_name
 
@@ -130,9 +130,13 @@ class BernoulliPoset:
 
     def act(self, s: str, key: str) -> str:
         """The key of sA.  Every member of A ends at the object of A, so
-        NOT_COMPOSABLE unless s starts there."""
-        elt = self.elements[key]
-        if self.ic.src(s) != elt.obj:
+        NOT_COMPOSABLE unless s starts there; UNDECLARED_NAME when s is no
+        morphism or ``key`` no element."""
+        try:
+            elt, src = self.elements[key], self.ic.src(s)
+        except KeyError as exc:
+            raise UndeclaredName(f"no morphism or element {exc.args[0]!r}", name=exc.args[0]) from None
+        if src != elt.obj:
             raise NotComposable(f"{s!r} does not compose with the members of {key!r}", morphism=s, element=key)
         e, mask = self.codes[key]
         f, image = self.images(s, e)

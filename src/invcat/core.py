@@ -680,10 +680,14 @@ def natural_leq(ic: InverseCategory, s: str, t: str) -> bool:
     In an inverse category this agrees with the other usual
     characterisations (s = te or s = ft for idempotents e, f; s = ts°s),
     so only ss°·t is evaluated.  Raises NOT_PARALLEL unless s and t share
-    source and target.
+    source and target, and UNDECLARED_NAME for a name that is no morphism.
     """
     cat = ic.cat
-    if not cat.parallel(s, t):
+    try:
+        parallel = cat.parallel(s, t)
+    except KeyError as exc:
+        raise UndeclaredName(f"no morphism {exc.args[0]!r}", name=exc.args[0]) from None
+    if not parallel:
         raise NotParallel(
             f"{s!r} and {t!r} are not parallel", left=s, right=t
         )

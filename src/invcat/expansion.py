@@ -96,7 +96,10 @@ class SzCategory:
     arrows: dict[str, tuple[str, str]]
 
     def pair(self, name: str) -> tuple[str, str]:
-        return self.arrows[name]
+        try:
+            return self.arrows[name]
+        except KeyError:
+            raise _no_arrow(name) from None
 
     def arrow_name(self, key: str, s: str) -> str:
         name = f"({key}|{s})"
@@ -107,6 +110,10 @@ class SzCategory:
     def push(self, c: str, key: str) -> str:
         """Apply a morphism of the underlying category to a subset element."""
         return self.carrier.act(c, key)
+
+
+def _no_arrow(name: str) -> UndeclaredName:
+    return UndeclaredName(f"no arrow {name!r} in the expansion", name=name)
 
 
 def szendrei(
@@ -156,9 +163,13 @@ def pseudo_product(sz: SzCategory, a: str, b: str) -> str:
     """(A,s) ⋆ (B,t) = (s·iε(B)·s°·A ∪ iε(A)·s·B, st).
 
     Defined exactly when st is; extends composition (they agree whenever the
-    arrows are composable in the expansion).  Raises NOT_COMPOSABLE otherwise.
+    arrows are composable in the expansion).  Raises NOT_COMPOSABLE otherwise,
+    and UNDECLARED_NAME for a name that is no arrow.
     """
-    (akey, s), (bkey, t) = sz.arrows[a], sz.arrows[b]
+    try:
+        (akey, s), (bkey, t) = sz.arrows[a], sz.arrows[b]
+    except KeyError as exc:
+        raise _no_arrow(exc.args[0]) from None
     table = sz.origin.cat.table
     st = table.get((s, t))
     if st is None:
@@ -186,6 +197,7 @@ def wedge(sz: SzCategory, a: str, b: str) -> str:
     """
     for name in (a, b):
         if not sz.ic.is_idempotent(name):
+            sz.pair(name)  # UNDECLARED_NAME for a name that is no arrow
             raise NotIdempotent(f"arrow {name!r} is not idempotent", arrow=name)
     return pseudo_product(sz, a, b)
 
@@ -193,10 +205,14 @@ def wedge(sz: SzCategory, a: str, b: str) -> str:
 def _below_inner(sz: SzCategory, arrow: str, idem: str, side: str) -> None:
     """Raise NOT_IDEMPOTENT unless ``idem`` is idempotent, then
     PRECONDITION_FAILED unless it sits below the inner ``side`` ("source"
-    or "target") of ``arrow``."""
+    or "target") of ``arrow``; UNDECLARED_NAME for a name that is no arrow."""
     if not sz.ic.is_idempotent(idem):
+        sz.pair(idem)
         raise NotIdempotent(f"arrow {idem!r} is not idempotent", arrow=idem)
-    inner = sz.ic.dom_idem(arrow) if side == "source" else sz.ic.ran_idem(arrow)
+    try:
+        inner = sz.ic.dom_idem(arrow) if side == "source" else sz.ic.ran_idem(arrow)
+    except KeyError:
+        raise _no_arrow(arrow) from None
     if not product_order_leq(sz, idem, inner):
         raise PreconditionFailed(
             f"{idem!r} is not below the inner {side} {inner!r} of {arrow!r}",
@@ -251,8 +267,11 @@ def inner_expansion(
     The pointed variants contain ({1_X}, 1_X) and form inverse monoids; the
     full variants are inverse semigroups without identity in general.
     Raises SIZE_CAP_EXCEEDED before any ⋆ is taken when the table's
-    |elements|² entries are above ``max_elements``.
+    |elements|² entries are above ``max_elements``, and UNDECLARED_NAME
+    when ``obj`` is not an object of the underlying category.
     """
+    if obj not in sz.origin.objects:
+        raise UndeclaredName(f"no object {obj!r} in the underlying category", name=obj)
     elements = tuple(
         name
         for name, (_, s) in sz.arrows.items()

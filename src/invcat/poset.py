@@ -5,6 +5,9 @@ are the ideals of a finite poset and whose morphisms U -> V are the order
 isomorphisms between an ideal contained in U and an ideal contained in V.
 It plays the role for ordered sets that the symmetric inverse monoid plays
 for plain sets.
+
+This module owns the coding of an order (down-set masks, lower covers,
+element positions); other modules ask it their order questions.
 """
 
 from __future__ import annotations
@@ -12,7 +15,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Sequence
+from operator import and_
+from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
 from .core import FiniteCategory, InverseCategory, _IntTable, join_category
 from .errors import PreconditionFailed, SizeCapExceeded
@@ -88,10 +92,6 @@ class Poset:
         i, j = self._pos.get(a), self._pos.get(b)
         return i is not None and j is not None and self.down[j] >> i & 1 == 1
 
-    def _below(self, x: str, within: int) -> Iterator[str]:
-        """The elements of the bitmask ``within`` that lie below x."""
-        return (self.elements[i] for i in _bits(self.down[self._pos[x]] & within))
-
     def _mask(self, subset: Iterable[str]) -> int:
         """The bits of the members of ``subset`` that are elements."""
         pos = self._pos
@@ -148,6 +148,19 @@ def is_ideal(poset: Poset, subset: Iterable[str]) -> bool:
     return all(not down[pos[b]] & ~bits for b in members if b in pos)
 
 
+def subposet(poset: Poset, subset: Iterable[str]) -> Poset:
+    """The order that the members of ``subset`` which are elements inherit,
+    in element order: each down-set mask cut to them, its bits moved to
+    their new positions."""
+    bits = poset._mask(subset)
+    keep = list(_bits(bits))
+    moved = {i: 1 << k for k, i in enumerate(keep)}
+    return Poset(
+        tuple(map(poset.elements.__getitem__, keep)),
+        tuple(sum(map(moved.__getitem__, _bits(poset.down[i] & bits))) for i in keep),
+    )
+
+
 def ideals(poset: Poset) -> tuple[frozenset[str], ...]:
     """All ideals (the empty set included), ordered by size then element
     indices.  Raises SIZE_CAP_EXCEEDED above ``DEFAULT_MAX_POSET`` elements."""
@@ -194,7 +207,7 @@ class PartialOrderIso:
     def make(poset: Poset, pairs: Iterable[tuple[str, str]]) -> "PartialOrderIso":
         """Check and build the map; PreconditionFailed carries its failure."""
         iso = PartialOrderIso(pairs)
-        failure = _sorted_iso_failure(poset, iso.pairs)
+        failure = order_iso_failure(poset, iso.pairs)
         if failure is not None:
             raise PreconditionFailed(f"not an order isomorphism: {failure!r}", failure=failure)
         return iso
@@ -221,33 +234,26 @@ class PartialOrderIso:
         return ",".join(f"{a}:{b}" for a, b in self.pairs)
 
 
-def order_iso_failure(poset: Poset, pairs: Iterable[tuple[str, str]]) -> str | tuple | None:
-    """Why ``pairs`` is not a partial order isomorphism of ``poset`` (not
-    functional, not injective, a point outside the poset, or the first pair
-    of pairs in sorted order on which ≤ is not preserved and reflected), or
-    None.  The order test is ``_maps_order_onto``; only when it fails are
-    the points looked up and the pairs scanned."""
-    return _sorted_iso_failure(poset, sorted(pairs))
-
-
-def _sorted_iso_failure(
-    poset: Poset, ordered: Sequence[tuple[str, str]], between_ideals: bool | None = None
+def order_iso_failure(
+    poset: Poset, pairs: Sequence[tuple[str, str]], between_ideals: bool | None = None
 ) -> str | tuple | None:
-    """``order_iso_failure`` of pairs already in sorted order.  A caller that
-    has already decided whether both sides are ideals passes
-    ``between_ideals``; None decides it here."""
-    dom = [a for a, _ in ordered]
-    ran = [b for _, b in ordered]
+    """Why the sorted ``pairs`` are not a partial order isomorphism of
+    ``poset`` (not functional, not injective, a point outside the poset, or
+    the first pair of pairs on which ≤ is not preserved and reflected), or
+    None.  The order test is ``_maps_order_onto``, told ``between_ideals``
+    when the caller knows it; only when it fails are the pairs scanned."""
+    dom = [a for a, _ in pairs]
+    ran = [b for _, b in pairs]
     if len(set(dom)) != len(dom):
         return "mapping not functional"
     if len(set(ran)) != len(ran):
         return "mapping not injective"
     if _maps_order_onto(poset, dom, ran, between_ideals):
         return None
-    for point in itertools.chain.from_iterable(ordered):
+    for point in itertools.chain.from_iterable(pairs):
         if point not in poset._pos:
             return ("point outside the poset", point)
-    for (a, b), (c, d) in itertools.product(ordered, repeat=2):
+    for (a, b), (c, d) in itertools.product(pairs, repeat=2):
         if poset.leq(a, c) != poset.leq(b, d):
             return ("mapping does not preserve and reflect order", (a, b), (c, d))
     return None
@@ -257,11 +263,10 @@ def _maps_order_onto(poset: Poset, dom: list[str], ran: list[str], between_ideal
     """Whether the bijection dom[i] -> ran[i] of elements preserves and
     reflects ≤.
 
-    An identity map passes untested.  When dom and ran are both ideals, the
-    lower covers of each point must map onto those of its image: the
-    covers of an ideal are covers of the poset, and ≤ is their transitive
-    closure, so this costs one lookup per cover inside dom.  Other sides
-    take ``_maps_down_sets_onto``."""
+    An identity map passes untested.  Between ideals, the lower covers of
+    each point must map onto those of its image (``_mapped_covers``): ≤ on
+    an ideal is the transitive closure of its covers.  Other sides take
+    ``_maps_down_sets_onto``."""
     pos = poset._pos
     if not all(a in pos and b in pos for a, b in zip(dom, ran)):
         return False
@@ -271,29 +276,60 @@ def _maps_order_onto(poset: Poset, dom: list[str], ran: list[str], between_ideal
         between_ideals = is_ideal(poset, dom) and is_ideal(poset, ran)
     if not between_ideals:
         return _maps_down_sets_onto(poset, dom, ran)
-    covers = poset._covers
-    image = {pos[a]: 1 << pos[b] for a, b in zip(dom, ran)}  # bit position -> image bit
-    return all(
-        sum(map(image.__getitem__, covers[pos[c]])) == sum(map((1).__lshift__, covers[pos[d]]))
-        for c, d in zip(dom, ran)
-    )
+    return list(_mapped_covers(poset, dom, ran)) == list(_mapped_covers(poset, ran, ran))
 
 
 def _maps_down_sets_onto(poset: Poset, dom: list[str], ran: list[str]) -> bool:
-    """Whether the bijection dom[i] -> ran[i] of elements sends
-    down(c) ∩ dom onto down(f c) ∩ ran for every c in dom, one bit per
-    relation pair inside dom."""
+    """Whether the bijection dom[i] -> ran[i] of elements and its inverse
+    are monotone, by a scan of the relation pairs inside dom and ran."""
+    return monotone_failure(poset, dom, ran, False) is None and monotone_failure(poset, ran, dom, False) is None
+
+
+def _mapped_covers(poset: Poset, dom: Sequence[str], image: Sequence[str]) -> Iterator[int]:
+    """For each point of ``dom``, an ideal, the bits of the images of its
+    lower covers under the injection dom[i] -> image[i] into the poset."""
+    pos, covers = poset._pos, poset._covers
+    image_bit = {pos[x]: 1 << pos[y] for x, y in zip(dom, image)}
+    return (sum(map(image_bit.__getitem__, covers[pos[x]])) for x in dom)
+
+
+def monotone_failure(poset: Poset, dom: Sequence[str], image: Sequence, dom_is_ideal: bool) -> tuple[str, str] | None:
+    """The least pair (a, b) of elements a < b of ``dom`` whose images
+    under dom[i] -> image[i] are elements out of order, or None when the
+    map is monotone on its domain; images that are not elements are
+    skipped.  When dom is an ideal and the images are distinct elements,
+    a walk of the lower covers (``_mapped_covers``) decides first; only
+    when it finds a cover out of order are the pairs scanned."""
     pos, down = poset._pos, poset.down
-    image = {pos[a]: 1 << pos[b] for a, b in zip(dom, ran)}  # bit position -> image bit
-    dom_bits = poset._mask(dom)
-    ran_bits = poset._mask(ran)
-    for c, d in zip(dom, ran):
-        mapped = 0
-        for i in _bits(down[pos[c]] & dom_bits):
-            mapped |= image[i]
-        if mapped != down[pos[d]] & ran_bits:
-            return False
-    return True
+    if dom_is_ideal and all(map(pos.__contains__, image)) and len(set(image)) == len(image):
+        if not any(map(and_, _mapped_covers(poset, dom, image), (~down[pos[y]] for y in image))):
+            return None
+    img = {pos[x]: pos.get(y) for x, y in zip(dom, image)}  # None: not an element
+    bits = sum(1 << i for i in img)
+    elements = poset.elements
+    bad = (
+        (elements[i], elements[k])
+        for k, j in img.items()
+        if j is not None
+        for i in _bits(down[k] & bits & ~(1 << k))
+        if img[i] is not None and not down[j] >> img[i] & 1
+    )
+    return min(bad, default=None)
+
+
+def label_monotone_failure(
+    poset: Poset, label: Mapping[str, str], lower: Mapping[str, Collection[str]]
+) -> tuple[str, str] | None:
+    """The least pair (a, b) of elements a ≤ b with label[a] outside
+    lower[label[b]], or None when the element-keyed map ``label`` is
+    monotone into the order whose lower sets are ``lower``: one AND per
+    element, of down(b) with the mask of the elements labelled outside."""
+    elements, down = poset.elements, poset.down
+    labels = list(map(label.__getitem__, elements))
+    outside = {f: ~poset._mask(itertools.compress(elements, map(lower[f].__contains__, labels))) for f in set(labels)}
+    if not any(map(and_, down, map(outside.__getitem__, labels))):
+        return None
+    return min((elements[j], b) for b, d, f in zip(elements, down, labels) for j in _bits(d & outside[f]))
 
 
 def identity_iso(subset: Iterable[str]) -> PartialOrderIso:
@@ -396,6 +432,8 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
     are the triples (U, s, V) of ``join_category`` over the one-object
     inverse monoid of the isos, composed once per pair of isos into iso
     numbers; (U, s, V)° = (V, s⁻¹, U) is certified there, not searched for.
+    An iso is coded as the image position of each point, n where it is
+    undefined and at the sentinel n itself, so t∘s is t read along s.
     """
     ids = ideals(poset)
     object_names = [subset_name(u) for u in ids]
@@ -425,10 +463,17 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
         uname: f"{uname}->{uname}|{identity_iso(u).label()}"
         for uname, u in zip(object_names, ids)
     }
-    # the isos as the arrows of a one-object inverse monoid, composed into iso numbers
-    number = {s: i for i, (_, s, _, _) in enumerate(isos)}
+    # the isos as the arrows of a one-object inverse monoid, composed as codes into iso numbers
+    pos, n = poset._pos, len(poset.elements)
+
+    def code(pairs: Iterable[tuple[str, str]]) -> tuple[int, ...]:
+        image = {pos[a]: pos[b] for a, b in pairs}
+        return tuple(image.get(i, n) for i in range(n + 1))
+
+    codes = [code(s.pairs) for _, s, _, _ in isos]
+    number = {c: i for i, c in enumerate(codes)}
     unit = identity_iso(poset.elements).label()
     cat = FiniteCategory._assemble(("*",), {label: ("*", "*") for label, *_ in isos}, {"*": unit}, None)
-    cat._ints = _IntTable(cat, [[number[compose_partial_isos(t, s)] for _, t, _, _ in isos] for _, s, _, _ in isos])
-    monoid = InverseCategory(cat, {label: isos[number[s.inverse()]][0] for label, s, _, _ in isos})
+    cat._ints = _IntTable(cat, [[number[tuple(map(t.__getitem__, s))] for t in codes] for s in codes])
+    monoid = InverseCategory(cat, {label: isos[number[code((b, a) for a, b in s.pairs)]][0] for label, s, _, _ in isos})
     return join_category(object_names, arrows, identities, monoid, lambda u, s, v: f"{u}->{v}|{s}")

@@ -142,20 +142,26 @@ def test_build_reports_the_first_undeclared_name_in_table_order():
 
 
 def test_build_iic_composes_each_pair_of_isos_once(monkeypatch):
-    """Iic(antichain 3) has 34 order isos between ideals, so at most 34² of
-    its 14,468 composable pairs need a composition of partial isos."""
-    calls = 0
-    compose = poset_module.compose_partial_isos
+    """Iic(antichain 3) has 34 order isos between ideals and 8 ideals.  Its
+    14,468 composable pairs are composed as position codes: no composition
+    of iso objects, and no iso object beyond the 34 found, the identity of
+    each ideal and the unit."""
+    made = 0
+    post_init = poset_module.PartialOrderIso.__post_init__
 
-    def counting(t, s):
-        nonlocal calls
-        calls += 1
-        return compose(t, s)
+    def counting(self):
+        nonlocal made
+        made += 1
+        post_init(self)
 
-    monkeypatch.setattr(poset_module, "compose_partial_isos", counting)
+    def refuse(t, s):
+        raise AssertionError("build_Iic composed iso objects")
+
+    monkeypatch.setattr(poset_module.PartialOrderIso, "__post_init__", counting)
+    monkeypatch.setattr(poset_module, "compose_partial_isos", refuse)
     ic = build_Iic(antichain_poset(["a", "b", "c"]))
     assert len(ic.cat.table) == 14468
-    assert 0 < calls <= 34**2
+    assert made == 34 + 8 + 1
 
 
 def test_build_iic_refuses_during_the_iso_walk(monkeypatch):

@@ -276,14 +276,14 @@ def test_symmetry_checks_compose_only_generators(monkeypatch):
     i3 = sub_inverse_monoid(list(PARTIAL_BIJECTIONS))
     sym = fibred_to_symmetry(bernoulli_global(i3))
     calls = 0
-    compose = actions_module.compose_partial_isos
+    composes_to = actions_module._composes_to
 
-    def counting(t, s):
+    def counting(s, t, st):
         nonlocal calls
         calls += 1
-        return compose(t, s)
+        return composes_to(s, t, st)
 
-    monkeypatch.setattr(actions_module, "compose_partial_isos", counting)
+    monkeypatch.setattr(actions_module, "_composes_to", counting)
     assert validate_symmetry(sym).ok
     assert calls == len(generators(i3.cat)) * len(i3.morphisms) < len(i3.cat.table)
 

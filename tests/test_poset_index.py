@@ -47,11 +47,12 @@ from invcat import (
 
 from invcat import poset as poset_module
 from invcat.expansion import VARIANTS
-from invcat.poset import antichain_poset, order_isos_between
+from invcat.poset import antichain_poset, order_isos_between, subposet
 from oracles import (
     CountingTable,
     PARTIAL_BIJECTIONS,
     brute_bernoulli_relation,
+    brute_ideals,
     brute_inverse_semigroup_violations,
     brute_is_ideal,
     brute_order_iso,
@@ -174,6 +175,16 @@ def test_is_ideal_and_down_sets_match_the_scan(order, data):
 
 
 @settings(max_examples=100, deadline=None)
+@given(orders(), st.data())
+def test_a_subposet_inherits_the_order(order, data):
+    poset = poset_from_relation(*order)
+    subset = data.draw(st.sets(st.sampled_from(poset.elements + ("z",))))
+    inherited = subposet(poset, subset)
+    assert inherited.elements == tuple(x for x in poset.elements if x in subset)
+    assert inherited.relation == {(a, b) for a, b in order[1] if a in subset and b in subset}
+
+
+@settings(max_examples=100, deadline=None)
 @given(orders())
 def test_the_masks_are_the_relation(order):
     elements, relation = order
@@ -235,6 +246,19 @@ def test_order_isos_between_matches_the_permutation_search(order):
         for v in every:
             found = [dict(iso.pairs) for iso in order_isos_between(poset, u, v)]
             assert found == brute_order_isos(tuple(u), tuple(v), poset.leq), (u, v)
+
+
+@settings(max_examples=100, deadline=None)
+@given(orders(most=6))
+def test_ideals_match_the_subset_filter_in_their_pinned_order(order):
+    """``ideals`` lists each down-closed subset once, by size and then by
+    the element indices of its members."""
+    poset = poset_from_relation(*order)
+    index = {x: i for i, x in enumerate(poset.elements)}
+    pinned = sorted(
+        brute_ideals(poset.elements, poset.leq), key=lambda u: (len(u), sorted(map(index.__getitem__, u)))
+    )
+    assert list(ideals(poset)) == pinned
 
 
 def test_bernoulli_order_matches_the_pairwise_predicate(request):

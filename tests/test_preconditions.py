@@ -27,13 +27,20 @@ from invcat import (
     bernoulli_partial,
     classical_group_expansion,
     compose_functors,
+    corestriction,
     cyclic_group_2,
     expansion_functor,
     identity_functor,
+    inner_expansion,
+    natural_leq,
+    product_order_leq,
+    pseudo_product,
+    restriction,
     symmetric_inverse_monoid_2,
     szendrei,
     trivial_category,
     two_object_groupoid,
+    wedge,
 )
 from invcat.bernoulli import build_bernoulli
 from invcat.expansion import semidirect_product
@@ -41,6 +48,8 @@ from invcat.expansion import semidirect_product
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 T1, Z2, G2, I2 = trivial_category(), cyclic_group_2(), two_object_groupoid(), symmetric_inverse_monoid_2()
+SZ2 = szendrei(Z2)
+UNIT = "({e}|e)"  # an idempotent arrow of SZ2
 
 
 def _unit_arrows(extra: bool):
@@ -72,6 +81,7 @@ PRECONDITION = (PreconditionFailed, "PRECONDITION_FAILED")
 NOT_A_FUNCTOR = (NotAFunctor, "NOT_A_FUNCTOR")
 NOT_COMPOSABLE = (NotComposable, "NOT_COMPOSABLE")
 NOT_IDEMPOTENT = (NotIdempotent, "NOT_IDEMPOTENT")
+UNDECLARED = (UndeclaredName, "UNDECLARED_NAME")
 
 # (label, call, error class, code)
 CASES = [
@@ -89,7 +99,16 @@ CASES = [
     # s after 1Y is undefined too: idempotency is checked first
     ("meet-not-idempotent-across-objects", lambda: G2.meet_idem("s", "1Y"), *NOT_IDEMPOTENT),
     ("act-from-another-object", lambda: build_bernoulli(G2).act("1Y", "{1X,si}"), *NOT_COMPOSABLE),
-    ("arrow-name-missing", lambda: szendrei(Z2).arrow_name("{g}", "nope"), UndeclaredName, "UNDECLARED_NAME"),
+    ("arrow-name-missing", lambda: szendrei(Z2).arrow_name("{g}", "nope"), *UNDECLARED),
+    ("pseudo-product-unknown-arrow", lambda: pseudo_product(SZ2, UNIT, "nope"), *UNDECLARED),
+    ("product-order-unknown-arrow", lambda: product_order_leq(SZ2, "nope", UNIT), *UNDECLARED),
+    ("restriction-unknown-arrow", lambda: restriction(SZ2, "nope", UNIT), *UNDECLARED),
+    ("corestriction-unknown-idempotent", lambda: corestriction(SZ2, UNIT, "nope"), *UNDECLARED),
+    # an unknown name is undeclared, not a non-idempotent arrow
+    ("wedge-unknown-arrow", lambda: wedge(SZ2, "nope", UNIT), *UNDECLARED),
+    ("inner-expansion-unknown-object", lambda: inner_expansion(SZ2, "nope"), *UNDECLARED),
+    ("natural-leq-unknown-morphism", lambda: natural_leq(Z2, "e", "nope"), *UNDECLARED),
+    ("act-unknown-element", lambda: build_bernoulli(Z2).act("g", "nope"), *UNDECLARED),
     ("functors-do-not-chain", lambda: compose_functors(identity_functor(T1.cat), _IDENTITY_Z2), *NOT_A_FUNCTOR),
     ("poset-masks-too-few", lambda: Poset(("a", "b"), (0b01,)), *PRECONDITION),
     ("poset-masks-too-many", lambda: Poset(("a",), (0b1, 0b1)), *PRECONDITION),
