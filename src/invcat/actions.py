@@ -210,7 +210,7 @@ def _fibred_report(
     # read as ``undefined`` on either side; the first x where they differ
     undefined = object()
     for t in ic.morphisms:
-        for s in ic.cat._by_src.get(ic.tgt(t), ()):
+        for s in ic.star(ic.tgt(t)):
             st = ic.compose(s, t)
             if st is None or (scope is not None and s not in scope):
                 continue

@@ -178,6 +178,12 @@ class BernoulliPoset:
             out += [(k, keys[image[mask]]) for k, mask in bucket]
         return out
 
+    def bundle(self, strict: bool) -> PartialActionBundle:
+        """The maps θ_s(A) = sA of the action on this carrier, each read off
+        ``graph``: from ``domain`` of s° onto that of s."""
+        maps = {s: PartialOrderIso(self.graph(s, strict)) for s in self.ic.morphisms}
+        return PartialActionBundle(self.ic, self.poset, maps, strict=strict)
+
 
 def build_bernoulli(
     ic: InverseCategory,
@@ -235,13 +241,4 @@ def bernoulli_partial(
 ) -> PartialActionBundle:
     """The partial bundle on the pointed Bernoulli poset: θ_s : D_{s°} -> D_s
     sends A to sA, with D_s from ``BernoulliPoset.domain``."""
-    return _bundle(build_bernoulli(ic, pointed=True, max_elements=max_elements), strict)
-
-
-def _bundle(bp: BernoulliPoset, strict: bool) -> PartialActionBundle:
-    """The maps θ_s(A) = sA of the action on either carrier, each read off
-    ``BernoulliPoset.graph``: from ``BernoulliPoset.domain`` of s° onto
-    that of s."""
-    ic = bp.ic
-    maps = {s: PartialOrderIso(bp.graph(s, strict)) for s in ic.morphisms}
-    return PartialActionBundle(ic, bp.poset, maps, strict=strict)
+    return build_bernoulli(ic, pointed=True, max_elements=max_elements).bundle(strict)

@@ -45,7 +45,7 @@ from .errors import (
 )
 from .expansion import inner_expansion, szendrei
 from .limits import check_cap, resolve_max_elements
-from .specfile import _load_json, load_category, save_category, to_json
+from .specfile import load_category, load_json, save_category, to_json
 
 _INPUT_ERROR_CODES = {
     "PARSE_ERROR",
@@ -200,7 +200,7 @@ def cmd_cauchy(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
 
 def _load_embedding(path: str, sub: FiniteCategory, sup: FiniteCategory) -> Functor:
     with open(path, "r", encoding="utf-8") as handle:
-        data = _load_json(handle.read(), path)
+        data = load_json(handle.read(), path)
     if not isinstance(data, dict) or set(data) != {"objects", "morphisms"} or not all(
         isinstance(m, dict) and all(isinstance(v, str) for v in m.values()) for m in data.values()
     ):

@@ -24,6 +24,9 @@ Conventions used throughout the package:
   made on first read.  ``FiniteCategory.build`` checks all of a table's
   names at once, as one set, and scans entry by entry only to report the
   first undeclared one.
+* Only this module knows how a category is stored (its buckets, ``ints()``,
+  the class of a joined category); others call ``InverseCategory.star``,
+  ``costar``, ``FiniteCategory.from_rows`` and ``table_lines``.
 * Associativity is decided by Light's test on the generating set of
   ``generators``; the action validators check their composition laws on
   the same generators once the acting category passes.
@@ -134,16 +137,29 @@ class FiniteCategory:
         objects: Iterable[str],
         morphisms: Mapping[str, tuple[str, str]],
         identities: Mapping[str, str],
-        composition: Mapping[tuple[str, str], str],
+        composition: dict[tuple[str, str], str],
     ) -> "FiniteCategory":
         """Assemble a category, rejecting any reference to an undeclared name.
 
         Sources and targets are stored as the declared object names.  The
-        table is stored as a copy of ``composition`` that shares its
-        strings.  Its names are checked in bulk, as one set against the
-        declared morphisms; only when that fails does the ordered scan run,
-        so UNDECLARED_NAME names the first offending name in table order."""
-        return FiniteCategory._assemble(objects, morphisms, identities, dict(composition))
+        table is the dict ``composition`` itself, not a copy: the caller
+        hands it over and must not change it afterwards.  Its names are
+        checked in bulk, as one set against the declared morphisms; only
+        when that fails does the ordered scan run, so UNDECLARED_NAME names
+        the first offending name in table order."""
+        return FiniteCategory._assemble(objects, morphisms, identities, composition)
+
+    @staticmethod
+    def from_rows(
+        objects: Iterable[str], morphisms: Mapping[str, tuple[str, str]], identities: Mapping[str, str], rows: list[list[int]]
+    ) -> "FiniteCategory":
+        """``build`` from the table in arrow numbers, as ``ints()`` holds it:
+        morphism i is the i-th of ``morphisms``, and ``rows[f]`` lists g∘f
+        for each g leaving tgt f, in declaration order.  The rows are stored
+        unchecked; ``table`` is named on its first read."""
+        cat = FiniteCategory._assemble(objects, morphisms, identities, None)
+        cat._ints = _IntTable(cat, rows)
+        return cat
 
     @staticmethod
     def _assemble(
@@ -152,8 +168,8 @@ class FiniteCategory:
         identities: Mapping[str, str],
         table: dict[tuple[str, str], str] | None,
     ) -> "FiniteCategory":
-        """``build`` storing ``table`` itself (None for a joined category):
-        the caller hands it over and keeps no use of it, so it is never held twice."""
+        """``build``, also for a joined category, whose ``table`` is None
+        and whose rows the caller stores in ``_ints``."""
         objs = tuple(objects)
         mors = tuple(morphisms)
         oset, mset = {x: x for x in objs}, set(mors)
@@ -207,6 +223,13 @@ class FiniteCategory:
     def parallel(self, s: str, t: str) -> bool:
         return self.src[s] == self.src[t] and self.tgt[s] == self.tgt[t]
 
+    def table_lines(self, line: str, label: Mapping[str, str]) -> list[str]:
+        """``line % (label[g], label[f], label[g∘f])`` for each composite,
+        sorted by (g, f).  A joined category writes its rows without naming
+        its table, reading each label once per morphism."""
+        table = self.table
+        return [line % (label[g], label[f], label[table[g, f]]) for g, f in sorted(table)]
+
 
 class _Joined(FiniteCategory):
     """A joined category before its table is read: the first read names the
@@ -231,6 +254,12 @@ class _Joined(FiniteCategory):
     def __eq__(self, other: object) -> bool:
         return self.table is not None and self == other  # compared once named
 
+    def table_lines(self, line: str, label: Mapping[str, str]) -> list[str]:
+        ints, names = self.ints(), [label[m] for m in self.morphisms]
+        right = {y: [(label[f], ints.rows[ints.num[f]]) for f in sorted(fs)] for y, fs in self._by_tgt.items()}
+        pairs = sorted(zip(self.morphisms, ints.place))
+        return [line % (label[g], lf, names[row[k]]) for g, k in pairs for lf, row in right.get(self.src[g], ())]
+
 
 def _buckets(items: Iterable, key) -> dict:
     """Group ``items`` by ``key``, keeping their order inside each bucket."""
@@ -252,7 +281,7 @@ def validate_category(cat: FiniteCategory) -> ValidationReport:
     failing (h, g, f) in order.
     """
     report = _table_report(cat)
-    if report.ok and _light_test(cat) is not None:
+    if report.ok and light_test(cat) is not None:
         return report
     # associativity over composable triples, walking src buckets; triples
     # touching a missing composite are already reported above
@@ -393,7 +422,7 @@ def generators(cat: FiniteCategory) -> tuple[str, ...]:
     return tuple(cat.morphisms[g] for g in cat.ints().generators())
 
 
-def _light_test(cat: FiniteCategory) -> tuple[str, ...] | None:
+def light_test(cat: FiniteCategory) -> tuple[str, ...] | None:
     """``generators(cat)`` when Light's test (Clifford & Preston, *The
     Algebraic Theory of Semigroups* I, §1.2) passes on them, else None.
 
@@ -418,7 +447,7 @@ def associative_generators(cat: FiniteCategory) -> tuple[str, ...] | None:
     A validator of a functor-like law checks the law on these generators
     only: a law that holds for each generator with all of its composable
     partners, and that survives composition, holds for every morphism."""
-    return _light_test(cat) if _table_report(cat).ok else None
+    return light_test(cat) if _table_report(cat).ok else None
 
 
 # ---------------------------------------------------------------------------
@@ -504,10 +533,13 @@ class InverseCategory:
     def meet_idem(self, e: str, f: str) -> str:
         """Meet in the semilattice of idempotents at one object: e∧f = ef.
 
-        Raises NOT_IDEMPOTENT unless both arguments are idempotents, and
-        NOT_COMPOSABLE for idempotents at different objects."""
+        Raises UNDECLARED_NAME for a name that is no morphism, NOT_IDEMPOTENT
+        unless both arguments are idempotents, and NOT_COMPOSABLE for
+        idempotents at different objects."""
         for m in (e, f):
             if not self.is_idempotent(m):
+                if m not in self.cat.src:
+                    raise UndeclaredName(f"no morphism {m!r}", name=m)
                 raise NotIdempotent(f"arrow {m!r} is not idempotent", arrow=m)
         out = self.compose(e, f)
         if out is None:
@@ -788,15 +820,19 @@ def validate_functor(f: Functor) -> ValidationReport:
 
 
 def compose_functors(g: Functor, f: Functor) -> Functor:
-    """g∘f (f first); raises NOT_A_FUNCTOR unless f ends where g starts."""
+    """g∘f (f first); raises NOT_A_FUNCTOR unless f ends where g starts and
+    g maps every image of f, naming the first it misses (objects first)."""
     if f.target != g.source:
         raise NotAFunctor("functors do not chain: the target of f is not the source of g")
-    return Functor(
-        f.source,
-        g.target,
-        {x: g.objects[y] for x, y in f.objects.items()},
-        {m: g.morphisms[n] for m, n in f.morphisms.items()},
-    )
+    try:
+        return Functor(
+            f.source,
+            g.target,
+            {x: g.objects[y] for x, y in f.objects.items()},
+            {m: g.morphisms[n] for m, n in f.morphisms.items()},
+        )
+    except KeyError as exc:
+        raise NotAFunctor(f"the image {exc.args[0]!r} of f has no image under g", name=exc.args[0]) from None
 
 
 def identity_functor(cat: FiniteCategory) -> Functor:

@@ -26,14 +26,14 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .actions import PartialActionBundle
-from .bernoulli import BernoulliPoset, _bundle, build_bernoulli
+from .bernoulli import BernoulliPoset, build_bernoulli
 from .core import (
     FiniteCategory,
     Functor,
     InverseCategory,
     ValidationReport,
-    _light_test,
     join_category,
+    light_test,
     natural_leq,
 )
 from .errors import NotAFunctor, NotComposable, NotIdempotent, PreconditionFailed, UndeclaredName
@@ -132,7 +132,7 @@ def szendrei(
     pointed = variant in ("partial", "strict_partial")
     strict = variant in ("strict_global", "strict_partial")
     carrier = build_bernoulli(origin, pointed=pointed, max_elements=max_elements)
-    bundle = _bundle(carrier, strict)
+    bundle = carrier.bundle(strict)
     # one arrow (x|s) per pair of θ_s
     check_cap("expansion", sum(len(iso.pairs) for iso in bundle.maps.values()), max_elements)
     inv, arrows = semidirect_product(bundle)
@@ -318,7 +318,7 @@ def validate_inverse_semigroup(
     if report.violations:
         return report
     ends = dict.fromkeys(elems, "*")
-    if _light_test(FiniteCategory(("*",), elems, ends, ends, {}, table)) is None:
+    if light_test(FiniteCategory(("*",), elems, ends, ends, {}, table)) is None:
         for a in elems:
             for b in elems:
                 for c in elems:
@@ -352,12 +352,17 @@ def expansion_functor(szc: SzCategory, szd: SzCategory, f: Functor) -> Functor:
 
     Raises PRECONDITION_FAILED unless both expansions are the same variant
     and ``f`` runs between their underlying categories, and NOT_A_FUNCTOR
-    when the image of a subset is not an element of the target carrier.
+    naming the first morphism (in declaration order) that ``f`` does not
+    map, or when the image of a subset is not an element of the target
+    carrier.
     """
     if szc.variant != szd.variant:
         raise PreconditionFailed("variants differ", source=szc.variant, target=szd.variant)
     if f.source != szc.origin.cat or f.target != szd.origin.cat:
         raise PreconditionFailed("the functor does not run between the underlying categories")
+    missing = next((m for m in szc.origin.morphisms if m not in f.morphisms), None)
+    if missing is not None:
+        raise NotAFunctor(f"morphism {missing!r} has no image", morphism=missing)
     obj_map: dict[str, str] = {}
     for key, elt in szc.carrier.elements.items():
         image = subset_name({f.morphisms[m] for m in elt.members})

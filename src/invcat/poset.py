@@ -18,7 +18,7 @@ from functools import cached_property
 from operator import and_
 from typing import Callable, Collection, Iterable, Iterator, Mapping, Sequence
 
-from .core import FiniteCategory, InverseCategory, _IntTable, join_category
+from .core import FiniteCategory, InverseCategory, join_category
 from .errors import PreconditionFailed, SizeCapExceeded
 from .limits import DEFAULT_MAX_ELEMENTS, DEFAULT_MAX_POSET
 
@@ -473,7 +473,7 @@ def build_Iic(poset: Poset, max_elements: int = DEFAULT_MAX_ELEMENTS) -> Inverse
     codes = [code(s.pairs) for _, s, _, _ in isos]
     number = {c: i for i, c in enumerate(codes)}
     unit = identity_iso(poset.elements).label()
-    cat = FiniteCategory._assemble(("*",), {label: ("*", "*") for label, *_ in isos}, {"*": unit}, None)
-    cat._ints = _IntTable(cat, [[number[tuple(map(t.__getitem__, s))] for t in codes] for s in codes])
+    rows = [[number[tuple(map(t.__getitem__, s))] for t in codes] for s in codes]
+    cat = FiniteCategory.from_rows(("*",), {label: ("*", "*") for label, *_ in isos}, {"*": unit}, rows)
     monoid = InverseCategory(cat, {label: isos[number[code((b, a) for a, b in s.pairs)]][0] for label, s, _, _ in isos})
     return join_category(object_names, arrows, identities, monoid, lambda u, s, v: f"{u}->{v}|{s}")

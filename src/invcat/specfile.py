@@ -27,8 +27,10 @@ Every JSON text that invcat writes comes from this module and matches
 which writes the payload above from fixed templates.  ``json.dumps`` drops
 to its pure-Python encoder whenever ``indent`` is set; ``to_json`` escapes
 strings with the C ``encode_basestring_ascii`` and writes each list of
-strings and each record with one ``str.join``.  Spec files are canonical:
-fixed key order, sorted entries, two-space indent, trailing newline.
+strings and each record with one ``str.join``; ``core`` writes the
+composition records (``FiniteCategory.table_lines``), as only it knows how
+a category is stored.  Spec files are canonical: fixed key order, sorted
+entries, two-space indent, trailing newline.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import json
 from operator import itemgetter
 from typing import Any
 
-from .core import FiniteCategory, _Joined
+from .core import FiniteCategory
 from .errors import ParseError
 
 SCHEMA_VERSION = 1
@@ -121,20 +123,6 @@ def _records(rows: list[str]) -> str:
     return "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
 
 
-def _composition_records(cat: FiniteCategory, q: _Quoted) -> list[str]:
-    """The composition records sorted by (left, right); a joined category
-    is read off its rows, left factor by left factor, without naming it."""
-    if not isinstance(cat, _Joined):
-        return [_ENTRY % (q[g], q[f], q[cat.table[g, f]]) for g, f in sorted(cat.table)]
-    ints, names = cat.ints(), [q[m] for m in cat.morphisms]
-    right = {y: [(q[f], ints.rows[ints.num[f]]) for f in sorted(fs)] for y, fs in cat._by_tgt.items()}
-    return [
-        _ENTRY % (q[g], qf, names[row[k]])
-        for g, k in sorted(zip(cat.morphisms, ints.place))
-        for qf, row in right.get(cat.src[g], ())
-    ]
-
-
 def dump_category(cat: FiniteCategory, inverse: dict[str, str] | None = None) -> str:
     """Canonical serialisation; re-parsing reproduces the category exactly.
     The text is ``to_json`` of the spec's payload, written from templates."""
@@ -145,7 +133,7 @@ def dump_category(cat: FiniteCategory, inverse: dict[str, str] | None = None) ->
         '  "morphisms": '
         + _records([_MORPHISM % (q[m], q[cat.src[m]], q[cat.tgt[m]]) for m in cat.morphisms]),
         '  "identities": ' + _encode(cat.identity, "\n  "),
-        '  "composition": ' + _records(_composition_records(cat, q)),
+        '  "composition": ' + _records(cat.table_lines(_ENTRY, q)),
     ]
     if inverse is not None:
         fields.append('  "inverse": ' + _encode(inverse, "\n  "))
@@ -175,7 +163,7 @@ def _want(value: Any, kind: type, where: str) -> Any:
     return value
 
 
-def _load_json(text: str, source: str) -> Any:
+def load_json(text: str, source: str) -> Any:
     """Strict JSON: a repeated key in any object is a PARSE_ERROR, and
     syntax errors carry line and column."""
 
@@ -201,7 +189,7 @@ def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory,
     """Parse a category file; returns the category and the declared inverse
     map, if any.  Syntax errors carry line and column; schema errors name the
     first offending field in document order."""
-    data = _want(_load_json(text, source), dict, "top level")
+    data = _want(load_json(text, source), dict, "top level")
     _reject_extra(data, _TOP_KEYS, "top level")
     missing = sorted(_REQUIRED - set(data))
     if missing:
@@ -223,7 +211,7 @@ def parse_category(text: str, source: str = "<string>") -> tuple[FiniteCategory,
     if "inverse" in data:
         inverse = _name_map(data["inverse"], "inverse", "inverse of")
     # the table was built here only to be handed over
-    return FiniteCategory._assemble(objects, morphisms, identities, composition), inverse
+    return FiniteCategory.build(objects, morphisms, identities, composition), inverse
 
 
 def _all_str(values: Any) -> bool:

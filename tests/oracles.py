@@ -25,7 +25,7 @@ from invcat.algebra import GroupTable
 from invcat.core import FiniteCategory, InverseCategory, join_category
 from invcat.errors import ParseError
 from invcat.poset import PartialOrderIso, Poset
-from invcat.specfile import SCHEMA_VERSION, _load_json
+from invcat.specfile import SCHEMA_VERSION, load_json
 
 
 def brute_generalized_inverses(cat: FiniteCategory, s: str) -> list[str]:
@@ -774,9 +774,9 @@ def _spec_reject_extra(mapping: dict, allowed: set[str], where: str) -> None:
 def brute_parse_spec(text: str) -> tuple[FiniteCategory, dict[str, str] | None]:
     """``parse_category`` as an ordered scan: every schema rule, entry by
     entry in document order, so the first offender is the one reported.
-    The JSON layer and the name checks of ``FiniteCategory._assemble`` are
+    The JSON layer and the name checks of ``FiniteCategory.build`` are
     the library's own."""
-    data = _load_json(text, "<string>")
+    data = load_json(text, "<string>")
     _spec_want(data, dict, "top level")
     _spec_reject_extra(data, _SPEC_TOP_KEYS, "top level")
     missing = sorted(_SPEC_REQUIRED - set(data))
@@ -827,7 +827,7 @@ def brute_parse_spec(text: str) -> tuple[FiniteCategory, dict[str, str] | None]:
         for k, v in inverse.items():
             _spec_want(v, str, f"inverse of {k}")
 
-    return FiniteCategory._assemble(objects, morphisms, identities, composition), inverse
+    return FiniteCategory.build(objects, morphisms, identities, composition), inverse
 
 
 # ---------------------------------------------------------------------------

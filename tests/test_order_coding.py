@@ -1,10 +1,14 @@
-"""The order coding stays in ``poset.py``.
+"""Each module keeps its coding: no module reads another module's private names.
 
 A ``Poset`` is its down-set masks; positions, lower covers and the bit
-helpers are derived from them inside ``poset.py``.  Every other module of
-the library asks its order questions through public functions, so none
-imports a ``_``-prefixed name from ``poset``, reads a private attribute of
-the module, or reads ``down`` or a private attribute of a ``Poset``.
+helpers are derived from them inside ``poset.py``.  A ``FiniteCategory``
+is stored by ``core.py``: its source and target buckets, the integer rows
+of ``ints()`` and the placeholder class of a joined category.  Every other
+module asks through public functions and methods, so none imports a
+``_``-prefixed name from another module of the library, reads a private
+attribute of another module, or reads a private field or method that
+another module defines.  ``down`` (of ``poset``) and ``ints`` (of
+``core``) are public names, but they are the coding too.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import glob
 import os
 
 PACKAGE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "invcat")
+PUBLIC_CODING = {"poset": {"down"}, "core": {"ints"}}
 
 
 def parse(path: str) -> ast.Module:
@@ -21,56 +26,90 @@ def parse(path: str) -> ast.Module:
         return ast.parse(handle.read(), filename=path)
 
 
-def poset_coding() -> set[str]:
-    """``down`` and the private fields and methods of ``Poset``."""
-    tree = parse(os.path.join(PACKAGE, "poset.py"))
-    cls = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Poset")
-    names = {"down"}
-    for node in cls.body:
-        if isinstance(node, ast.FunctionDef):
+def modules() -> dict[str, ast.Module]:
+    return {os.path.basename(p)[:-3]: parse(p) for p in sorted(glob.glob(os.path.join(PACKAGE, "*.py")))}
+
+
+def private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__") and name != "_"
+
+
+def own_names(tree: ast.Module) -> set[str]:
+    """The private names a module defines: at top level, in its class
+    bodies, and as attributes its methods set on ``self``."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.add(node.target.id)
-    return {n for n in names if n == "down" or (n.startswith("_") and not n.endswith("__"))}
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for member in node.body:
+            if isinstance(member, ast.FunctionDef):
+                names.add(member.name)
+            elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                names.add(member.target.id)
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store):
+                if isinstance(sub.value, ast.Name) and sub.value.id == "self":
+                    names.add(sub.attr)
+    return {n for n in names if private(n)}
 
 
-def is_poset_module(node: ast.ImportFrom) -> bool:
-    return (node.level, node.module) in ((1, "poset"), (0, "invcat.poset"))
+def codings(trees: dict[str, ast.Module]) -> dict[str, set[str]]:
+    """Module -> its coding: the private names it defines, and the public
+    names of ``PUBLIC_CODING``."""
+    return {name: own_names(tree) | PUBLIC_CODING.get(name, set()) for name, tree in trees.items()}
+
+
+def package_module(node: ast.ImportFrom) -> bool:
+    return node.level == 1 or (node.module or "").split(".")[0] == "invcat"
 
 
 def coding_reads(tree: ast.Module, coding: set[str]) -> list[str]:
-    """Each import of a private poset name and each read of the coding."""
-    aliases = set()  # names bound to the poset module itself
+    """Each import of a private name from another module of the library,
+    each private attribute read off such a module, and each read or write
+    of an attribute named in ``coding``."""
+    aliases = set()  # names bound to a module of the library
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and (node.level, node.module) in ((1, None), (0, "invcat")):
-            aliases.update(a.asname or a.name for a in node.names if a.name == "poset")
+            aliases.update(a.asname or a.name for a in node.names)
         elif isinstance(node, ast.Import):
-            aliases.update(a.asname for a in node.names if a.name == "invcat.poset" and a.asname)
+            aliases.update(a.asname for a in node.names if a.name.startswith("invcat.") and a.asname)
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and is_poset_module(node):
-            found += [f"{node.lineno}: imports {a.name}" for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.ImportFrom) and package_module(node):
+            found += [f"{node.lineno}: imports {a.name}" for a in node.names if private(a.name)]
         elif isinstance(node, ast.Attribute):
             on_module = isinstance(node.value, ast.Name) and node.value.id in aliases
-            if node.attr in coding or (on_module and node.attr.startswith("_")):
-                found.append(f"{node.lineno}: reads .{node.attr}")
+            if node.attr in coding or (on_module and private(node.attr)):
+                verb = "writes" if isinstance(node.ctx, ast.Store) else "reads"
+                found.append(f"{node.lineno}: {verb} .{node.attr}")
+    return sorted(found, key=lambda line: int(line.split(":")[0]))
+
+
+def foreign_reads(trees: dict[str, ast.Module]) -> list[str]:
+    """``coding_reads`` of every module against the codings of the others."""
+    coding = codings(trees)
+    found = []
+    for name, tree in trees.items():
+        others = set().union(*(c for other, c in coding.items() if other != name))
+        found += [f"{name}.py:{where}" for where in coding_reads(tree, others)]
     return found
 
 
 def test_the_coding_names_are_found():
-    assert {"down", "_pos", "_covers", "_mask"} <= poset_coding()
+    coding = codings(modules())
+    assert {"down", "_pos", "_covers", "_mask"} <= coding["poset"]
+    assert {"ints", "_by_src", "_by_tgt", "_ints", "_IntTable", "_Joined", "_assemble"} <= coding["core"]
 
 
-def test_no_module_but_poset_reads_the_order_coding():
-    coding = poset_coding()
-    paths = sorted(glob.glob(os.path.join(PACKAGE, "*.py")))
-    assert len(paths) > 1
-    found = []
-    for path in paths:
-        name = os.path.basename(path)
-        if name != "poset.py":
-            found += [f"{name}:{where}" for where in coding_reads(parse(path), coding)]
-    assert found == []
+def test_no_module_reads_another_modules_coding():
+    trees = modules()
+    assert {"core", "poset", "actions", "specfile"} <= set(trees)
+    assert foreign_reads(trees) == []
 
 
 def test_the_guard_sees_a_read_of_the_coding():
@@ -79,9 +118,30 @@ def test_the_guard_sees_a_read_of_the_coding():
         "from . import poset as p\n"
         "x = poset.down, poset._covers, p._mask\n"
     )
-    assert coding_reads(ast.parse(code), poset_coding()) == [
+    assert coding_reads(ast.parse(code), codings(modules())["poset"]) == [
         "1: imports _bits",
         "3: reads .down",
         "3: reads ._covers",
         "3: reads ._mask",
+    ]
+
+
+def test_the_guard_sees_a_read_of_the_category_coding():
+    code = (
+        "from .core import FiniteCategory, _IntTable\n"
+        "from .bernoulli import BernoulliPoset, _bundle\n"
+        "for s in ic.cat._by_src.get(ic.tgt(t), ()):\n"
+        "    rows = cat.ints().rows\n"
+        "cat._ints = _IntTable(cat, rows)\n"
+        "import invcat.core as c\n"
+        "c._light_test(cat)\n"
+    )
+    everything = set().union(*codings(modules()).values())
+    assert coding_reads(ast.parse(code), everything) == [
+        "1: imports _IntTable",
+        "2: imports _bundle",
+        "3: reads ._by_src",
+        "4: reads .ints",
+        "5: writes ._ints",
+        "7: reads ._light_test",
     ]

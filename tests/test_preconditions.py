@@ -76,6 +76,9 @@ _SPLITS_AN_R_CLASS = Functor(
 )
 _T1_INTO_Z2 = Functor(T1.cat, Z2.cat, {"*": "*"}, {"1": "e"})
 _IDENTITY_Z2 = identity_functor(Z2.cat)
+# no image for s21 or for emp, which I2 declares first
+_I2_WITHOUT_TWO = Functor(I2.cat, I2.cat, {"*": "*"}, {m: m for m in I2.morphisms if m not in ("s21", "emp")})
+_Z2_WITHOUT_G = Functor(Z2.cat, Z2.cat, {"*": "*"}, {"e": "e"})
 
 PRECONDITION = (PreconditionFailed, "PRECONDITION_FAILED")
 NOT_A_FUNCTOR = (NotAFunctor, "NOT_A_FUNCTOR")
@@ -94,8 +97,10 @@ CASES = [
     ("lift-wrong-source", lambda: _lift(T1, Z2, _IDENTITY_Z2), *PRECONDITION),
     ("lift-wrong-target", lambda: _lift(T1, T1, _T1_INTO_Z2), *PRECONDITION),
     ("lift-image-subset-missing", lambda: _lift(I2, I2, _SPLITS_AN_R_CLASS), *NOT_A_FUNCTOR),
+    ("lift-morphism-without-image", lambda: _lift(I2, I2, _I2_WITHOUT_TWO), *NOT_A_FUNCTOR),
     ("meet-across-objects", lambda: G2.meet_idem("1X", "1Y"), *NOT_COMPOSABLE),
     ("meet-not-idempotent", lambda: I2.meet_idem("s12", "s21"), *NOT_IDEMPOTENT),
+    ("meet-unknown-morphism", lambda: I2.meet_idem("nope", "id1"), *UNDECLARED),
     # s after 1Y is undefined too: idempotency is checked first
     ("meet-not-idempotent-across-objects", lambda: G2.meet_idem("s", "1Y"), *NOT_IDEMPOTENT),
     ("act-from-another-object", lambda: build_bernoulli(G2).act("1Y", "{1X,si}"), *NOT_COMPOSABLE),
@@ -110,6 +115,7 @@ CASES = [
     ("natural-leq-unknown-morphism", lambda: natural_leq(Z2, "e", "nope"), *UNDECLARED),
     ("act-unknown-element", lambda: build_bernoulli(Z2).act("g", "nope"), *UNDECLARED),
     ("functors-do-not-chain", lambda: compose_functors(identity_functor(T1.cat), _IDENTITY_Z2), *NOT_A_FUNCTOR),
+    ("functors-image-without-image", lambda: compose_functors(_Z2_WITHOUT_G, _IDENTITY_Z2), *NOT_A_FUNCTOR),
     ("poset-masks-too-few", lambda: Poset(("a", "b"), (0b01,)), *PRECONDITION),
     ("poset-masks-too-many", lambda: Poset(("a",), (0b1, 0b1)), *PRECONDITION),
     ("poset-mask-beyond-the-last-element", lambda: Poset(("a", "b"), (0b001, 0b110)), *PRECONDITION),
@@ -145,6 +151,15 @@ REPLAY = textwrap.dedent(
         print(label, t.outcome(call))
     """
 )
+
+
+def test_a_missing_image_is_named_in_declaration_order():
+    with pytest.raises(NotAFunctor) as err:
+        _lift(I2, I2, _I2_WITHOUT_TWO)
+    assert err.value.details == {"morphism": "emp"}
+    with pytest.raises(NotAFunctor) as err:
+        compose_functors(_Z2_WITHOUT_G, _IDENTITY_Z2)
+    assert err.value.details == {"name": "g"}
 
 
 def test_preconditions_hold_under_python_O():
