@@ -16,22 +16,22 @@ product takes bundles only: the global action reaches it through
 ``fibred_to_symmetry`` and ``symmetry_to_partial``, and ``szendrei`` builds
 the bundle of either carrier directly.
 
-Each element is also coded as (e, mask): bit i of the mask stands for the
-i-th member of R_e in name order.  For a morphism c starting at the object
-of e, every member m of R_e gives c·m in R_f with f = c·e·c°, so the image
-of a subset is the OR of the images of its bits.
-``BernoulliPoset.images(c, e)`` tabulates that image for every mask over
-R_e on first use, by a bit recurrence: a mask's image is the image of the
-mask without its highest bit, ORed with the image of that bit.  The action sA,
-the pointed test of D_s, the θ_s of both actions, the pseudo product of
-``expansion`` and each pair A ≤ B of the carrier's down-set masks are then
-table lookups and one OR; member sets are read only for output.
+Inside ``BernoulliPoset`` each element is also coded as (e, mask): bit i
+of the mask stands for the i-th member of R_e in name order.  For a
+morphism c starting at the object of e, every member m of R_e gives c·m in
+R_f with f = c·e·c°, so the image of a subset is the OR of the images of
+its bits.  The carrier tabulates that image for every mask over R_e on
+first use, by a bit recurrence: a mask's image is the image of the mask
+without its highest bit, ORed with the image of that bit.  The action sA
+(``act``), the pointed test of D_s, the θ_s of both actions (``graph``),
+the subset part of the pseudo product (``pseudo``) and each pair A ≤ B of
+the carrier's down-set masks are then table lookups and one OR; member
+sets are read only for output.  The coding is private to this module.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass, field
 
 from .actions import FibredAction, MomentMap, PartialActionBundle
@@ -49,47 +49,61 @@ class PCElement:
     obj: str
     idem: str
 
-    @property
-    def key(self) -> str:
-        return subset_name(self.members)
-
 
 @dataclass
 class BernoulliPoset:
     """Carrier poset of the Bernoulli action, with element bookkeeping.
 
-    ``members`` lists R_e in name order for each idempotent e, and
-    ``codes`` gives each element key its (e, mask) code over that list.
-    The order is built from the codes: A ≤ B exactly when e = iε(A) ≤
-    iε(B) and A ⊇ e·B inside R_e, so the down-set of B in the fiber of e
-    is every (pointed) superset of the mask of e·B, read off ``images``."""
+    Built in one pass from ``_members``, R_e in name order for each
+    idempotent e: the elements in order (idempotents by name, then subset
+    size, then combination order over R_e), the (e, mask) code of each
+    element key, the key of each mask over R_e and the codes of each
+    signature idempotent.  Raises PARSE_ERROR naming the least subset
+    name that morphism names make two subsets share.  The order is built
+    from the codes: A ≤ B exactly when e = iε(A) ≤ iε(B) and A ⊇ e·B
+    inside R_e, so the down-set of B in the fiber of e is every (pointed)
+    superset of the mask of e·B."""
 
     ic: InverseCategory
     pointed: bool
-    elements: dict[str, PCElement]
-    members: dict[str, tuple[str, ...]]
-    codes: dict[str, tuple[str, int]]
+    _members: dict[str, tuple[str, ...]]
+    elements: dict[str, PCElement] = field(init=False)
     poset: Poset = field(init=False)
+    _codes: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
     _by_idem: dict[str, tuple[tuple[str, int], ...]] = field(init=False, repr=False, compare=False)
     _keys: dict[str, list[str | None]] = field(init=False, repr=False, compare=False)
     _bit: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
-    _images: dict[tuple[str, str], tuple[str, list[int]]] = field(
+    _tables: dict[tuple[str, str], tuple[str, list[int]]] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        self._bit = {e: {m: 1 << i for i, m in enumerate(r)} for e, r in self.members.items()}
-        self._keys = {e: [None] * (1 << len(r)) for e, r in self.members.items()}
-        by_idem: dict[str, list[tuple[str, int]]] = {}
-        for key, (e, mask) in self.codes.items():
-            self._keys[e][mask] = key
-            by_idem.setdefault(e, []).append((key, mask))
-        self._by_idem = {e: tuple(bucket) for e, bucket in by_idem.items()}
+        self.elements, self._codes, self._by_idem, self._keys, self._bit = {}, {}, {}, {}, {}
+        shared = set()
+        for e in sorted(self._members):
+            r, obj = self._members[e], self.ic.src(e)
+            bit = self._bit[e] = {m: 1 << i for i, m in enumerate(r)}
+            keys = self._keys[e] = [None] * (1 << len(r))
+            bucket = []
+            for size in range(1, len(r) + 1):
+                for sub in itertools.combinations(r, size):
+                    if self.pointed and e not in sub:
+                        continue
+                    key, mask = subset_name(sub), sum(map(bit.__getitem__, sub))
+                    if key in self.elements:
+                        shared.add(key)
+                    self.elements[key] = PCElement(frozenset(sub), obj, e)
+                    self._codes[key], keys[mask] = (e, mask), key
+                    bucket.append((key, mask))
+            self._by_idem[e] = tuple(bucket)
+        if shared:
+            key = min(shared)
+            raise ParseError(f"morphism names make two Bernoulli subsets share the name {key!r}", key=key)
         bit = {key: 1 << i for i, key in enumerate(self.elements)}
         down = dict.fromkeys(self.elements, 0)
         for f, bucket in self._by_idem.items():
             for e in self.ic.idempotents_below(f):
-                keys, image = self._keys[e], self.images(e, f)[1]
+                keys, image = self._keys[e], self._images(e, f)[1]
                 point = self._bit[e][e] if self.pointed else 0
                 for bkey, mask in bucket:
                     least = image[mask] | point
@@ -107,23 +121,23 @@ class BernoulliPoset:
         elt = self.elements[key]
         return (elt.obj, elt.idem)
 
-    def images(self, c: str, e: str) -> tuple[str, list[int]]:
+    def _images(self, c: str, e: str) -> tuple[str, list[int]]:
         """(f, image) with f = c·e·c° and image[mask] the mask of c·A over
         R_f, for A the subset of R_e with that mask; built on first use.
         ``c`` must start at the object of e."""
-        got = self._images.get((c, e))
+        got = self._tables.get((c, e))
         if got is None:
             table = self.ic.cat.table
             f = table[(table[(c, e)], self.ic.inverse[c])]
             bit = self._bit[f]
             image = [0]
-            for m in self.members[e]:  # masks with this bit follow those without it
+            for m in self._members[e]:  # masks with this bit follow those without it
                 b = bit[table[(c, m)]]
                 image += [low | b for low in image]
-            got = self._images[(c, e)] = (f, image)
+            got = self._tables[(c, e)] = (f, image)
         return got
 
-    def subset(self, f: str, mask: int) -> str:
+    def _subset(self, f: str, mask: int) -> str:
         """The name of the subset of R_f with that mask: its element key,
         or its formatted name when it is not an element."""
         return self._keys[f][mask] or subset_name(m for m, b in self._bit[f].items() if mask & b)
@@ -138,9 +152,21 @@ class BernoulliPoset:
             raise UndeclaredName(f"no morphism or element {exc.args[0]!r}", name=exc.args[0]) from None
         if src != elt.obj:
             raise NotComposable(f"{s!r} does not compose with the members of {key!r}", morphism=s, element=key)
-        e, mask = self.codes[key]
-        f, image = self.images(s, e)
-        return self.subset(f, image[mask])
+        e, mask = self._codes[key]
+        f, image = self._images(s, e)
+        return self._subset(f, image[mask])
+
+    def pseudo(self, s: str, a: str, b: str) -> str:
+        """The key of s·iε(B)·s°·A ∪ iε(A)·s·B, the subset part of the
+        pseudo product (A, s) ⋆ (B, t).  A must sit at the target of s and
+        B at its source; then every product below is defined, and both
+        images lie in R_f with f = iε(A)·s·iε(B)·s°, as idempotents
+        commute."""
+        table = self.ic.cat.table
+        (e, a_mask), (d, b_mask) = self._codes[a], self._codes[b]
+        f, left = self._images(table[(table[(s, d)], self.ic.inverse[s])], e)
+        _, right = self._images(table[(e, s)], d)
+        return self._subset(f, left[a_mask] | right[b_mask])
 
     def _domain(self, s: str, strict: bool) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
         """D_s by signature idempotent e: (e, the (key, mask) codes of D_s
@@ -162,18 +188,17 @@ class BernoulliPoset:
 
         A lies in D_s when its signature idempotent sits below ss° (strict:
         equals it) and, on the pointed carrier, A contains iε(A)·s, a member
-        of R_{iε(A)} tested as one bit.  ``build_bernoulli`` lists the
-        elements of one signature together, so the buckets concatenate in
-        element order.
+        of R_{iε(A)} tested as one bit.  The elements of one signature are
+        listed together, so the buckets concatenate in element order.
         """
         return tuple(k for _, bucket in self._domain(s, strict) for k, _ in bucket)
 
     def graph(self, s: str, strict: bool = False) -> list[tuple[str, str]]:
         """θ_s as its pairs (A, sA) for A in D_{s°}, in element order: one
-        ``images`` table per signature idempotent of D_{s°}."""
+        image table per signature idempotent of D_{s°}."""
         out: list[tuple[str, str]] = []
         for e, bucket in self._domain(self.ic.inv(s), strict):
-            f, image = self.images(s, e)
+            f, image = self._images(s, e)
             keys = self._keys[f]
             out += [(k, keys[image[mask]]) for k, mask in bucket]
         return out
@@ -196,26 +221,7 @@ def build_bernoulli(
         2 ** (len(r) - 1) if pointed else 2 ** len(r) - 1 for r in members.values()
     )
     check_cap("Bernoulli poset", total, max_elements)
-    # a subset of R_e is also a bitmask over the sorted members of R_e
-    elements: dict[str, PCElement] = {}
-    codes: dict[str, tuple[str, int]] = {}
-    for e in sorted(members):
-        bit = {m: 1 << i for i, m in enumerate(members[e])}
-        for r in range(1, len(members[e]) + 1):
-            for sub in itertools.combinations(members[e], r):
-                if pointed and e not in sub:
-                    continue
-                elt = PCElement(frozenset(sub), ic.src(e), e)
-                elements[elt.key] = elt
-                codes[elt.key] = (e, sum(map(bit.__getitem__, sub)))
-    if len(elements) != total:
-        names = Counter(
-            subset_name(sub) for e, r in members.items() for k in range(1, len(r) + 1)
-            for sub in itertools.combinations(r, k) if not pointed or e in sub
-        )
-        shared = min(key for key, n in names.items() if n > 1)
-        raise ParseError(f"morphism names make two Bernoulli subsets share the name {shared!r}", key=shared)
-    return BernoulliPoset(ic, pointed, elements, members, codes)
+    return BernoulliPoset(ic, pointed, members)
 
 
 def bernoulli_global(

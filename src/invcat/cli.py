@@ -41,7 +41,6 @@ from .errors import (
     NotInverseCategory,
     ParseError,
     ToolkitError,
-    UndeclaredName,
 )
 from .expansion import inner_expansion, szendrei
 from .limits import check_cap, resolve_max_elements
@@ -157,11 +156,6 @@ def cmd_expand(args: argparse.Namespace) -> tuple[dict, dict, list[str], int]:
         "idempotents": sz.ic.idempotents(),
     }
     if args.inner is not None:
-        if args.inner not in ic.objects:
-            raise UndeclaredName(
-                f"--inner object {args.inner!r} is not an object of the category",
-                name=args.inner,
-            )
         ie = inner_expansion(sz, args.inner, max_elements=args.max_elements)
         result["inner"] = {
             "object": ie.obj,

@@ -107,10 +107,6 @@ class SzCategory:
             raise UndeclaredName(f"no arrow {name!r} in the expansion", subset=key, morphism=s)
         return name
 
-    def push(self, c: str, key: str) -> str:
-        """Apply a morphism of the underlying category to a subset element."""
-        return self.carrier.act(c, key)
-
 
 def _no_arrow(name: str) -> UndeclaredName:
     return UndeclaredName(f"no arrow {name!r} in the expansion", name=name)
@@ -176,14 +172,8 @@ def pseudo_product(sz: SzCategory, a: str, b: str) -> str:
         raise NotComposable(
             f"underlying morphisms {s!r} and {t!r} do not compose", left=a, right=b
         )
-    # A sits at the target of s and B at its source, so every product below
-    # is defined in the validated table; both images lie in R_f with
-    # f = conj·iε(A) = iε(A)·s·iε(B)·s°, as idempotents commute
-    carrier = sz.carrier
-    (e, a_mask), (d, b_mask) = carrier.codes[akey], carrier.codes[bkey]
-    f, left = carrier.images(table[(table[(s, d)], sz.origin.inverse[s])], e)
-    _, right = carrier.images(table[(e, s)], d)
-    return sz.arrow_name(carrier.subset(f, left[a_mask] | right[b_mask]), st)
+    # st is defined, so A sits at the target of s and B at its source
+    return sz.arrow_name(sz.carrier.pseudo(s, akey, bkey), st)
 
 
 def wedge(sz: SzCategory, a: str, b: str) -> str:
@@ -231,7 +221,7 @@ def restriction(sz: SzCategory, arrow: str, idem: str) -> str:
     """
     _below_inner(sz, arrow, idem, "source")
     (_, s), (ekey, f) = sz.pair(arrow), sz.pair(idem)
-    return sz.arrow_name(sz.push(s, ekey), sz.origin.cat.table[(s, f)])
+    return sz.arrow_name(sz.carrier.act(s, ekey), sz.origin.cat.table[(s, f)])
 
 
 def corestriction(sz: SzCategory, arrow: str, idem: str) -> str:

@@ -16,11 +16,13 @@ from invcat import (
     validate_fibred,
     validate_partial,
 )
+from invcat.poset import subset_name
 
 from oracles import (
     PARTIAL_BIJECTIONS,
     brute_bernoulli_subsets,
     brute_pointed_domain,
+    partial_injection_categories,
     sub_inverse_monoid,
 )
 
@@ -38,6 +40,30 @@ def test_counts_and_membership_match_subset_filter(t1, z2, g2, i2):
             assert len(bp.elements) == expected_counts[label][slot]
             expected = brute_bernoulli_subsets(ic.cat, ic.inverse, pointed)
             assert {elt.members for elt in bp.elements.values()} == expected
+
+
+def assert_element_order(ic) -> None:
+    """The carrier lists the subsets of ``brute_bernoulli_subsets`` by
+    idempotent name, then size, then combination order over R_e sorted by
+    name, which is the order of their sorted member lists."""
+    def place(subset: frozenset[str]) -> tuple:
+        m = next(iter(subset))
+        return ic.cat.table[(m, ic.inverse[m])], len(subset), sorted(subset)
+
+    for pointed in (False, True):
+        expected = sorted(brute_bernoulli_subsets(ic.cat, ic.inverse, pointed), key=place)
+        assert list(build_bernoulli(ic, pointed).elements) == list(map(subset_name, expected)), pointed
+
+
+def test_element_order_on_fixtures(request):
+    for name in ("t1", "z2", "g2", "i2", "iic_point", "iic_chain2"):
+        assert_element_order(request.getfixturevalue(name))
+
+
+@settings(max_examples=15, deadline=None)
+@given(partial_injection_categories())
+def test_element_order_on_partial_injection_categories(ic):
+    assert_element_order(ic)
 
 
 def test_signatures(i2):

@@ -3,8 +3,12 @@
 A ``Poset`` is its down-set masks; positions, lower covers and the bit
 helpers are derived from them inside ``poset.py``.  A ``FiniteCategory``
 is stored by ``core.py``: its source and target buckets, the integer rows
-of ``ints()`` and the placeholder class of a joined category.  Every other
-module asks through public functions and methods, so none imports a
+of ``ints()`` and the placeholder class of a joined category.  A
+``BernoulliPoset`` is built by ``bernoulli.py`` from its R-classes: the
+(idempotent, mask) code of each element, the key of each mask, the
+per-idempotent buckets and the image tables of ``_images``.  Every other
+module asks through public functions and methods (the carrier through
+``act``, ``domain``, ``graph``, ``bundle`` and ``pseudo``), so none imports a
 ``_``-prefixed name from another module of the library, reads a private
 attribute of another module, or reads a private field or method that
 another module defines.  ``down`` (of ``poset``) and ``ints`` (of
@@ -104,11 +108,13 @@ def test_the_coding_names_are_found():
     coding = codings(modules())
     assert {"down", "_pos", "_covers", "_mask"} <= coding["poset"]
     assert {"ints", "_by_src", "_by_tgt", "_ints", "_IntTable", "_Joined", "_assemble"} <= coding["core"]
+    carrier = {"_members", "_codes", "_keys", "_bit", "_by_idem", "_tables", "_images", "_subset"}
+    assert carrier <= coding["bernoulli"]
 
 
 def test_no_module_reads_another_modules_coding():
     trees = modules()
-    assert {"core", "poset", "actions", "specfile"} <= set(trees)
+    assert {"core", "poset", "actions", "specfile", "bernoulli", "expansion"} <= set(trees)
     assert foreign_reads(trees) == []
 
 
@@ -144,4 +150,19 @@ def test_the_guard_sees_a_read_of_the_category_coding():
         "4: reads .ints",
         "5: writes ._ints",
         "7: reads ._light_test",
+    ]
+
+
+def test_the_guard_sees_a_read_of_the_carrier_coding():
+    code = (
+        "e, mask = carrier._codes[k]\n"
+        "f, image = bp._images(c, e)\n"
+        "key = sz.carrier._subset(f, image[mask])\n"
+        "size = len(bp._members[e])\n"
+    )
+    assert coding_reads(ast.parse(code), codings(modules())["bernoulli"]) == [
+        "1: reads ._codes",
+        "2: reads ._images",
+        "3: reads ._subset",
+        "4: reads ._members",
     ]
