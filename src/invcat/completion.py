@@ -214,11 +214,11 @@ def enlargement_check(
             axiom2 = False
             witnesses.setdefault("axiom2", (s,))
 
-    axiom3 = True
-    for f in sup.idempotents():
-        if not any(sup.dom_idem(s) in embedded_idems for s in sup.r_class(f)):
-            axiom3 = False
-            witnesses.setdefault("axiom3", (sup.src(f), f))
+    reached = {sup.ran_idem(s) for s in sup.morphisms if sup.dom_idem(s) in embedded_idems}
+    unreached = next((f for f in sup.idempotents() if f not in reached), None)
+    axiom3 = unreached is None
+    if not axiom3:
+        witnesses["axiom3"] = (sup.src(unreached), unreached)
 
     return EnlargementReport(axiom1, axiom2, axiom3, witnesses)
 

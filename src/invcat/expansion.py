@@ -21,7 +21,6 @@ and the projection back onto the underlying category.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -36,7 +35,7 @@ from .core import (
     light_test,
     natural_leq,
 )
-from .errors import NotAFunctor, NotComposable, NotIdempotent, PreconditionFailed, UndeclaredName
+from .errors import NotAFunctor, NotComposable, NotIdempotent, ParseError, PreconditionFailed, UndeclaredName
 from .limits import DEFAULT_MAX_ELEMENTS, check_cap
 from .poset import subset_name
 
@@ -58,7 +57,8 @@ def semidirect_product(
     of ``join_category``, which composes (x, s)(y, t) = (x, st).  Returns
     the verified inverse category together with the map from arrow names
     back to (element, morphism) pairs.  Raises NOT_A_FUNCTOR when some
-    morphism has no map.
+    morphism has no map, and PARSE_ERROR naming the least name that two
+    (element, morphism) pairs share.
     """
     bundle.require_total()
     ic, maps = bundle.ic, bundle.maps
@@ -76,11 +76,16 @@ def semidirect_product(
 
     arrows: dict[str, tuple[str, str]] = {}
     triples: dict[str, tuple[str, str, str]] = {}
+    shared: set[str] = set()
     for s in ic.morphisms:
         for x, y in maps[ic.inv(s)].pairs:
             name = f"({x}|{s})"
-            arrows[name] = (x, s)
+            if arrows.setdefault(name, (x, s)) != (x, s):
+                shared.add(name)
             triples[name] = (y, s, x)
+    if shared:
+        name = min(shared)
+        raise ParseError(f"element and morphism names make two arrows share the name {name!r}", name=name)
     inv = join_category(objects, triples, identities, ic, lambda _, s, x: f"({x}|{s})")
     return inv, arrows
 
@@ -254,7 +259,11 @@ def inner_expansion(
 ) -> InnerExpansion:
     """Restrict an expansion to one object; ⋆ becomes a total operation.
 
-    The pointed variants contain ({1_X}, 1_X) and form inverse monoids; the
+    This is the Szendrei expansion of the monoid End(X), for a group its
+    prefix expansion.  End(X) composes totally and every variant's arrows
+    over it are closed under ⋆, so each entry is one ``BernoulliPoset.pseudo``,
+    one composite and one lookup, with no ``pseudo_product`` call.  The
+    pointed variants contain ({1_X}, 1_X) and form inverse monoids; the
     full variants are inverse semigroups without identity in general.
     Raises SIZE_CAP_EXCEEDED before any ⋆ is taken when the table's
     |elements|² entries are above ``max_elements``, and UNDECLARED_NAME
@@ -262,14 +271,19 @@ def inner_expansion(
     """
     if obj not in sz.origin.objects:
         raise UndeclaredName(f"no object {obj!r} in the underlying category", name=obj)
-    elements = tuple(
-        name
-        for name, (_, s) in sz.arrows.items()
+    arrows = [
+        (name, key, s)
+        for name, (key, s) in sz.arrows.items()
         if sz.origin.src(s) == obj and sz.origin.tgt(s) == obj
-    )
-    check_cap("inner expansion", len(elements) ** 2, max_elements)
+    ]
+    check_cap("inner expansion", len(arrows) ** 2, max_elements)
+    elements = tuple(name for name, _, _ in arrows)
+    named = {(key, s): name for name, key, s in arrows}
+    compose, pseudo = sz.origin.cat.table, sz.carrier.pseudo
     table = {
-        (a, b): pseudo_product(sz, a, b) for a in elements for b in elements
+        (a, b): named[pseudo(s, akey, bkey), compose[(s, t)]]
+        for a, akey, s in arrows
+        for b, bkey, t in arrows
     }
     identity = next(
         (u for u in elements if all(table[(u, v)] == v == table[(v, u)] for v in elements)),
@@ -386,13 +400,13 @@ def projection(sz: SzCategory) -> Functor:
 
 
 def classical_group_expansion(group: InverseCategory) -> tuple[tuple[str, ...], dict[tuple[str, str], str]]:
-    """The prefix expansion of a finite group, enumerated directly.
+    """The prefix expansion of a finite group, its inner partial expansion.
 
     Elements are pairs (A, g), named ``({..}|g)``, with A a subset of the
     group containing both the identity and g; multiplication is
-    (A, g)(B, h) = (A ∪ gB, gh).  Returns (elements, multiplication table).
-    Raises PRECONDITION_FAILED unless ``group`` has one object and every
-    s has s°s = ss° = 1.
+    (A, g)(B, h) = (A ∪ gB, gh).  Returns (sorted elements, table).  Raises
+    PRECONDITION_FAILED unless ``group`` has one object and every s has
+    s°s = ss° = 1, and SIZE_CAP_EXCEEDED above the default cap (Z_n, n ≥ 8).
     """
     if len(group.objects) != 1:
         raise PreconditionFailed("expects a one-object category", objects=group.objects)
@@ -400,23 +414,5 @@ def classical_group_expansion(group: InverseCategory) -> tuple[tuple[str, ...], 
     for s in group.morphisms:
         if not group.dom_idem(s) == unit == group.ran_idem(s):
             raise PreconditionFailed("expects a group", morphism=s)
-
-    members = sorted(group.morphisms)
-    elements: list[tuple[frozenset[str], str]] = []
-    for g in group.morphisms:
-        required = {unit, g}
-        optional = [m for m in members if m not in required]
-        for r in range(len(optional) + 1):
-            for extra in itertools.combinations(optional, r):
-                elements.append((frozenset(required) | frozenset(extra), g))
-    names = {
-        (aset, g): f"({subset_name(aset)}|{g})" for aset, g in elements
-    }
-    product = group.cat.table  # total: a group has one object
-    table: dict[tuple[str, str], str] = {}
-    for aset, g in elements:
-        for bset, h in elements:
-            gb = {product[(g, m)] for m in bset}
-            table[(names[(aset, g)], names[(bset, h)])] = names[(aset | gb, product[(g, h)])]
-    ordered = tuple(sorted(names.values()))
-    return ordered, table
+    ie = inner_expansion(szendrei(group, "partial"), group.objects[0])
+    return tuple(sorted(ie.elements)), ie.table

@@ -194,8 +194,8 @@ class PartialOrderIso:
 
     A partial bijection is its set of pairs, so ``pairs`` is stored sorted,
     as a tuple, whatever iterable is given: equal maps are equal isos with
-    equal hashes.  ``dom``, ``ran`` and ``point_map`` (each point to its
-    image) are derived once, on first use.
+    equal hashes.  ``ran`` and ``point_map`` (each point to its image) are
+    derived once, on first use; ``dom``, read once per validation, on each read.
     """
 
     pairs: tuple[tuple[str, str], ...]
@@ -212,7 +212,7 @@ class PartialOrderIso:
             raise PreconditionFailed(f"not an order isomorphism: {failure!r}", failure=failure)
         return iso
 
-    @cached_property
+    @property
     def dom(self) -> frozenset[str]:
         return frozenset(a for a, _ in self.pairs)
 

@@ -404,6 +404,26 @@ def test_subsets_sharing_a_name_are_an_input_error(capsys, tmp_path):
         assert "Traceback" not in err
 
 
+def test_arrows_sharing_a_name_are_an_input_error(capsys, tmp_path):
+    """In Z4 with morphisms "2" (the identity), "3}|4", "2}|3" and "4", the
+    global arrows ({2}, 3}|4) and ({2}|3}, 4) are both named ({2}|3}|4)."""
+    spec = tmp_path / "shared_arrow_name.json"
+    names = ["2", "3}|4", "2}|3", "4"]
+    cat = FiniteCategory.build(
+        ("*",),
+        {m: ("*", "*") for m in names},
+        {"*": "2"},
+        {(g, f): names[(i + j) % 4] for i, g in enumerate(names) for j, f in enumerate(names)},
+    )
+    save_category(str(spec), cat, {m: names[-i % 4] for i, m in enumerate(names)})
+    for variant in ("global", "strict-global"):
+        code, report, err = run(capsys, "expand", str(spec), "--variant", variant)
+        assert code == 2
+        assert report["error"]["code"] == "PARSE_ERROR"
+        assert report["error"]["details"] == {"name": "({2}|3}|4)"}
+        assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # malformed spec text: a typed error and exit 2, never a traceback
 

@@ -16,6 +16,7 @@ from invcat import (
     equivalence_check,
     idempotent_classes,
     identity_functor,
+    inclusion_functor,
     invertible_morphisms,
     isomorphic_objects,
     restriction_groupoid,
@@ -138,6 +139,23 @@ def test_enlargement_holds_for_point_in_contractible_groupoid(t1, g2):
     assert validate_functor(inclusion).ok
     eq = equivalence_check(inclusion)
     assert eq.faithful and eq.full and eq.essentially_surjective and eq.overall
+
+
+I3 = sub_inverse_monoid(list(PARTIAL_BIJECTIONS))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.lists(st.sampled_from(PARTIAL_BIJECTIONS), max_size=3))
+def test_axiom_iii_names_the_least_unreached_idempotent(gens):
+    """Axiom III against a scan of the R-class of every idempotent of I3."""
+    sub = sub_inverse_monoid(gens)
+    report = enlargement_check(sub, I3, inclusion_functor(sub.cat, I3.cat))
+    embedded = set(sub.idempotents())
+    unreached = [
+        f for f in I3.idempotents() if not any(I3.dom_idem(s) in embedded for s in I3.r_class(f))
+    ]
+    assert report.axiom3 == (not unreached)
+    assert report.witnesses.get("axiom3") == (("*", unreached[0]) if unreached else None)
 
 
 def test_completion_inclusion_not_full_without_enlargement(t1, z2):

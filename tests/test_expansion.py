@@ -7,12 +7,15 @@ import dataclasses
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import invcat.expansion
 from invcat import (
     Functor,
     NotComposable,
     NotIdempotent,
     PartialOrderIso,
     PreconditionFailed,
+    SizeCapExceeded,
+    SzCategory,
     bernoulli_global,
     bernoulli_partial,
     classical_group_expansion,
@@ -32,9 +35,15 @@ from invcat import (
     validate_inverse_semigroup,
     wedge,
 )
-from invcat.expansion import product_order_leq, semidirect_product
+from invcat.expansion import VARIANTS, product_order_leq, semidirect_product
 
-from oracles import PARTIAL_BIJECTIONS, brute_prefix_expansion, sub_inverse_monoid
+from oracles import (
+    PARTIAL_BIJECTIONS,
+    brute_prefix_expansion,
+    cyclic_group,
+    partial_injection_categories,
+    sub_inverse_monoid,
+)
 
 FROZEN_COUNTS = {
     ("z2", "global"): 6,
@@ -184,6 +193,43 @@ def test_group_expansion_matches_prefix_oracle(z2, expansions):
     ie = inner_expansion(expansions[("z2", "partial")], "*")
     assert sorted(ie.elements) == oracle_names
     assert ie.table == oracle_table
+    for n in range(2, 7):
+        group = cyclic_group(n)
+        names, table = classical_group_expansion(group)
+        assert (list(names), table) == brute_prefix_expansion(group.cat, "*"), n
+
+
+def assert_inner_tables_are_star(sz: SzCategory) -> None:
+    """Every entry of every inner expansion of ``sz`` is the pseudo product
+    of its pair; inner expansions above the cap are skipped."""
+    for obj in sz.origin.objects:
+        try:
+            ie = inner_expansion(sz, obj, max_elements=4096)
+        except SizeCapExceeded:
+            continue
+        assert len(ie.table) == len(ie.elements) ** 2
+        for (a, b), c in ie.table.items():
+            assert c == pseudo_product(sz, a, b), (sz.variant, obj, a, b)
+
+
+def test_inner_tables_are_star_on_fixtures(expansions):
+    for sz in expansions.values():
+        assert_inner_tables_are_star(sz)
+
+
+@settings(max_examples=15, deadline=None)
+@given(partial_injection_categories(), st.sampled_from(VARIANTS))
+def test_inner_tables_are_star_on_partial_injection_categories(ic, variant):
+    assert_inner_tables_are_star(szendrei(ic, variant))
+
+
+def test_inner_expansion_takes_no_pseudo_product(monkeypatch, expansions):
+    calls = []
+    monkeypatch.setattr(invcat.expansion, "pseudo_product", lambda *args: calls.append(args))
+    for sz in expansions.values():
+        for obj in sz.origin.objects:
+            inner_expansion(sz, obj)
+    assert calls == []
 
 
 def test_product_order_examples(expansions):

@@ -23,6 +23,7 @@ from invcat import (
     PartialOrderIso,
     Poset,
     PreconditionFailed,
+    SizeCapExceeded,
     UndeclaredName,
     bernoulli_partial,
     classical_group_expansion,
@@ -44,6 +45,8 @@ from invcat import (
 )
 from invcat.bernoulli import build_bernoulli
 from invcat.expansion import semidirect_product
+
+from oracles import cyclic_group
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -85,6 +88,7 @@ NOT_A_FUNCTOR = (NotAFunctor, "NOT_A_FUNCTOR")
 NOT_COMPOSABLE = (NotComposable, "NOT_COMPOSABLE")
 NOT_IDEMPOTENT = (NotIdempotent, "NOT_IDEMPOTENT")
 UNDECLARED = (UndeclaredName, "UNDECLARED_NAME")
+SIZE_CAP = (SizeCapExceeded, "SIZE_CAP_EXCEEDED")
 
 # (label, call, error class, code)
 CASES = [
@@ -93,6 +97,8 @@ CASES = [
     ("semidirect-no-unit-arrow", lambda: semidirect_product(_unit_arrows(False)), *PRECONDITION),
     ("classical-not-a-group", lambda: classical_group_expansion(I2), *PRECONDITION),
     ("classical-two-objects", lambda: classical_group_expansion(G2), *PRECONDITION),
+    # 576 elements, so 331,776 table entries against the default cap
+    ("classical-above-the-cap", lambda: classical_group_expansion(cyclic_group(8)), *SIZE_CAP),
     ("lift-variants-differ", lambda: _lift(Z2, Z2, _IDENTITY_Z2, ("global", "partial")), *PRECONDITION),
     ("lift-wrong-source", lambda: _lift(T1, Z2, _IDENTITY_Z2), *PRECONDITION),
     ("lift-wrong-target", lambda: _lift(T1, T1, _T1_INTO_Z2), *PRECONDITION),
