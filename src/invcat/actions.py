@@ -553,13 +553,17 @@ def validate_partial(bundle: PartialActionBundle) -> ValidationReport:
 
     # with θ_s, θ_t and θ_st sound, θ_s(y) = θ_st(θ_t⁻¹ y) for every y in
     # D_t ∩ D_{s°} puts θ_s(D_{s°} ∩ D_t) inside D_s ∩ D_st, and then equal
-    # sizes make the two equal
+    # sizes make the two equal; equal domains are interned, so each
+    # intersection is taken once per distinct pair
+    interned: dict[frozenset[str], frozenset[str]] = {}
+    domains = {s: interned.setdefault(d, d) for s, d in domains.items()}
+    meet = lru_cache(maxsize=None)(frozenset.intersection)
     for (s, t), st in ic.cat.table.items():
         if not strict and s in sound and t in sound and st in sound:
-            common = domains[t] & domains[inv(s)]
+            common = meet(domains[t], domains[inv(s)])
             via = list(map(maps[s].point_map.__getitem__, common))
             direct = list(map(maps[st].point_map.get, map(maps[inv(t)].point_map.__getitem__, common)))
-            if via == direct and len(common) == len(domains[s] & domains[st]):
+            if via == direct and len(common) == len(meet(domains[s], domains[st])):
                 continue
         witness = _partial_composition_failure(bundle, s, t, st)
         if witness is not None:

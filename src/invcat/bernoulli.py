@@ -11,10 +11,10 @@ idempotent; it is downward closed in the full poset.
 Two actions live here: the global one on the full poset (θ_s(A) = sA,
 defined whenever the signature of A sits below s°s) and the partial bundle
 on the pointed poset.  Strict variants tighten "sits below" to "equals".
-Both read their domains D_s from ``BernoulliPoset.domain``.  The semidirect
-product takes bundles only: the global action reaches it through
-``fibred_to_symmetry`` and ``symmetry_to_partial``, and ``szendrei`` builds
-the bundle of either carrier directly.
+Both read their domains D_s from ``BernoulliPoset.domain``, and
+``szendrei`` reads the θ_s of either carrier off ``BernoulliPoset.graph``,
+with no bundle, no order iso and no order: ``poset`` is derived on first
+read, for the actions and the product order.
 
 Inside ``BernoulliPoset`` each element is also coded as (e, mask): bit i
 of the mask stands for the i-th member of R_e in name order.  For a
@@ -24,15 +24,18 @@ its bits.  The carrier tabulates that image for every mask over R_e on
 first use, by a bit recurrence: a mask's image is the image of the mask
 without its highest bit, ORed with the image of that bit.  The action sA
 (``act``), the pointed test of D_s, the θ_s of both actions (``graph``),
-the subset part of the pseudo product (``pseudo``) and each pair A ≤ B of
-the carrier's down-set masks are then table lookups and one OR; member
-sets are read only for output.  The coding is private to this module.
+the subset part of the pseudo product (``pseudo``, and ``star_rows`` for
+whole rows of an inner expansion) and each pair A ≤ B of the carrier's
+down-set masks are then table lookups and one OR; member sets are read
+only for output.  The coding is private to this module.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Sequence
 
 from .actions import FibredAction, MomentMap, PartialActionBundle
 from .core import InverseCategory
@@ -59,16 +62,15 @@ class BernoulliPoset:
     size, then combination order over R_e), the (e, mask) code of each
     element key, the key of each mask over R_e and the codes of each
     signature idempotent.  Raises PARSE_ERROR naming the least subset
-    name that morphism names make two subsets share.  The order is built
-    from the codes: A ≤ B exactly when e = iε(A) ≤ iε(B) and A ⊇ e·B
-    inside R_e, so the down-set of B in the fiber of e is every (pointed)
-    superset of the mask of e·B."""
+    name that morphism names make two subsets share.  ``poset`` is derived
+    from the codes on first read: A ≤ B exactly when e = iε(A) ≤ iε(B) and
+    A ⊇ e·B inside R_e, so the down-set of B in the fiber of e is every
+    (pointed) superset of the mask of e·B."""
 
     ic: InverseCategory
     pointed: bool
     _members: dict[str, tuple[str, ...]]
     elements: dict[str, PCElement] = field(init=False)
-    poset: Poset = field(init=False)
     _codes: dict[str, tuple[str, int]] = field(init=False, repr=False, compare=False)
     _by_idem: dict[str, tuple[tuple[str, int], ...]] = field(init=False, repr=False, compare=False)
     _keys: dict[str, list[str | None]] = field(init=False, repr=False, compare=False)
@@ -99,6 +101,9 @@ class BernoulliPoset:
         if shared:
             key = min(shared)
             raise ParseError(f"morphism names make two Bernoulli subsets share the name {key!r}", key=key)
+
+    @cached_property
+    def poset(self) -> Poset:
         bit = {key: 1 << i for i, key in enumerate(self.elements)}
         down = dict.fromkeys(self.elements, 0)
         for f, bucket in self._by_idem.items():
@@ -115,7 +120,7 @@ class BernoulliPoset:
                             break
                         extra = (extra - 1) & free
                     down[bkey] |= below
-        self.poset = Poset(tuple(self.elements), tuple(down.values()))
+        return Poset(tuple(self.elements), tuple(down.values()))
 
     def signature(self, key: str) -> tuple[str, str]:
         elt = self.elements[key]
@@ -168,6 +173,34 @@ class BernoulliPoset:
         _, right = self._images(table[(e, s)], d)
         return self._subset(f, left[a_mask] | right[b_mask])
 
+    def star_rows(self, pairs: Sequence[tuple[str, str]]) -> list[list[int]]:
+        """Row i lists the position in ``pairs`` of (A_i, s_i) ⋆ (A_j, s_j) =
+        (``pseudo``(s_i, A_i, A_j), s_i·s_j) for each j; the arrows lie over
+        End(X) and are closed under ⋆.  Columns go in groups of one (t, iε(B))
+        whose image tables hang on (s_i, iε(A_i)) only: an entry is one OR
+        and one lookup, by C-level maps."""
+        table, inverse = self.ic.cat.table, self.ic.inverse
+        codes = [(*self._codes[a], s) for a, s in pairs]  # (e, mask, s)
+        at: dict[tuple[str, str], dict[int, int]] = {}  # (s, e) -> mask -> position
+        for i, (e, mask, s) in enumerate(codes):
+            at.setdefault((s, e), {})[mask] = i
+        order = [i for group in at.values() for i in group.values()]
+        perm = None if order == sorted(order) else sorted(range(len(order)), key=order.__getitem__)
+        parts: dict[tuple[str, str], list] = {}  # (s, e) -> (left, lookup, right masks) per group
+        rows: list[list[int]] = []
+        for e, a_mask, s in codes:
+            if (s, e) not in parts:
+                parts[(s, e)] = []
+                for (t, d), group in at.items():
+                    f, left = self._images(table[(table[(s, d)], inverse[s])], e)
+                    right = self._images(table[(e, s)], d)[1]
+                    parts[(s, e)].append((left, at[(table[(s, t)], f)].__getitem__, list(map(right.__getitem__, group))))
+            row: list[int] = []
+            for left, lookup, right in parts[(s, e)]:
+                row += map(lookup, map(left[a_mask].__or__, right))
+            rows.append(row if perm is None else list(map(row.__getitem__, perm)))
+        return rows
+
     def _domain(self, s: str, strict: bool) -> list[tuple[str, tuple[tuple[str, int], ...]]]:
         """D_s by signature idempotent e: (e, the (key, mask) codes of D_s
         at e), in element order."""
@@ -203,48 +236,29 @@ class BernoulliPoset:
             out += [(k, keys[image[mask]]) for k, mask in bucket]
         return out
 
-    def bundle(self, strict: bool) -> PartialActionBundle:
-        """The maps θ_s(A) = sA of the action on this carrier, each read off
-        ``graph``: from ``domain`` of s° onto that of s."""
-        maps = {s: PartialOrderIso(self.graph(s, strict)) for s in self.ic.morphisms}
-        return PartialActionBundle(self.ic, self.poset, maps, strict=strict)
 
-
-def build_bernoulli(
-    ic: InverseCategory,
-    pointed: bool = False,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> BernoulliPoset:
+def build_bernoulli(ic: InverseCategory, pointed: bool = False, max_elements: int = DEFAULT_MAX_ELEMENTS) -> BernoulliPoset:
     """Enumerate the (pointed) Bernoulli poset, capped before expansion."""
     members = {e: tuple(sorted(ic.r_class(e))) for e in ic.idempotents()}
-    total = sum(
-        2 ** (len(r) - 1) if pointed else 2 ** len(r) - 1 for r in members.values()
-    )
+    total = sum(2 ** (len(r) - 1) if pointed else 2 ** len(r) - 1 for r in members.values())
     check_cap("Bernoulli poset", total, max_elements)
     return BernoulliPoset(ic, pointed, members)
 
 
-def bernoulli_global(
-    ic: InverseCategory,
-    strict: bool = False,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
-) -> FibredAction:
+def bernoulli_global(ic: InverseCategory, strict: bool = False, max_elements: int = DEFAULT_MAX_ELEMENTS) -> FibredAction:
     """θ_s(A) = sA on the full Bernoulli poset, as a fibred action: θ_s is
     defined on D_{s°}."""
     bp = build_bernoulli(ic, pointed=False, max_elements=max_elements)
-    moment = MomentMap(
-        {k: elt.obj for k, elt in bp.elements.items()},
-        {k: elt.idem for k, elt in bp.elements.items()},
-    )
+    moment = MomentMap({k: elt.obj for k, elt in bp.elements.items()}, {k: elt.idem for k, elt in bp.elements.items()})
     theta = {(s, k): y for s in ic.morphisms for k, y in bp.graph(s, strict)}
     return FibredAction(ic, bp.poset, moment, theta, strict=strict)
 
 
 def bernoulli_partial(
-    ic: InverseCategory,
-    strict: bool = False,
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    ic: InverseCategory, strict: bool = False, max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> PartialActionBundle:
     """The partial bundle on the pointed Bernoulli poset: θ_s : D_{s°} -> D_s
-    sends A to sA, with D_s from ``BernoulliPoset.domain``."""
-    return build_bernoulli(ic, pointed=True, max_elements=max_elements).bundle(strict)
+    sends A to sA, each θ_s read off ``BernoulliPoset.graph``."""
+    bp = build_bernoulli(ic, pointed=True, max_elements=max_elements)
+    maps = {s: PartialOrderIso(bp.graph(s, strict)) for s in ic.morphisms}
+    return PartialActionBundle(ic, bp.poset, maps, strict=strict)

@@ -47,7 +47,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import getitem
+from operator import getitem, itemgetter
 from typing import Callable, Iterable, Mapping
 
 from .errors import NotAFunctor, NotComposable, NotIdempotent, NotInverseCategory, NotParallel, UndeclaredName
@@ -400,15 +400,16 @@ class _IntTable:
 
     def associative_at(self, gens: Iterable[int]) -> bool:
         """(h∘g)∘f = h∘(g∘f) for each g of ``gens`` and all h, f composable
-        with it: row g∘f must equal row f read at the places of the h∘g."""
+        with it: row g∘f must equal row f read at the places of the h∘g,
+        each read by one C-level gather (``itemgetter`` of two places up)."""
         rows, place = self.rows, self.place
         costar = _buckets(range(len(rows)), self.tgt.__getitem__)
         for g in gens:
-            k = place[g]
-            places = [place[hg] for hg in rows[g]]
+            k, places = place[g], list(map(place.__getitem__, rows[g]))
+            gather = itemgetter(*places) if len(places) > 1 else lambda row: tuple(map(row.__getitem__, places))
             for f in costar.get(self.src[g], ()):
                 row = rows[f]
-                if rows[row[k]] != [row[j] for j in places]:
+                if tuple(rows[row[k]]) != gather(row):
                     return False
         return True
 

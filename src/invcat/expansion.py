@@ -3,10 +3,9 @@
 ``semidirect_product`` turns a partial action bundle into a category:
 arrows are pairs (x, s) with x in the range-side domain D_s, the target of
 (x, s) is x, the source is θ_{s°}(x), and composition multiplies the
-underlying morphisms.  A fibred action reaches it through
-``fibred_to_symmetry`` and ``symmetry_to_partial``.  Applied to the bundles
-of the Bernoulli actions this yields the four expansion variants of
-``szendrei``:
+underlying morphisms.  ``szendrei`` runs the same kernel on the θ_s it
+reads off the Bernoulli carrier (``BernoulliPoset.graph``), with no bundle
+and no carrier order, for four variants:
 
 * ``global``          pairs (A, s) with the signature of A below ss°;
 * ``partial``         pointed subsets with A ∋ iε(A)·s;
@@ -15,14 +14,18 @@ of the Bernoulli actions this yields the four expansion variants of
 
 On top of the expansion live the pseudo product (A,s)⋆(B,t), the wedge of
 idempotents, restriction/corestriction below an arrow, inner expansions at
-one object, the functor induced by a functor of the underlying categories,
-and the projection back onto the underlying category.
+one object (rows of element numbers, named as ``table`` on first read),
+the functor induced by a functor of the underlying categories, and the
+projection back onto the underlying category.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable
+from functools import cached_property
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from .actions import PartialActionBundle
 from .bernoulli import BernoulliPoset, build_bernoulli
@@ -51,21 +54,28 @@ def semidirect_product(
     exists for every x in D_s and runs from θ_{s°}(x) to x, so the arrows
     over s are read off the pairs of θ_{s°}.  The identity of x pairs it
     with the one identity whose domain holds x, or with the one idempotent
-    whose domain holds x when the bundle is strict.  A fibred action
-    reaches this through ``fibred_to_symmetry`` and
-    ``symmetry_to_partial``.  The arrows are the triples (θ_{s°}x, s, x)
-    of ``join_category``, which composes (x, s)(y, t) = (x, st).  Returns
-    the verified inverse category together with the map from arrow names
-    back to (element, morphism) pairs.  Raises NOT_A_FUNCTOR when some
-    morphism has no map, and PARSE_ERROR naming the least name that two
-    (element, morphism) pairs share.
+    whose domain holds x when the bundle is strict.  The arrows are the
+    triples (θ_{s°}x, s, x) of ``join_category``, which composes (x, s)(y,
+    t) = (x, st).  Returns the verified inverse category together with the
+    map from arrow names back to (element, morphism) pairs.  Raises
+    NOT_A_FUNCTOR when some morphism has no map, PRECONDITION_FAILED
+    naming a morphism whose map lists a point twice, and PARSE_ERROR
+    naming the least name that two (element, morphism) pairs share.
     """
     bundle.require_total()
     ic, maps = bundle.ic, bundle.maps
-    objects = bundle.poset.elements
+    theta = {s: maps[ic.inv(s)].pairs for s in ic.morphisms}
+    return _semidirect(ic, bundle.poset.elements, theta, bundle.strict)
+
+
+def _semidirect(
+    ic: InverseCategory, objects: tuple[str, ...], theta: dict[str, Sequence[tuple[str, str]]], strict: bool
+) -> tuple[InverseCategory, dict[str, tuple[str, str]]]:
+    """``semidirect_product`` of the maps whose pairs, in name order, are
+    ``theta[s]`` = θ_{s°} for each morphism s; D_e is the range of θ_e."""
     units: dict[str, list[str]] = {}
-    for e in ic.idempotents() if bundle.strict else map(ic.identity_of, ic.objects):
-        for x in maps[e].ran:
+    for e in ic.idempotents() if strict else map(ic.identity_of, ic.objects):
+        for x in {y for _, y in theta[e]}:
             units.setdefault(x, []).append(e)
     identities: dict[str, str] = {}
     for x in objects:
@@ -78,7 +88,12 @@ def semidirect_product(
     triples: dict[str, tuple[str, str, str]] = {}
     shared: set[str] = set()
     for s in ic.morphisms:
-        for x, y in maps[ic.inv(s)].pairs:
+        pairs = theta[s]
+        dom, ran = {x for x, _ in pairs}, {y for _, y in pairs}
+        if len(dom) < len(pairs) or len(ran) < len(pairs):
+            failure = "mapping not functional" if len(dom) < len(pairs) else "mapping not injective"
+            raise PreconditionFailed(f"the map of {ic.inv(s)!r} lists a point twice", morphism=ic.inv(s), failure=failure)
+        for x, y in pairs:
             name = f"({x}|{s})"
             if arrows.setdefault(name, (x, s)) != (x, s):
                 shared.add(name)
@@ -118,9 +133,7 @@ def _no_arrow(name: str) -> UndeclaredName:
 
 
 def szendrei(
-    origin: InverseCategory,
-    variant: str = "global",
-    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    origin: InverseCategory, variant: str = "global", max_elements: int = DEFAULT_MAX_ELEMENTS
 ) -> SzCategory:
     """Construct one of the four expansion variants over the Bernoulli poset.
 
@@ -133,10 +146,10 @@ def szendrei(
     pointed = variant in ("partial", "strict_partial")
     strict = variant in ("strict_global", "strict_partial")
     carrier = build_bernoulli(origin, pointed=pointed, max_elements=max_elements)
-    bundle = carrier.bundle(strict)
-    # one arrow (x|s) per pair of θ_s
-    check_cap("expansion", sum(len(iso.pairs) for iso in bundle.maps.values()), max_elements)
-    inv, arrows = semidirect_product(bundle)
+    theta = {s: sorted(carrier.graph(origin.inv(s), strict)) for s in origin.morphisms}
+    # one arrow (x|s) per pair of θ_{s°}
+    check_cap("expansion", sum(map(len, theta.values())), max_elements)
+    inv, arrows = _semidirect(origin, tuple(carrier.elements), theta, strict)
     return SzCategory(inv, origin, variant, carrier, arrows)
 
 
@@ -174,9 +187,7 @@ def pseudo_product(sz: SzCategory, a: str, b: str) -> str:
     table = sz.origin.cat.table
     st = table.get((s, t))
     if st is None:
-        raise NotComposable(
-            f"underlying morphisms {s!r} and {t!r} do not compose", left=a, right=b
-        )
+        raise NotComposable(f"underlying morphisms {s!r} and {t!r} do not compose", left=a, right=b)
     # st is defined, so A sits at the target of s and B at its source
     return sz.arrow_name(sz.carrier.pseudo(s, akey, bkey), st)
 
@@ -210,10 +221,7 @@ def _below_inner(sz: SzCategory, arrow: str, idem: str, side: str) -> None:
         raise _no_arrow(arrow) from None
     if not product_order_leq(sz, idem, inner):
         raise PreconditionFailed(
-            f"{idem!r} is not below the inner {side} {inner!r} of {arrow!r}",
-            arrow=arrow,
-            idem=idem,
-            inner=inner,
+            f"{idem!r} is not below the inner {side} {inner!r} of {arrow!r}", arrow=arrow, idem=idem, inner=inner
         )
 
 
@@ -245,13 +253,20 @@ def corestriction(sz: SzCategory, arrow: str, idem: str) -> str:
 
 @dataclass
 class InnerExpansion:
-    """All arrows over the endomorphisms of one object, closed under ⋆."""
+    """All arrows over the endomorphisms of one object, closed under ⋆:
+    ``rows[i][j]`` is the number of elements[i] ⋆ elements[j], and
+    ``table`` names the rows on first read."""
 
     sz: SzCategory
     obj: str
     elements: tuple[str, ...]
-    table: dict[tuple[str, str], str]
+    rows: list[list[int]]
     identity: str | None
+
+    @cached_property
+    def table(self) -> dict[tuple[str, str], str]:
+        products = map(self.elements.__getitem__, itertools.chain.from_iterable(self.rows))
+        return dict(zip(itertools.product(self.elements, repeat=2), products))
 
 
 def inner_expansion(
@@ -261,35 +276,26 @@ def inner_expansion(
 
     This is the Szendrei expansion of the monoid End(X), for a group its
     prefix expansion.  End(X) composes totally and every variant's arrows
-    over it are closed under ⋆, so each entry is one ``BernoulliPoset.pseudo``,
-    one composite and one lookup, with no ``pseudo_product`` call.  The
-    pointed variants contain ({1_X}, 1_X) and form inverse monoids; the
-    full variants are inverse semigroups without identity in general.
-    Raises SIZE_CAP_EXCEEDED before any ⋆ is taken when the table's
-    |elements|² entries are above ``max_elements``, and UNDECLARED_NAME
-    when ``obj`` is not an object of the underlying category.
+    over it are closed under ⋆: the rows are ``BernoulliPoset.star_rows``,
+    and no name is made.  An identity (U, u) has u = u·1_X = 1_X and then
+    U ∪ {iε(U)} = {1_X}, so only ({1_X}, 1_X) is checked, along its row
+    and column.  The pointed variants pass and form inverse monoids; the
+    full variants are inverse semigroups without identity in general.  Raises
+    SIZE_CAP_EXCEEDED before any ⋆ is taken when the table's |elements|²
+    entries are above ``max_elements``, and UNDECLARED_NAME when ``obj``
+    is not an object of the underlying category.
     """
     if obj not in sz.origin.objects:
         raise UndeclaredName(f"no object {obj!r} in the underlying category", name=obj)
-    arrows = [
-        (name, key, s)
-        for name, (key, s) in sz.arrows.items()
-        if sz.origin.src(s) == obj and sz.origin.tgt(s) == obj
-    ]
-    check_cap("inner expansion", len(arrows) ** 2, max_elements)
-    elements = tuple(name for name, _, _ in arrows)
-    named = {(key, s): name for name, key, s in arrows}
-    compose, pseudo = sz.origin.cat.table, sz.carrier.pseudo
-    table = {
-        (a, b): named[pseudo(s, akey, bkey), compose[(s, t)]]
-        for a, akey, s in arrows
-        for b, bkey, t in arrows
-    }
-    identity = next(
-        (u for u in elements if all(table[(u, v)] == v == table[(v, u)] for v in elements)),
-        None,
-    )
-    return InnerExpansion(sz, obj, elements, table, identity)
+    src, tgt = sz.origin.cat.src, sz.origin.cat.tgt
+    inner = {name: pair for name, pair in sz.arrows.items() if src[pair[1]] == obj == tgt[pair[1]]}
+    check_cap("inner expansion", len(inner) ** 2, max_elements)
+    elements, rows = tuple(inner), sz.carrier.star_rows(list(inner.values()))
+    one = sz.origin.identity_of(obj)
+    u = elements.index(sz.arrow_name(subset_name((one,)), one))
+    positions = list(range(len(elements)))
+    identity = elements[u] if rows[u] == positions == list(map(itemgetter(u), rows)) else None
+    return InnerExpansion(sz, obj, elements, rows, identity)
 
 
 def validate_inverse_semigroup(
@@ -297,13 +303,15 @@ def validate_inverse_semigroup(
 ) -> ValidationReport:
     """Totality, associativity, commuting idempotents, unique inverses.
 
-    Associativity is decided by Light's test (Clifford & Preston, *The
-    Algebraic Theory of Semigroups* I, §1.2), run by ``core`` on the table
-    read as a one-object category: the elements a with (xa)y = x(ay) for
-    all x, y are closed under the product, so checking them over a
-    generating set (``core.generators``) costs n²·|generators| instead of
-    n³.  When the test fails, every triple is scanned, so the report lists
-    each failing (a, b, c) in order.
+    The table is read once, by C-level maps, into rows of element numbers
+    (column b lists a·b for each a); only when a product is missing or
+    escapes the set are the pairs scanned in order.  Associativity is
+    decided by Light's test (Clifford & Preston, *The Algebraic Theory of
+    Semigroups* I, §1.2), run by ``core`` on the rows read as a one-object
+    category: the elements a with (xa)y = x(ay) for all x, y are closed
+    under the product, so checking a generating set costs n²·|generators|
+    instead of n³.  When it fails, every triple is scanned, so the report
+    lists each failing (a, b, c) in order.
 
     Once totality, associativity and commuting idempotents hold, an
     element has at most one generalized inverse (``core``'s certificate
@@ -312,37 +320,35 @@ def validate_inverse_semigroup(
     table that broke an earlier rule, is scanned in full, so the counts
     reported are those of a full scan.
     """
-    report = ValidationReport()
-    elems = tuple(elements)
-    eset = set(elems)
-    for a in elems:
-        for b in elems:
+    report, elems = ValidationReport(), tuple(elements)
+    num = {a: i for i, a in enumerate(elems)}
+    try:
+        right = [list(map(num.__getitem__, map(table.__getitem__, zip(elems, itertools.repeat(b))))) for b in elems]
+    except KeyError:
+        eset = set(elems)
+        for a, b in itertools.product(elems, repeat=2):
             if table.get((a, b)) not in eset:
                 report.add("semigroup-total", (a, b), "product missing or escapes the set")
-    if report.violations:
         return report
-    ends = dict.fromkeys(elems, "*")
-    if light_test(FiniteCategory(("*",), elems, ends, ends, {}, table)) is None:
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
-                        report.add("semigroup-associative", (a, b, c), "products disagree")
-    idem = [a for a in elems if table[(a, a)] == a]
-    for e in idem:
-        for f in idem:
-            if table[(e, f)] != table[(f, e)]:
-                report.add("idempotents-commute", (e, f), "ef differs from fe")
+    cat = FiniteCategory.from_rows(("*",), dict.fromkeys(elems, ("*", "*")), {}, right)
+    if light_test(cat) is None:
+        for a, b, c in itertools.product(elems, repeat=3):
+            if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]:
+                report.add("semigroup-associative", (a, b, c), "products disagree")
+    idem = [a for a, column in enumerate(right) if column[a] == a]
+    for e, f in itertools.product(idem, repeat=2):
+        if right[f][e] != right[e][f]:
+            report.add("idempotents-commute", (elems[e], elems[f]), "ef differs from fe")
     unique = report.ok
-    for a in elems:
+    for a, column in enumerate(right):  # column[t] = t·a
         count = 0
-        for t in elems:
-            if table[(table[(a, t)], a)] == a and table[(table[(t, a)], t)] == t:
+        for t, ta in enumerate(column):
+            if column[right[t][a]] == a and right[t][ta] == t:
                 count += 1
                 if unique:
                     break
         if count != 1:
-            report.add("unique-inverse", (a,), f"{count} generalized inverses")
+            report.add("unique-inverse", (elems[a],), f"{count} generalized inverses")
     return report
 
 

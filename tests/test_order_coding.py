@@ -8,7 +8,7 @@ of ``ints()`` and the placeholder class of a joined category.  A
 (idempotent, mask) code of each element, the key of each mask, the
 per-idempotent buckets and the image tables of ``_images``.  Every other
 module asks through public functions and methods (the carrier through
-``act``, ``domain``, ``graph``, ``bundle`` and ``pseudo``), so none imports a
+``act``, ``domain``, ``graph``, ``pseudo`` and ``star_rows``), so none imports a
 ``_``-prefixed name from another module of the library, reads a private
 attribute of another module, or reads a private field or method that
 another module defines.  ``down`` (of ``poset``) and ``ints`` (of
